@@ -130,7 +130,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not cfg.model:
             raise ConfigError("missing section 'experiment.model'")
         model = get_model(cfg.model)  # raises UnknownModel
-        resolve_params(model, cfg.params)
+        try:
+            resolve_params(model, cfg.params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         for req in ("gamma", "W"):
             if req not in cfg.params:
@@ -139,6 +142,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         for k in _SECTION_KEYS["plane"]:
             if k not in cfg.plane:
                 raise ConfigError(f"missing section key 'plane.{k}'")
+        # Build what the run builds, so that a bad plane fails here.
+        try:
+            plane = _build_plane(cfg)
+            if cfg.command == "map":
+                resolve_params(model, {plane.x.name: 0.0, plane.y.name: 0.0})
+        except ValueError as exc:
+            raise ConfigError(f"plane: {exc}") from None
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
@@ -370,12 +380,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
     gamma, W = cfg.params["gamma"], cfg.params["W"]
     fmap = None
     if cfg.plane:
-        plane = PlaneSpec(
-            x=AxisSpec(cfg.plane["x_name"], cfg.plane["x_min"], cfg.plane["x_max"],
-                       cfg.plane["x_res"]),
-            y=AxisSpec(cfg.plane["y_name"], cfg.plane["y_min"], cfg.plane["y_max"],
-                       cfg.plane["y_res"]),
-        )
+        plane = _build_plane(cfg)
         fmap = bistability_map(plane, gamma=gamma, W=W)
         emit_text(
             "steady_scan.csv",

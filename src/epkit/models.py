@@ -309,7 +309,8 @@ def _linear_batch(scalar_build: Callable, params: tuple[str, ...], dim: int):
 
     All catalog generators are linear in their parameters, so the stacked
     matrix is  base + sum_p p * basis_p  with basis matrices extracted from
-    the scalar builder once.
+    the scalar builder once.  Scalar values take the same path and give a
+    single (dim, dim) matrix.
     """
     zeros = {p: 0.0 for p in params}
     base = scalar_build(**zeros)
@@ -322,8 +323,6 @@ def _linear_batch(scalar_build: Callable, params: tuple[str, ...], dim: int):
     def build(**values):
         arrays = {p: np.asarray(values[p], dtype=float) for p in params}
         shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
-        if shape == ():
-            return scalar_build(**{p: float(arrays[p]) for p in params})
         out = np.zeros(shape + (dim, dim), dtype=complex)
         out += base
         for p in params:

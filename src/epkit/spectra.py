@@ -191,49 +191,56 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 
 
 # -- refinement ---------------------------------------------------------------
+#
+# Every search below runs on lanes: one lane per grid edge, per seed or per
+# walk orientation.  All lanes take the same number of steps, so one step is
+# one evaluate_cells call on the stacked lane points, and per-lane branches
+# are np.where selections.  A lane does exactly the arithmetic of a lone
+# search and LAPACK solves every stacked matrix on its own, so a lane's
+# result does not depend on the other lanes of its batch.
 
 
-def _min_gap_at(model: ModelSpec, plane: PlaneSpec, x: float, y: float) -> float:
-    _, gap, _, _ = evaluate_cells(model, plane, np.asarray(x), np.asarray(y))
-    return float(gap)
+def _min_gap(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
+    return evaluate_cells(model, plane, x, y)[1]
 
 
-def _indicator_at(model: ModelSpec, plane: PlaneSpec, x: float, y: float) -> float:
-    _, _, _, ind = evaluate_cells(model, plane, np.asarray(x), np.asarray(y))
-    return float(ind)
+def _indicator(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
+    return evaluate_cells(model, plane, x, y)[3]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, iters: int):
-    """Golden-section minimizer on [lo, hi]; returns the midpoint argmin."""
-    a, b = lo, hi
+def _golden_min(f, lo, hi, iters: int) -> np.ndarray:
+    """Golden-section minimizer on the lane brackets [lo, hi].
+
+    ``f`` maps an array of abscissae, one per lane, to the lane values.
+    Returns the midpoint argmin of every lane.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+        left = fc < fd  # keep [a, d], else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return 0.5 * (a + b)
 
 
 def refine_gap_minimum(
     model: ModelSpec,
     plane: PlaneSpec,
-    x0: float,
-    y0: float,
+    x0,
+    y0,
     dx: float,
     dy: float,
     iters: int = 80,
 ):
-    """Line-search descent of the min-gap field around (x0, y0).
+    """Line-search descent of the min-gap field around the seeds (x0, y0).
 
     The gap vanishes like the square root of the distance to an exceptional
     line, so each line search must run essentially to float resolution
@@ -241,41 +248,63 @@ def refine_gap_minimum(
     stall at gap levels orders of magnitude above the attainable floor.
     Coordinate sweeps catch valleys crossing either axis; a final search
     along the local gap gradient handles valleys nearly parallel to an
-    axis.  Returns the best point evaluated.
+    axis.  ``x0`` and ``y0`` hold one seed per lane; returns the best point
+    evaluated in each lane as two arrays.
     """
 
     def gap(u, v):
-        return _min_gap_at(model, plane, u, v)
+        return _min_gap(model, plane, u, v)
 
-    x, y = float(x0), float(y0)
-    best = (gap(x, y), x, y)
+    x = np.array(x0, dtype=float).reshape(-1)
+    y = np.array(y0, dtype=float).reshape(-1)
+    best_g, best_x, best_y = gap(x, y), x, y
     bx, by = dx, dy
     for _ in range(3):
         x = _golden_min(lambda u: gap(u, y), x - bx, x + bx, iters)
         y = _golden_min(lambda v: gap(x, v), y - by, y + by, iters)
         g = gap(x, y)
-        if g < best[0]:
-            best = (g, x, y)
+        better = g < best_g
+        best_g = np.where(better, g, best_g)
+        best_x = np.where(better, x, best_x)
+        best_y = np.where(better, y, best_y)
         bx *= 0.3
         by *= 0.3
 
-    # Gradient-direction pass from the incumbent.
-    _, x, y = best
+    # Gradient-direction pass from the incumbent; the four difference probes
+    # of all lanes share one evaluation.
+    x, y = best_x, best_y
     hx, hy = 1e-6 * dx, 1e-6 * dy
-    gx = (gap(x + hx, y) - gap(x - hx, y)) / (2 * hx)
-    gy = (gap(x, y + hy) - gap(x, y - hy)) / (2 * hy)
-    norm = math.hypot(gx * dx, gy * dy)
-    if norm > 0:
-        ux, uy = gx * dx * dx / norm, gy * dy * dy / norm
+    probes = gap(np.concatenate([x + hx, x - hx, x, x]),
+                 np.concatenate([y, y, y + hy, y - hy])).reshape(4, -1)
+    gx = (probes[0] - probes[1]) / (2 * hx)
+    gy = (probes[2] - probes[3]) / (2 * hy)
+    norm = np.array(list(map(math.hypot, gx * dx, gy * dy)))
+    live = np.flatnonzero(norm > 0)
+    if live.size:
+        ux = gx[live] * dx * dx / norm[live]
+        uy = gy[live] * dy * dy / norm[live]
+        xl, yl = x[live], y[live]
         t = _golden_min(
-            lambda s: gap(x + s * ux, y + s * uy), -1.0, 1.0, iters
+            lambda s: gap(xl + s * ux, yl + s * uy),
+            np.full(live.size, -1.0), np.full(live.size, 1.0), iters,
         )
-        cand = (gap(x + t * ux, y + t * uy), x + t * ux, y + t * uy)
-        if cand[0] < best[0]:
-            best = cand
-    return best[1], best[2]
+        cx, cy = xl + t * ux, yl + t * uy
+        better = gap(cx, cy) < best_g[live]
+        best_x[live] = np.where(better, cx, xl)
+        best_y[live] = np.where(better, cy, yl)
+    return best_x, best_y
 
 
+def _closest_pair(model: ModelSpec, plane: PlaneSpec, x, y):
+    """Decomposition at one point: (dec, ||L||_F, min pair gap, i, j)."""
+    mats = model.matrix(**_cell_params(model, plane, x, y))
+    dec = linalg.eig(mats)
+    gmin, bi, bj = min(
+        (abs(dec.eigenvalues[i] - dec.eigenvalues[j]), i, j)
+        for i in range(dec.dim)
+        for j in range(i + 1, dec.dim)
+    )
+    return dec, float(np.linalg.norm(mats)), gmin, bi, bj
 
 
 def detect_ep(
@@ -296,55 +325,57 @@ def detect_ep(
     cannot be pinned tighter through the eigenvalue cluster alone.
     """
     model = get_model(model_name)
-    x, y = refine_gap_minimum(
-        model, plane, cell_xy[0], cell_xy[1], cell_size[0], cell_size[1], iters
+    return _detect_eps(model, plane, [cell_xy], cell_size, iters, kind)[0]
+
+
+def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point"):
+    """``detect_ep`` for many seeds at once, one lane per seed."""
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
+    xs, ys = refine_gap_minimum(
+        model, plane, seeds[:, 0], seeds[:, 1], cell_size[0], cell_size[1], iters
     )
-    mats = model.matrix(**_cell_params(model, plane, x, y))
-    fro = float(np.linalg.norm(mats))
-    dec = linalg.eig(mats)
-    gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
-    pairs = [
-        (abs(dec.eigenvalues[i] - dec.eigenvalues[j]), i, j)
-        for i in range(dec.dim)
-        for j in range(i + 1, dec.dim)
-    ]
-    gmin, bi, bj = min(pairs)
-    if gmin >= gap_tol:
-        return None
-    if linalg.coalescence_measure(dec, bi, bj) <= OVERLAP_MIN:
-        return None
-    order, value, near_miss = _estimate_order(dec.eigenvalues, bi, bj)
+    found = [None] * len(seeds)  # [x, y, residual, order, eigenvalue]
+    walkers = {}  # lane -> gap gate of its walked point
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        dec, fro, gmin, bi, bj = _closest_pair(model, plane, x, y)
+        gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
+        if gmin >= gap_tol or linalg.coalescence_measure(dec, bi, bj) <= OVERLAP_MIN:
+            continue
+        order, value, near_miss = _estimate_order(dec.eigenvalues, bi, bj)
+        found[k] = [x, y, gmin, order, value]
+        if order >= 3 or near_miss:
+            # At an order-3 point the attainable pair gap is cube-root
+            # limited, so a walked point is gated on eps^(1/3) rather than
+            # the pair tolerance.
+            eps3 = float(np.finfo(float).eps) ** (1 / 3)
+            walkers[k] = max(gap_tol, 50.0 * (1.0 + fro) * eps3)
 
     # The landing point of the gap search sits somewhere on the line; when
     # a third eigenvalue is nearby (a higher-order endpoint), walk along the
-    # line to the cluster-spread minimum to pin the point itself.  At an
-    # order-3 point the attainable pair gap is cube-root limited, so the
-    # walked point is gated on eps^(1/3) rather than the pair tolerance.
-    if order >= 3 or near_miss:
-        wx, wy = _spread_walk(model, plane, x, y, cell_size, 3)
-        wdec = linalg.eig(model.matrix(**_cell_params(model, plane, wx, wy)))
-        wpairs = [
-            (abs(wdec.eigenvalues[i] - wdec.eigenvalues[j]), i, j)
-            for i in range(wdec.dim)
-            for j in range(i + 1, wdec.dim)
-        ]
-        wmin, wi, wj = min(wpairs)
-        worder, wvalue, _ = _estimate_order(wdec.eigenvalues, wi, wj)
-        gate3 = max(gap_tol, 50.0 * (1.0 + fro) * float(np.finfo(float).eps) ** (1 / 3))
-        if (
-            worder >= max(order, 3)
-            and wmin < gate3
-            and linalg.coalescence_measure(wdec, wi, wj) > OVERLAP_MIN
-        ):
-            x, y, gmin, order, value = wx, wy, wmin, worder, wvalue
+    # line to the cluster-spread minimum to pin the point itself.
+    if walkers:
+        lanes = list(walkers)
+        wxs, wys = _spread_walk(model, plane, xs[lanes], ys[lanes], cell_size, 3)
+        for k, wx, wy in zip(lanes, wxs, wys):
+            wdec, _, wmin, wi, wj = _closest_pair(model, plane, wx, wy)
+            worder, wvalue, _ = _estimate_order(wdec.eigenvalues, wi, wj)
+            if (
+                worder >= max(found[k][3], 3)
+                and wmin < walkers[k]
+                and linalg.coalescence_measure(wdec, wi, wj) > OVERLAP_MIN
+            ):
+                found[k] = [wx, wy, wmin, worder, wvalue]
 
-    return EPCandidate(
-        location=(x, y),
-        order=int(order),
-        eigenvalue=complex(value),
-        residual=float(gmin),
-        kind=kind,
-    )
+    return [
+        None if f is None else EPCandidate(
+            location=(float(f[0]), float(f[1])),
+            order=int(f[3]),
+            eigenvalue=complex(f[4]),
+            residual=float(f[2]),
+            kind=kind,
+        )
+        for f in found
+    ]
 
 
 # Ratio threshold for cluster membership: an eigenvalue joins the cluster
@@ -392,16 +423,13 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
     return len(cluster), mean, near_miss
 
 
-def _cluster_spread(model, plane, x, y, order: int) -> float:
-    """Diameter of the tightest ``order``-sized eigenvalue cluster."""
-    mats = model.matrix(**_cell_params(model, plane, x, y))
-    vals = linalg.eig_batch(mats[None, ...])[0][0]
-    best = np.inf
-    for i in range(vals.size):
-        dists = np.sort(np.abs(vals - vals[i]))
-        if dists.size >= order:
-            best = min(best, float(dists[order - 1]))
-    return best
+def _cluster_spread(model, plane, x, y, order: int) -> np.ndarray:
+    """Diameter of the tightest ``order``-sized eigenvalue cluster, per lane."""
+    vals = linalg.eig_batch(model.matrix(**_cell_params(model, plane, x, y)))[0]
+    if vals.shape[-1] < order:
+        return np.full(vals.shape[:-1], np.inf)
+    dists = np.sort(np.abs(vals[..., None, :] - vals[..., :, None]), axis=-1)
+    return dists[..., order - 1].min(axis=-1)
 
 
 def _spread_walk(model, plane, x, y, cell_size, order: int):
@@ -414,96 +442,142 @@ def _spread_walk(model, plane, x, y, cell_size, order: int):
     one re-projects onto the line along the other.  Both axis assignments
     are tried; whichever reaches the smaller spread wins (the line's local
     orientation is unknown, and the indicator gradient is pure noise on the
-    line itself).
+    line itself).  ``x`` and ``y`` hold one start per lane; each start walks
+    in two lanes, along x and along y, searched together.
     """
     dx, dy = cell_size
+    n = len(x)
+    x, y = np.tile(x, 2), np.tile(y, 2)
+    along_x = np.arange(2 * n) < n
 
-    def walk(along_x: bool):
-        def on_line(u):
-            if along_x:
-                v = _golden_min(
-                    lambda w: _min_gap_at(model, plane, u, w),
-                    y - 2 * dy,
-                    y + 2 * dy,
-                    80,
-                )
-                return u, v
-            v = _golden_min(
-                lambda w: _min_gap_at(model, plane, w, u),
-                x - 2 * dx,
-                x + 2 * dx,
-                80,
-            )
-            return v, u
+    def point(u, w):
+        """(x, y) from the coordinate along the walk and the one across it."""
+        return np.where(along_x, u, w), np.where(along_x, w, u)
 
-        def spread(u):
-            px, py = on_line(u)
-            return _cluster_spread(model, plane, px, py, order)
+    def on_line(u):
+        w = _golden_min(
+            lambda w: _min_gap(model, plane, *point(u, w)),
+            np.where(along_x, y - 2 * dy, x - 2 * dx),
+            np.where(along_x, y + 2 * dy, x + 2 * dx),
+            80,
+        )
+        return point(u, w)
 
-        if along_x:
-            u_best = _golden_min(spread, x - 2 * dx, x + 2 * dx, 36)
-        else:
-            u_best = _golden_min(spread, y - 2 * dy, y + 2 * dy, 36)
-        px, py = on_line(u_best)
-        return _cluster_spread(model, plane, px, py, order), px, py
-
-    _, px, py = min(walk(True), walk(False))
-    return px, py
+    u_best = _golden_min(
+        lambda u: _cluster_spread(model, plane, *on_line(u), order),
+        np.where(along_x, x - 2 * dx, y - 2 * dy),
+        np.where(along_x, x + 2 * dx, y + 2 * dy),
+        36,
+    )
+    px, py = on_line(u_best)
+    spread = _cluster_spread(model, plane, px, py, order)
+    walks = list(zip(spread, px, py))
+    best = [min(walks[k], walks[n + k]) for k in range(n)]
+    return np.array([b[1] for b in best]), np.array([b[2] for b in best])
 
 
 # -- marching squares ---------------------------------------------------------
 
+# Cell edges in marching-squares order, and the segments of each corner code
+# (bit k set: corner k negative; corners bottom-left, bottom-right,
+# top-right, top-left).  Codes 5 and 10 are saddles, decided by the
+# cell-centre sample.
+_BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
+_CELL_SEGMENTS = {
+    1: [(_LEFT, _BOTTOM)],
+    2: [(_BOTTOM, _RIGHT)],
+    3: [(_LEFT, _RIGHT)],
+    4: [(_RIGHT, _TOP)],
+    6: [(_BOTTOM, _TOP)],
+    7: [(_LEFT, _TOP)],
+    8: [(_TOP, _LEFT)],
+    9: [(_BOTTOM, _TOP)],
+    11: [(_RIGHT, _TOP)],
+    12: [(_LEFT, _RIGHT)],
+    13: [(_RIGHT, _BOTTOM)],
+    14: [(_LEFT, _BOTTOM)],
+}
 
-def _edge_zero(model, plane, p0, p1, f0, f1, iters=60):
-    """Locate the coalescence on the segment p0-p1.
+
+def _segments(ind: np.ndarray) -> list:
+    """Marching-squares segments of the sign field, as pairs of edge keys.
+
+    An edge key is (i, j, axis): axis 0 joins nodes (i,j)-(i+1,j), axis 1
+    joins (i,j)-(i,j+1).  Cells are visited row by row.
+    """
+    neg = (ind < 0).astype(int)
+    codes = neg[:-1, :-1] | neg[1:, :-1] << 1 | neg[1:, 1:] << 2 | neg[:-1, 1:] << 3
+    segments = []
+    for i, j in np.argwhere((codes != 0) & (codes != 15)).tolist():
+        code = int(codes[i, j])
+        edges = ((i, j, 0), (i + 1, j, 1), (i, j + 1, 0), (i, j, 1))
+        entry = _CELL_SEGMENTS.get(code)
+        if entry is None:
+            # Saddle: the cell-center sample decides which negative corners
+            # connect.
+            center = 0.25 * (
+                ind[i, j] + ind[i + 1, j] + ind[i + 1, j + 1] + ind[i, j + 1]
+            )
+            neg_diag_bl_tr = code == 5
+            if (center < 0) == neg_diag_bl_tr:
+                entry = [(_BOTTOM, _RIGHT), (_TOP, _LEFT)]
+            else:
+                entry = [(_LEFT, _BOTTOM), (_RIGHT, _TOP)]
+        segments.extend((edges[ea], edges[eb]) for ea, eb in entry)
+    return segments
+
+
+def _edge_endpoints(xs, ys, ind, keys):
+    """End nodes (n, 2) and their indicator values for a list of edge keys."""
+    i0, j0, axis = np.array(keys).T
+    i1, j1 = i0 + (axis == 0), j0 + (axis == 1)
+    p0 = np.stack([xs[i0], ys[j0]], axis=1)
+    p1 = np.stack([xs[i1], ys[j1]], axis=1)
+    return p0, p1, ind[i0, j0], ind[i1, j1]
+
+
+def _edge_zeros(model, plane, p0, p1, f0, iters=60):
+    """Locate the coalescence on each segment p0[k]-p1[k], all at once.
 
     Bisection on the indicator sign narrows to the rounding-noise band of
     the gap product; a short golden-section polish of the gap itself then
-    picks the attainable minimum inside that band.
+    picks the attainable minimum inside that band.  ``p0`` and ``p1`` are
+    (n, 2) endpoint arrays, ``f0`` the indicator at ``p0``.
     """
-    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
-    a, b = 0.0, 1.0
-    fa = f0
+    n = len(p0)
+    a, b, fa = np.zeros(n), np.ones(n), np.array(f0, dtype=float)
+    done = np.zeros(n, dtype=bool)  # lanes that hit an exact zero
 
     def at(t):
-        return p0 + t * (p1 - p0)
+        return p0 + t[:, None] * (p1 - p0)
 
     for _ in range(iters):
         m = 0.5 * (a + b)
-        pm = at(m)
-        fm = _indicator_at(model, plane, pm[0], pm[1])
-        if fm == 0.0:
-            a = b = m
-            break
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
+        fm = _indicator(model, plane, *at(m).T)
+        zero = ~done & (fm == 0.0)
+        live = ~done & ~zero
+        flip = (fa < 0) != (fm < 0)
+        b = np.where(zero | (live & flip), m, b)
+        a = np.where(zero | (live & ~flip), m, a)
+        fa = np.where(live & ~flip, fm, fa)
+        done |= zero
     # Near-tangent crossings leave a wide band where the indicator sign is
     # rounding noise, so the gap polish needs a generous bracket around the
     # bisection landing point.
     t0 = 0.5 * (a + b)
-    lo, hi = max(0.0, t0 - 0.02), min(1.0, t0 + 0.02)
-    t_best = _golden_min(
-        lambda t: _min_gap_at(model, plane, *at(t)), lo, hi, 90
-    )
-    g_best = _min_gap_at(model, plane, *at(t_best))
-    if g_best < _min_gap_at(model, plane, *at(t0)):
-        t0 = t_best
+
+    def gap(t):
+        return _min_gap(model, plane, *at(t).T)
+
+    lo, hi = np.maximum(0.0, t0 - 0.02), np.minimum(1.0, t0 + 0.02)
+    t_best = _golden_min(gap, lo, hi, 90)
+    t0 = np.where(gap(t_best) < gap(t0), t_best, t0)
     return at(t0)
 
 
 def _vertex_passes(model, plane, x, y):
     """Contract check at a refined vertex; also reports the 3-cluster spread."""
-    mats = model.matrix(**_cell_params(model, plane, x, y))
-    fro = float(np.linalg.norm(mats))
-    dec = linalg.eig(mats)
-    pairs = [
-        (abs(dec.eigenvalues[i] - dec.eigenvalues[j]), i, j)
-        for i in range(dec.dim)
-        for j in range(i + 1, dec.dim)
-    ]
-    gmin, bi, bj = min(pairs)
+    dec, fro, gmin, bi, bj = _closest_pair(model, plane, x, y)
     ok = gmin < GAP_TOL_FACTOR * (1.0 + fro) and (
         linalg.coalescence_measure(dec, bi, bj) > OVERLAP_MIN
     )
@@ -521,93 +595,27 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
 
     Marching squares on the node grid produces segments per cell; segments
     sharing a grid edge are chained into polylines.  Every vertex is then
-    refined by bisection along its grid edge and kept only if it satisfies
-    the gap + coalescence contract.  Open polyline endpoints are refined
-    into higher-order candidates where a third eigenvalue joins the cluster.
+    refined by bisection along its grid edge, all edges in one batch, and
+    kept only if it satisfies the gap + coalescence contract.  Open
+    polyline endpoints are refined into higher-order candidates where a
+    third eigenvalue joins the cluster, all seeds in one batch.
     """
     model = get_model(emap.model)
     plane = emap.plane
     xs, ys, ind = emap.xs, emap.ys, emap.indicator
-    nx, ny = xs.size, ys.size
 
-    # Crossing on each grid edge, keyed by (i, j, axis); axis 0 joins
-    # (i,j)-(i+1,j), axis 1 joins (i,j)-(i,j+1).
+    segments = _segments(ind)
+    # Crossing on every edge a segment touches, all edges together.
     crossings: dict[tuple, np.ndarray] = {}
-
-    def edge_key(i, j, axis):
-        return (i, j, axis)
-
-    def edge_crossing(i, j, axis):
-        key = edge_key(i, j, axis)
-        if key in crossings:
-            return key
-        if axis == 0:
-            p0, p1 = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            f0, f1 = ind[i, j], ind[i + 1, j]
-        else:
-            p0, p1 = (xs[i], ys[j]), (xs[i], ys[j + 1])
-            f0, f1 = ind[i, j], ind[i, j + 1]
+    keys = list(dict.fromkeys(k for seg in segments for k in seg))
+    if keys:
+        p0, p1, f0, f1 = _edge_endpoints(xs, ys, ind, keys)
         if refine:
-            pt = _edge_zero(model, plane, p0, p1, f0, f1)
+            pts = _edge_zeros(model, plane, p0, p1, f0)
         else:
-            t = f0 / (f0 - f1)
-            pt = np.asarray(p0) + np.clip(t, 0.0, 1.0) * (np.asarray(p1) - np.asarray(p0))
-        crossings[key] = pt
-        return key
-
-    # Segments as pairs of edge keys.
-    segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [
-                (ind[i, j] < 0, (i, j)),
-                (ind[i + 1, j] < 0, (i + 1, j)),
-                (ind[i + 1, j + 1] < 0, (i + 1, j + 1)),
-                (ind[i, j + 1] < 0, (i, j + 1)),
-            ]
-            code = sum(b << k for k, (b, _) in enumerate(corners))
-            if code in (0, 15):
-                continue
-            # Edges of the cell in marching-squares order: bottom, right,
-            # top, left (as (i, j, axis) keys).
-            bottom = edge_key(i, j, 0)
-            right = edge_key(i + 1, j, 1)
-            top = edge_key(i, j + 1, 0)
-            left = edge_key(i, j, 1)
-            table = {
-                1: [(left, bottom)],
-                2: [(bottom, right)],
-                3: [(left, right)],
-                4: [(right, top)],
-                5: None,  # saddle
-                6: [(bottom, top)],
-                7: [(left, top)],
-                8: [(top, left)],
-                9: [(bottom, top)],
-                10: None,  # saddle
-                11: [(right, top)],
-                12: [(left, right)],
-                13: [(right, bottom)],
-                14: [(left, bottom)],
-            }
-            entry = table[code]
-            if entry is None:
-                # Saddle: the cell-center sample decides which negative
-                # corners connect.
-                center = 0.25 * (
-                    ind[i, j] + ind[i + 1, j] + ind[i + 1, j + 1] + ind[i, j + 1]
-                )
-                neg_diag_bl_tr = code == 5
-                if (center < 0) == neg_diag_bl_tr:
-                    entry = [(bottom, right), (top, left)]
-                else:
-                    entry = [(left, bottom), (right, top)]
-            for ka, kb in entry:
-                ia, ja, aa = ka
-                ib, jb, ab = kb
-                ea = edge_crossing(ia, ja, aa)
-                eb = edge_crossing(ib, jb, ab)
-                segments.append((ea, eb))
+            t = np.clip(f0 / (f0 - f1), 0.0, 1.0)
+            pts = p0 + t[:, None] * (p1 - p0)
+        crossings = dict(zip(keys, pts))
 
     polylines = _chain_segments(segments, crossings)
 
@@ -658,14 +666,16 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
         for end in (line[0], line[-1]):
             seeds.append(tuple(end))
 
+    # All seeds are refined together; the de-duplication then runs in seed
+    # order, exactly as if each seed were refined after the previous one.
+    cands = _detect_eps(model, plane, seeds, cell) if seeds else []
     points = []
     seen = []
-    for seed in seeds:
+    for seed, cand in zip(seeds, cands):
         if any(
             math.hypot(seed[0] - p[0], seed[1] - p[1]) < 2.0 * max(cell) for p in seen
         ):
             continue
-        cand = detect_ep(emap.model, plane, seed, cell)
         if cand is not None and cand.order >= 3:
             if any(
                 math.hypot(cand.location[0] - p[0], cand.location[1] - p[1])

@@ -1,5 +1,6 @@
 """Config grammar, presets, artifact determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -146,6 +147,13 @@ def test_map_threads_byte_identical(tmp_path):
     m8 = run(cfg, out_dir=str(tmp_path / "t8"), threads=8)
     assert m1["outputs"]["map.csv"] == m8["outputs"]["map.csv"]
     assert _read(tmp_path / "t1" / "map.csv") == _read(tmp_path / "t8" / "map.csv")
+    # the traced lines and points too
+    assert m1["outputs"]["map.json"] == m8["outputs"]["map.json"]
+    digests = {
+        hashlib.sha256(_read(tmp_path / t / "map.json")).hexdigest() for t in ("t1", "t8")
+    }
+    assert len(digests) == 1
+    assert json.loads(_read(tmp_path / "t1" / "map.json"))["lines"]
 
 
 def test_hermitian_map_has_empty_lines(tmp_path):
@@ -244,6 +252,44 @@ def test_cli_validate_error_exit_code(tmp_path, capsys):
     cfgfile.write_text("experiment.command = map\nplane.bogus = 1\n")
     assert main(["validate", "--config", str(cfgfile)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+BAD_PLANES = {
+    "map_reversed_axis": MAP_CONFIG.replace(
+        "plane.x_min = -0.5\nplane.x_max = 0.5", "plane.x_min = 0.5\nplane.x_max = -0.5"
+    ),
+    "map_unknown_axis": MAP_CONFIG.replace("plane.x_name = delta", "plane.x_name = Omega"),
+    "rydberg_reversed_axis": """
+experiment.command = rydberg
+param.gamma = 1.0
+param.W = -11.0
+plane.x_name = Omega
+plane.x_min = 2.4
+plane.x_max = 1.8
+plane.x_res = 7
+plane.y_name = Delta
+plane.y_min = -5.5
+plane.y_max = -3.5
+plane.y_res = 9
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANES))
+def test_cli_bad_plane_fails_validation(tmp_path, capsys, case):
+    # A plane the run cannot build fails `validate` and the run itself with
+    # a config error (exit 2), never a traceback.
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(BAD_PLANES[case])
+    with pytest.raises(ConfigError, match="plane"):
+        parse_config(BAD_PLANES[case])
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    command = case.split("_")[0]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_presets_listing(capsys):

@@ -22,6 +22,7 @@ from epkit.models import (
     coldatom_liouvillian,
     detuned_liouvillian,
     encircle_hamiltonian,
+    encircle_model,
     get_model,
     perturbed_ep_splitting,
     pt_hamiltonian,
@@ -299,15 +300,37 @@ def test_catalog_names():
     }
 
 
+# The public builder of every catalog model, from the catalog's parameters.
+PUBLIC_BUILDERS = {
+    "pt": lambda J, Gamma: pt_hamiltonian(PTParams(J=J, Gamma=Gamma)),
+    "encircle": encircle_model,
+    "coldatom_heff": lambda delta, coupling, Gamma: coldatom_heff(
+        ColdAtomParams(delta=delta, coupling=coupling, Gamma=Gamma)
+    ),
+    "basic_liouvillian": basic_liouvillian,
+    "detuned_liouvillian": detuned_liouvillian,
+    "coldatom_liouvillian": lambda delta, coupling, Gamma, gamma: coldatom_liouvillian(
+        ColdAtomParams(delta=delta, coupling=coupling, Gamma=Gamma, gamma=gamma)
+    ),
+}
+
+
 def test_catalog_batch_matches_scalar():
+    # Scalar and stacked catalog matrices are both built as
+    # base + sum_p p * basis_p; check them against the public builders.
+    assert set(PUBLIC_BUILDERS) == set(MODELS)
     rng = np.random.default_rng(3)
     for name, spec in MODELS.items():
         vals = {p: rng.uniform(0.05, 1.5, size=6) for p in spec.params}
         batch = spec.matrix(**vals)
         assert batch.shape == (6, spec.dim, spec.dim)
         for k in range(6):
-            single = spec.matrix(**{p: float(vals[p][k]) for p in spec.params})
-            assert np.max(np.abs(batch[k] - single)) < 1e-14
+            point = {p: float(vals[p][k]) for p in spec.params}
+            single = spec.matrix(**point)
+            assert single.shape == (spec.dim, spec.dim)
+            public = PUBLIC_BUILDERS[name](**point)
+            assert np.max(np.abs(single - public)) < 1e-14, name
+            assert np.max(np.abs(batch[k] - public)) < 1e-14, name
 
 
 def test_path_drive_matrices():

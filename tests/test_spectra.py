@@ -12,6 +12,10 @@ from epkit.spectra import (
     AxisSpec,
     EPCandidate,
     PlaneSpec,
+    _detect_eps,
+    _edge_endpoints,
+    _edge_zeros,
+    _segments,
     detect_ep,
     quasi_steady_index,
     scan_grid,
@@ -214,13 +218,20 @@ def test_trace_detuned_third_order_points(detuned_map):
         assert abs(p.eigenvalue - r) < 1e-5
 
 
-def test_trace_coldatom_lines_end_at_third_order_points():
-    plane = PlaneSpec(
-        x=AxisSpec("delta", -0.006, 0.006, 49),
-        y=AxisSpec("J", 0.0005, 0.012, 49),
-        fixed={"Gamma": 1 / 20, "gamma": 1 / 100},
-    )
-    m = trace_lines(scan_grid(plane, "coldatom_liouvillian"))
+COLDATOM_PLANE = PlaneSpec(
+    x=AxisSpec("delta", -0.006, 0.006, 49),
+    y=AxisSpec("J", 0.0005, 0.012, 49),
+    fixed={"Gamma": 1 / 20, "gamma": 1 / 100},
+)
+
+
+@pytest.fixture(scope="module")
+def coldatom_map():
+    return trace_lines(scan_grid(COLDATOM_PLANE, "coldatom_liouvillian"))
+
+
+def test_trace_coldatom_lines_end_at_third_order_points(coldatom_map):
+    m = coldatom_map
     assert len(m.lines) >= 1
     assert len(m.points) == 2
     r, dx, jy = triple_point_oracle(
@@ -232,6 +243,41 @@ def test_trace_coldatom_lines_end_at_third_order_points():
     locs = sorted(p.location for p in m.points)
     assert abs(locs[1][0] - dx) < 5e-4 and abs(locs[1][1] - jy) < 5e-4
     assert abs(locs[0][0] + dx) < 5e-4 and abs(locs[0][1] - jy) < 5e-4
+
+
+def test_edge_refinement_lanes_independent(coldatom_map):
+    # All crossing edges refined in one batch land on exactly the vertices
+    # that each edge refined alone (a batch of one) lands on.
+    m = coldatom_map
+    model = get_model(m.model)
+    keys = sorted({k for seg in _segments(m.indicator) for k in seg})
+    p0, p1, f0, _ = _edge_endpoints(m.xs, m.ys, m.indicator, keys)
+    batch = _edge_zeros(model, COLDATOM_PLANE, p0, p1, f0)
+    alone = np.vstack([
+        _edge_zeros(model, COLDATOM_PLANE, p0[k : k + 1], p1[k : k + 1], f0[k : k + 1])
+        for k in range(len(keys))
+    ])
+    assert len(keys) > 20
+    assert np.array_equal(batch, alone)
+    rows = {tuple(v) for v in alone}
+    for line in m.lines:
+        assert all(tuple(v) in rows for v in line)
+
+
+def test_detect_lanes_independent(coldatom_map):
+    # Seeds detected together give the candidates of seeds detected one by
+    # one, walked third-order points included.
+    m = coldatom_map
+    cell = (m.xs[1] - m.xs[0], m.ys[1] - m.ys[0])
+    seeds = [tuple(line[k]) for line in m.lines for k in (0, -1)]
+    verts = np.vstack(m.lines)
+    for p in m.points:
+        near = np.argmin(np.hypot(*(verts - np.array(p.location)).T))
+        seeds.append(tuple(verts[near]))
+    together = _detect_eps(get_model(m.model), COLDATOM_PLANE, seeds, cell)
+    alone = [detect_ep(m.model, COLDATOM_PLANE, s, cell) for s in seeds]
+    assert together == alone
+    assert sum(c is not None and c.order == 3 for c in together) >= 2
 
 
 def test_trace_hermitian_sweep_empty():
