@@ -138,6 +138,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         for req in ("gamma", "W"):
             if req not in cfg.params:
                 raise ConfigError(f"rydberg runs require 'param.{req}'")
+    for val in cfg.params.values():
+        if not math.isfinite(val):
+            raise ConfigError("parameter values must be finite")
     if cfg.command == "map" or (cfg.command == "rydberg" and cfg.plane):
         for k in _SECTION_KEYS["plane"]:
             if k not in cfg.plane:
@@ -153,6 +156,20 @@ def _validate(cfg: ExperimentConfig) -> None:
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
                 raise ConfigError(f"missing section key 'path.{k}'")
+        # Build what the run builds, so that a bad path, direction or start
+        # branch fails here.
+        try:
+            if cfg.command == "encircle":
+                _build_drives(cfg)
+            else:
+                from .rydberg import resolve_root
+
+                resolve_root(
+                    _build_path(cfg), cfg.params["gamma"], cfg.params["W"],
+                    cfg.run.get("initial_root", "low"),
+                )
+        except ValueError as exc:
+            raise ConfigError(f"path: {exc}") from None
     if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
         raise ConfigError("rydberg runs need a 'plane' section, a 'path' section or both")
     if cfg.path and "T" in cfg.run and "period" in cfg.path:
@@ -160,9 +177,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "runs integrate one full cycle: run.T must equal path.period"
             )
-    for val in cfg.params.values():
-        if not math.isfinite(val):
-            raise ConfigError("parameter values must be finite")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -267,6 +281,19 @@ def _build_plane(cfg: ExperimentConfig) -> PlaneSpec:
     )
 
 
+def _build_drives(cfg: ExperimentConfig):
+    """Drive of an encircle run, its start branch and a drive per direction."""
+    from .dynamics import resolve_branch
+
+    model = get_model(cfg.model)
+    fixed = resolve_params(model, cfg.params)
+    drive = PathDrive(model=model, path=_build_path(cfg), fixed=fixed)
+    branch = resolve_branch(drive, cfg.run.get("initial_branch", "upper"))
+    directions = cfg.run.get("directions", "both")
+    directions = ("ccw", "cw") if directions == "both" else (directions,)
+    return drive, branch, {d: drive.with_direction(d) for d in directions}
+
+
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict:
     """Execute a validated config; returns the manifest dictionary."""
     import os
@@ -340,24 +367,16 @@ def _run_encircle(cfg, emit_text, emit_json):
         integrate_liouvillian,
         integrate_schrodinger,
         project_trajectory,
-        resolve_branch,
     )
 
-    model = get_model(cfg.model)
-    path = _build_path(cfg)
-    fixed = resolve_params(model, cfg.params)
-    drive = PathDrive(model=model, path=path, fixed=fixed)
-    T = cfg.run.get("T", path.period)
+    drive, branch, drives = _build_drives(cfg)
+    T = cfg.run.get("T", drive.path.period)
     steps = cfg.run.get("steps") or default_steps(drive, T)
     check = bool(cfg.run.get("check_steps", False))
-    branch = resolve_branch(drive, cfg.run.get("initial_branch", "upper"))
     x0, _ = initial_state_on_branch(drive, branch)
 
-    directions = cfg.run.get("directions", "both")
-    directions = ("ccw", "cw") if directions == "both" else (directions,)
-    for direction in directions:
-        d = drive.with_direction(direction)
-        if model.kind == "hamiltonian":
+    for direction, d in drives.items():
+        if drive.model.kind == "hamiltonian":
             traj = integrate_schrodinger(d, x0, T, steps, check_steps=check)
         else:
             traj = integrate_liouvillian(d, x0, T, steps, check_steps=check)

@@ -332,36 +332,6 @@ def _linear_batch(scalar_build: Callable, params: tuple[str, ...], dim: int):
     return build
 
 
-def _pt_scalar(J, Gamma):
-    return J * SIGMA_X - 0.5j * Gamma * SIGMA_Z
-
-
-def _coldatom_heff_scalar(delta, coupling, Gamma):
-    return (
-        0.5 * delta * SIGMA_Z
-        - coupling * SIGMA_X
-        - 0.25j * Gamma * (IDENTITY_2 - SIGMA_Z)
-    )
-
-
-def _encircle_scalar(J, Omega, Gamma):
-    return encircle_model(J, Omega, Gamma)
-
-
-def _basic_liouv_scalar(J, Gamma):
-    return basic_liouvillian(J, Gamma)
-
-
-def _detuned_liouv_scalar(J, Gamma, delta):
-    return detuned_liouvillian(J, Gamma, delta)
-
-
-def _coldatom_liouv_scalar(delta, coupling, Gamma, gamma):
-    return coldatom_liouvillian(
-        ColdAtomParams(delta=delta, coupling=coupling, Gamma=Gamma, gamma=gamma)
-    )
-
-
 MODELS: dict[str, ModelSpec] = {}
 
 
@@ -376,23 +346,30 @@ def _register(name, dim, kind, params, scalar, defaults=None):
     )
 
 
-_register("pt", 2, "hamiltonian", ("J", "Gamma"), _pt_scalar)
 _register(
-    "encircle", 2, "hamiltonian", ("J", "Omega", "Gamma"), _encircle_scalar,
+    "pt", 2, "hamiltonian", ("J", "Gamma"),
+    lambda J, Gamma: pt_hamiltonian(PTParams(J=J, Gamma=Gamma)),
+)
+_register(
+    "encircle", 2, "hamiltonian", ("J", "Omega", "Gamma"), encircle_model,
     defaults={"Omega": 0.0},
 )
 _register(
     "coldatom_heff", 2, "hamiltonian", ("delta", "coupling", "Gamma"),
-    _coldatom_heff_scalar,
+    lambda delta, coupling, Gamma: coldatom_heff(
+        ColdAtomParams(delta=delta, coupling=coupling, Gamma=Gamma)
+    ),
 )
-_register("basic_liouvillian", 4, "liouvillian", ("J", "Gamma"), _basic_liouv_scalar)
+_register("basic_liouvillian", 4, "liouvillian", ("J", "Gamma"), basic_liouvillian)
 _register(
     "detuned_liouvillian", 4, "liouvillian", ("J", "Gamma", "delta"),
-    _detuned_liouv_scalar,
+    detuned_liouvillian,
 )
 _register(
     "coldatom_liouvillian", 4, "liouvillian", ("delta", "coupling", "Gamma", "gamma"),
-    _coldatom_liouv_scalar,
+    lambda delta, coupling, Gamma, gamma: coldatom_liouvillian(
+        ColdAtomParams(delta=delta, coupling=coupling, Gamma=Gamma, gamma=gamma)
+    ),
 )
 
 # Parameter aliases accepted in configs; the printed post-selected generator

@@ -16,12 +16,13 @@ depends on the traversal direction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import contour, linalg
 from .errors import NoIntersections, StepTooCoarse
 from .models import EncirclePath
 from .spectra import PlaneSpec
@@ -91,7 +92,6 @@ class FoldMap:
     gamma: float
     W: float
     discriminant: np.ndarray  # (n_Omega, n_Delta)
-    root_count: np.ndarray
     lines: list = field(default_factory=list)  # (k, 2) arrays of (Omega, Delta)
     cusp: tuple | None = None
 
@@ -121,10 +121,15 @@ def cubic_coefficients(p: RydbergParams):
         W^2 n^3 - 2 Delta W n^2 + (Delta^2 + gamma^2/4 + Omega^2/2) n
         - Omega^2/4 = 0.
     """
-    a = p.W * p.W
-    b = -2.0 * p.Delta * p.W
-    c = p.Delta * p.Delta + 0.25 * p.gamma * p.gamma + 0.5 * p.Omega * p.Omega
-    d = -0.25 * p.Omega * p.Omega
+    return _cubic(p.Omega, p.Delta, p.gamma, p.W)
+
+
+def _cubic(Omega, Delta, gamma, W):
+    """``cubic_coefficients`` from the raw values; broadcasts over arrays."""
+    a = W * W
+    b = -2.0 * Delta * W
+    c = Delta * Delta + 0.25 * gamma * gamma + 0.5 * Omega * Omega
+    d = -0.25 * Omega * Omega
     return a, b, c, d
 
 
@@ -221,23 +226,22 @@ def steady_states(p: RydbergParams) -> SteadyStateSet:
 
 def discriminant(p: RydbergParams) -> float:
     """Cubic discriminant; positive inside the three-solution region."""
-    a, b, c, d = cubic_coefficients(p)
-    return (
-        18.0 * a * b * c * d
-        - 4.0 * b**3 * d
-        + b * b * c * c
-        - 4.0 * a * c**3
-        - 27.0 * a * a * d * d
-    )
+    return _discriminant(p.Omega, p.Delta, p.gamma, p.W)
 
 
 def discriminant_grid(omegas, deltas, gamma, W):
     om = np.asarray(omegas)[:, None]
     de = np.asarray(deltas)[None, :]
-    a = W * W
-    b = -2.0 * de * W
-    c = de * de + 0.25 * gamma * gamma + 0.5 * om * om
-    d = -0.25 * om * om
+    return _discriminant(om, de, gamma, W)
+
+
+def _discriminant(Omega, Delta, gamma, W):
+    """``discriminant`` from the raw values; broadcasts over arrays.
+
+    Python floats in give a Python float out, so scalar callers (the cusp
+    polish) run on plain-float arithmetic.
+    """
+    a, b, c, d = _cubic(Omega, Delta, gamma, W)
     return (
         18.0 * a * b * c * d
         - 4.0 * b**3 * d
@@ -256,111 +260,41 @@ def root_count_grid(omegas, deltas, gamma, W) -> np.ndarray:
     return out
 
 
-def bistability_map(plane: PlaneSpec, gamma: float, W: float, count_roots=False) -> FoldMap:
-    """Fold lines (discriminant zeros) and the cusp over an (Omega, Delta) plane."""
+def bistability_map(plane: PlaneSpec, gamma: float, W: float) -> FoldMap:
+    """Fold lines (discriminant zeros) and the cusp over an (Omega, Delta) plane.
+
+    Every fold vertex is bisected on the discriminant sign along its grid
+    edge, all edges in one batch.
+    """
     omegas, deltas = plane.x.values(), plane.y.values()
     disc = discriminant_grid(omegas, deltas, gamma, W)
-    counts = (
-        root_count_grid(omegas, deltas, gamma, W)
-        if count_roots
-        else np.where(disc > 0, 3, 1)
-    )
-    fmap = FoldMap(
-        plane=plane, gamma=gamma, W=W, discriminant=disc, root_count=counts
-    )
-    fmap.lines = _fold_lines(omegas, deltas, gamma, W, disc)
-    fmap.cusp = _locate_cusp(plane, gamma, W)
-    return fmap
 
-
-def _disc_at(omega, delta, gamma, W) -> float:
-    return float(
-        discriminant(RydbergParams(Omega=omega, Delta=delta, gamma=gamma, W=W))
+    locate = functools.partial(_fold_zeros, gamma, W)
+    return FoldMap(
+        plane=plane,
+        gamma=gamma,
+        W=W,
+        discriminant=disc,
+        lines=contour.arrange(contour.trace(omegas, deltas, disc, locate)),
+        cusp=_locate_cusp(plane, gamma, W),
     )
 
 
-def _fold_lines(omegas, deltas, gamma, W, disc):
-    """Marching squares on the discriminant with bisection-refined vertices."""
-    lines = []
-    crossings = {}
+def _fold_zeros(gamma, W, p0, p1, f0, f1):
+    """Discriminant zero on each segment p0[k]-p1[k], all at once.
 
-    def edge_point(i, j, axis):
-        key = (i, j, axis)
-        if key in crossings:
-            return key
-        if axis == 0:
-            p0 = (omegas[i], deltas[j])
-            p1 = (omegas[i + 1], deltas[j])
-            f0, f1 = disc[i, j], disc[i + 1, j]
-        else:
-            p0 = (omegas[i], deltas[j])
-            p1 = (omegas[i], deltas[j + 1])
-            f0, f1 = disc[i, j], disc[i, j + 1]
-        a, b = np.asarray(p0, float), np.asarray(p1, float)
-        fa = f0
-        for _ in range(90):
-            m = 0.5 * (a + b)
-            fm = _disc_at(m[0], m[1], gamma, W)
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0) != (fm < 0):
-                b = m
-            else:
-                a, fa = m, fm
-        crossings[key] = 0.5 * (a + b)
-        return key
+    ``p0`` and ``p1`` are (n, 2) (Omega, Delta) endpoint arrays, ``f0`` and
+    ``f1`` the discriminant there.
+    """
 
-    segments = []
-    nx, ny = len(omegas), len(deltas)
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [
-                disc[i, j] < 0,
-                disc[i + 1, j] < 0,
-                disc[i + 1, j + 1] < 0,
-                disc[i, j + 1] < 0,
-            ]
-            code = sum(b << k for k, b in enumerate(corners))
-            if code in (0, 15):
-                continue
-            bottom = (i, j, 0)
-            right = (i + 1, j, 1)
-            top = (i, j + 1, 0)
-            left = (i, j, 1)
-            table = {
-                1: [(left, bottom)],
-                2: [(bottom, right)],
-                3: [(left, right)],
-                4: [(right, top)],
-                6: [(bottom, top)],
-                7: [(left, top)],
-                8: [(top, left)],
-                9: [(bottom, top)],
-                11: [(right, top)],
-                12: [(left, right)],
-                13: [(right, bottom)],
-                14: [(left, bottom)],
-            }
-            if code in (5, 10):
-                center = 0.25 * (
-                    disc[i, j] + disc[i + 1, j] + disc[i + 1, j + 1] + disc[i, j + 1]
-                )
-                if (center < 0) == (code == 5):
-                    entry = [(bottom, right), (top, left)]
-                else:
-                    entry = [(left, bottom), (right, top)]
-            else:
-                entry = table[code]
-            for ka, kb in entry:
-                segments.append((edge_point(*ka), edge_point(*kb)))
+    def at(t):
+        return p0 + t[:, None] * (p1 - p0)
 
-    from .spectra import _chain_segments, _orient
+    def disc_at(t):
+        return _discriminant(*at(t).T, gamma, W)
 
-    chains = _chain_segments(segments, crossings)
-    lines = [_orient(np.array(c)) for c in chains if len(c) >= 2]
-    lines.sort(key=lambda v: (v[0, 0], v[0, 1]))
-    return lines
+    n = len(p0)
+    return at(contour.bisect(disc_at, np.zeros(n), np.ones(n), f0, 90))
 
 
 def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
@@ -439,8 +373,10 @@ def integrate_bloch(
     """Fixed-step RK4 on the mean-field equations, optionally path-driven.
 
     Returns (times, rho22, rho21) arrays at the recorded samples.  The
-    state may be a scalar pair or arrays (an ensemble integrates in one
-    sweep).  When a path is given it modulates (Omega(t), Delta(t)).
+    state may be a scalar pair or arrays; each member of an array state
+    (an ensemble) runs the scalar loop on its own and the records are
+    stacked along the trailing axes.  When a path is given it modulates
+    (Omega(t), Delta(t)).
     """
     h = T / steps
     rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
@@ -454,34 +390,19 @@ def integrate_bloch(
     else:
         om_all = de_all = None
 
-    scalar = np.ndim(rho22_0) == 0
-    if scalar:
+    if np.ndim(rho22_0) == 0:
         return _integrate_scalar(
             p, float(rho22_0), complex(rho21_0), h, steps, om_all, de_all, times, pos
         )
-
-    n = np.asarray(rho22_0, dtype=float).copy()
-    r = np.asarray(rho21_0, dtype=complex).copy()
-    out_n = np.empty((len(rec_idx),) + n.shape)
-    out_r = np.empty((len(rec_idx),) + n.shape, dtype=complex)
-    out_n[0], out_r[0] = n, r
-    for k in range(steps):
-        if om_all is None:
-            om1 = om2 = om3 = p.Omega
-            de1 = de2 = de3 = p.Delta
-        else:
-            om1, de1 = om_all[2 * k], de_all[2 * k]
-            om2, de2 = om_all[2 * k + 1], de_all[2 * k + 1]
-            om3, de3 = om_all[2 * k + 2], de_all[2 * k + 2]
-        a1, b1 = bloch_rhs(n, r, p, om1, de1)
-        a2, b2 = bloch_rhs(n + 0.5 * h * a1, r + 0.5 * h * b1, p, om2, de2)
-        a3, b3 = bloch_rhs(n + 0.5 * h * a2, r + 0.5 * h * b2, p, om2, de2)
-        a4, b4 = bloch_rhs(n + h * a3, r + h * b3, p, om3, de3)
-        n = n + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        r = r + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-        j = pos.get(k + 1)
-        if j is not None:
-            out_n[j], out_r[j] = n, r
+    n0, r0 = np.broadcast_arrays(
+        np.asarray(rho22_0, dtype=float), np.asarray(rho21_0, dtype=complex)
+    )
+    _, ns, rs = zip(*(
+        _integrate_scalar(p, n, r, h, steps, om_all, de_all, times, pos)
+        for n, r in zip(n0.ravel().tolist(), r0.ravel().tolist())
+    ))
+    shape = (len(times),) + n0.shape
+    out_n, out_r = (np.stack(x, axis=-1).reshape(shape) for x in (ns, rs))
     return times, out_n, out_r
 
 
@@ -530,6 +451,25 @@ def _integrate_scalar(p, n, r, h, steps, om_all, de_all, times, pos):
     return times, out_n, out_r
 
 
+def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
+    """Start parameters, stable roots there and the index of the start root.
+
+    ``spec`` is 'low', 'high' or an index into the stable roots at the path
+    start, ascending in n.
+    """
+    om0, de0 = path.point(0.0)
+    p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
+    stable = steady_states(p0).stable_roots
+    if not stable:
+        raise ValueError("no stable steady state at the path start")
+    index = {"low": 0, "high": len(stable) - 1}.get(spec, spec)
+    if not (str(index).isdigit() and int(index) < len(stable)):
+        raise ValueError(
+            f"root spec '{spec}' is not 'low', 'high' or an index below {len(stable)}"
+        )
+    return p0, stable, int(index)
+
+
 @dataclass
 class EncircleResult:
     times: np.ndarray
@@ -558,18 +498,8 @@ def encircle_steady(
     import dataclasses
 
     path = dataclasses.replace(path, direction=direction, period=T)
-    om0, de0 = path.point(0.0)
-    p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
-    sset = steady_states(p0)
-    stable = sset.stable_roots
-    if not stable:
-        raise ValueError("no stable steady state at the path start")
-    if initial_root == "low":
-        start = stable[0]
-    elif initial_root == "high":
-        start = stable[-1]
-    else:
-        start = stable[int(initial_root)]
+    p0, stable, index = resolve_root(path, gamma, W, initial_root)
+    start = stable[index]
 
     if steps is None:
         steps = default_steps(gamma, T)
@@ -619,12 +549,7 @@ def transfer_verdict(
     steps: int | None = None,
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings."""
-    om0, de0 = path.point(0.0)
-    p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
-    stable = steady_states(p0).stable_roots
-    idx0 = {"low": 0, "high": len(stable) - 1}.get(initial_root, None)
-    if idx0 is None:
-        idx0 = int(initial_root)
+    _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
 
     landings = {}
     finals = {}
@@ -657,26 +582,14 @@ def transfer_verdict(
 
 def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096):
     """Loop times where the discriminant changes sign, bisection-refined."""
+
+    def disc_at(t):
+        return _discriminant(*path.point(t), gamma, W)
+
     ts = np.linspace(0.0, path.period, samples + 1)
-    om, de = path.point(ts)
-    disc = np.empty(len(ts))
-    for k in range(len(ts)):
-        disc[k] = _disc_at(float(om[k]), float(de[k]), gamma, W)
-    crossings = []
-    for k in range(len(ts) - 1):
-        if (disc[k] < 0) != (disc[k + 1] < 0):
-            a, b = ts[k], ts[k + 1]
-            fa = disc[k]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                x, y = path.point(m)
-                fm = _disc_at(float(x), float(y), gamma, W)
-                if (fa < 0) != (fm < 0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            crossings.append(0.5 * (a + b))
-    return crossings
+    disc = disc_at(ts)
+    k = np.flatnonzero((disc[:-1] < 0) != (disc[1:] < 0))
+    return contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist()
 
 
 def check_conditions(

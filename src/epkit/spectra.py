@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import contour, linalg
 from .errors import ResolutionTooLarge
 from .models import ModelSpec, get_model, resolve_params
 
@@ -202,10 +202,6 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 
 def _min_gap(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
     return evaluate_cells(model, plane, x, y)[1]
-
-
-def _indicator(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
-    return evaluate_cells(model, plane, x, y)[3]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -426,6 +422,11 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
 def _cluster_spread(model, plane, x, y, order: int) -> np.ndarray:
     """Diameter of the tightest ``order``-sized eigenvalue cluster, per lane."""
     vals = linalg.eig_batch(model.matrix(**_cell_params(model, plane, x, y)))[0]
+    return _spread(vals, order)
+
+
+def _spread(vals: np.ndarray, order: int) -> np.ndarray:
+    """Tightest ``order``-cluster diameter of the eigenvalues on the last axis."""
     if vals.shape[-1] < order:
         return np.full(vals.shape[:-1], np.inf)
     dists = np.sort(np.abs(vals[..., None, :] - vals[..., :, None]), axis=-1)
@@ -476,64 +477,7 @@ def _spread_walk(model, plane, x, y, cell_size, order: int):
     return np.array([b[1] for b in best]), np.array([b[2] for b in best])
 
 
-# -- marching squares ---------------------------------------------------------
-
-# Cell edges in marching-squares order, and the segments of each corner code
-# (bit k set: corner k negative; corners bottom-left, bottom-right,
-# top-right, top-left).  Codes 5 and 10 are saddles, decided by the
-# cell-centre sample.
-_BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
-_CELL_SEGMENTS = {
-    1: [(_LEFT, _BOTTOM)],
-    2: [(_BOTTOM, _RIGHT)],
-    3: [(_LEFT, _RIGHT)],
-    4: [(_RIGHT, _TOP)],
-    6: [(_BOTTOM, _TOP)],
-    7: [(_LEFT, _TOP)],
-    8: [(_TOP, _LEFT)],
-    9: [(_BOTTOM, _TOP)],
-    11: [(_RIGHT, _TOP)],
-    12: [(_LEFT, _RIGHT)],
-    13: [(_RIGHT, _BOTTOM)],
-    14: [(_LEFT, _BOTTOM)],
-}
-
-
-def _segments(ind: np.ndarray) -> list:
-    """Marching-squares segments of the sign field, as pairs of edge keys.
-
-    An edge key is (i, j, axis): axis 0 joins nodes (i,j)-(i+1,j), axis 1
-    joins (i,j)-(i,j+1).  Cells are visited row by row.
-    """
-    neg = (ind < 0).astype(int)
-    codes = neg[:-1, :-1] | neg[1:, :-1] << 1 | neg[1:, 1:] << 2 | neg[:-1, 1:] << 3
-    segments = []
-    for i, j in np.argwhere((codes != 0) & (codes != 15)).tolist():
-        code = int(codes[i, j])
-        edges = ((i, j, 0), (i + 1, j, 1), (i, j + 1, 0), (i, j, 1))
-        entry = _CELL_SEGMENTS.get(code)
-        if entry is None:
-            # Saddle: the cell-center sample decides which negative corners
-            # connect.
-            center = 0.25 * (
-                ind[i, j] + ind[i + 1, j] + ind[i + 1, j + 1] + ind[i, j + 1]
-            )
-            neg_diag_bl_tr = code == 5
-            if (center < 0) == neg_diag_bl_tr:
-                entry = [(_BOTTOM, _RIGHT), (_TOP, _LEFT)]
-            else:
-                entry = [(_LEFT, _BOTTOM), (_RIGHT, _TOP)]
-        segments.extend((edges[ea], edges[eb]) for ea, eb in entry)
-    return segments
-
-
-def _edge_endpoints(xs, ys, ind, keys):
-    """End nodes (n, 2) and their indicator values for a list of edge keys."""
-    i0, j0, axis = np.array(keys).T
-    i1, j1 = i0 + (axis == 0), j0 + (axis == 1)
-    p0 = np.stack([xs[i0], ys[j0]], axis=1)
-    p1 = np.stack([xs[i1], ys[j1]], axis=1)
-    return p0, p1, ind[i0, j0], ind[i1, j1]
+# -- exceptional lines -------------------------------------------------------
 
 
 def _edge_zeros(model, plane, p0, p1, f0, iters=60):
@@ -545,30 +489,21 @@ def _edge_zeros(model, plane, p0, p1, f0, iters=60):
     (n, 2) endpoint arrays, ``f0`` the indicator at ``p0``.
     """
     n = len(p0)
-    a, b, fa = np.zeros(n), np.ones(n), np.array(f0, dtype=float)
-    done = np.zeros(n, dtype=bool)  # lanes that hit an exact zero
 
     def at(t):
         return p0 + t[:, None] * (p1 - p0)
 
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        fm = _indicator(model, plane, *at(m).T)
-        zero = ~done & (fm == 0.0)
-        live = ~done & ~zero
-        flip = (fa < 0) != (fm < 0)
-        b = np.where(zero | (live & flip), m, b)
-        a = np.where(zero | (live & ~flip), m, a)
-        fa = np.where(live & ~flip, fm, fa)
-        done |= zero
-    # Near-tangent crossings leave a wide band where the indicator sign is
-    # rounding noise, so the gap polish needs a generous bracket around the
-    # bisection landing point.
-    t0 = 0.5 * (a + b)
+    def indicator(t):
+        return evaluate_cells(model, plane, *at(t).T)[3]
+
+    t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, iters)
 
     def gap(t):
         return _min_gap(model, plane, *at(t).T)
 
+    # Near-tangent crossings leave a wide band where the indicator sign is
+    # rounding noise, so the gap polish needs a generous bracket around the
+    # bisection landing point.
     lo, hi = np.maximum(0.0, t0 - 0.02), np.minimum(1.0, t0 + 0.02)
     t_best = _golden_min(gap, lo, hi, 90)
     t0 = np.where(gap(t_best) < gap(t0), t_best, t0)
@@ -581,13 +516,7 @@ def _vertex_passes(model, plane, x, y):
     ok = gmin < GAP_TOL_FACTOR * (1.0 + fro) and (
         linalg.coalescence_measure(dec, bi, bj) > OVERLAP_MIN
     )
-    spread3 = np.inf
-    if dec.dim >= 3:
-        vals = dec.eigenvalues
-        for i in range(vals.size):
-            dists = np.sort(np.abs(vals - vals[i]))
-            spread3 = min(spread3, float(dists[2]))
-    return ok, gmin, spread3, fro
+    return ok, float(_spread(dec.eigenvalues, 3))
 
 
 def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
@@ -602,139 +531,64 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
     """
     model = get_model(emap.model)
     plane = emap.plane
-    xs, ys, ind = emap.xs, emap.ys, emap.indicator
+    xs, ys = emap.xs, emap.ys
 
-    segments = _segments(ind)
-    # Crossing on every edge a segment touches, all edges together.
-    crossings: dict[tuple, np.ndarray] = {}
-    keys = list(dict.fromkeys(k for seg in segments for k in seg))
-    if keys:
-        p0, p1, f0, f1 = _edge_endpoints(xs, ys, ind, keys)
+    def locate(p0, p1, f0, f1):
         if refine:
-            pts = _edge_zeros(model, plane, p0, p1, f0)
-        else:
-            t = np.clip(f0 / (f0 - f1), 0.0, 1.0)
-            pts = p0 + t[:, None] * (p1 - p0)
-        crossings = dict(zip(keys, pts))
-
-    polylines = _chain_segments(segments, crossings)
+            return _edge_zeros(model, plane, p0, p1, f0)
+        t = np.clip(f0 / (f0 - f1), 0.0, 1.0)
+        return p0 + t[:, None] * (p1 - p0)
 
     # Vertex validation: drop vertices that fail the coalescence contract,
     # splitting polylines where gaps appear.  The 3-cluster spread recorded
-    # per surviving vertex seeds the higher-order point search below.
-    kept_lines = []
-    kept_spreads = []
-    for line in polylines:
-        run, spreads = [], []
+    # per surviving vertex, as a third column, seeds the higher-order point
+    # search below.
+    kept = []
+    for line in contour.trace(xs, ys, emap.indicator, locate):
+        run = []
         for pt in line:
-            if refine:
-                ok, _, s3, _ = _vertex_passes(model, plane, pt[0], pt[1])
-            else:
-                ok, s3 = True, np.inf
+            ok, s3 = _vertex_passes(model, plane, *pt) if refine else (True, np.inf)
             if ok:
-                run.append(pt)
-                spreads.append(s3)
+                run.append((pt[0], pt[1], s3))
             else:
                 if len(run) >= 2:
-                    kept_lines.append(np.array(run))
-                    kept_spreads.append(np.array(spreads))
-                run, spreads = [], []
+                    kept.append(np.array(run))
+                run = []
         if len(run) >= 2:
-            kept_lines.append(np.array(run))
-            kept_spreads.append(np.array(spreads))
-
-    oriented = []
-    for line, spread in zip(kept_lines, kept_spreads):
-        if not _is_ascending(line):
-            line, spread = line[::-1], spread[::-1]
-        oriented.append((line, spread))
-    oriented.sort(key=lambda t: (t[0][0, 0], t[0][0, 1]))
-    kept_lines = [t[0] for t in oriented]
-    kept_spreads = [t[1] for t in oriented]
-    emap.lines = kept_lines
+            kept.append(np.array(run))
+    kept = contour.arrange(kept)
+    emap.lines = [line[:, :2] for line in kept]
 
     # Higher-order candidates: a line runs THROUGH a higher-order point
     # (the contour does not stop there), so seeds are local minima of the
     # 3-cluster spread along each line, plus open endpoints.
     cell = (xs[1] - xs[0], ys[1] - ys[0])
     seeds = []
-    for line, spread in zip(kept_lines, kept_spreads):
-        n = len(line)
+    for line in kept:
+        n, spread = len(line), line[:, 2]
         for k in range(n):
             if n >= 3 and spread[k] <= spread[max(0, k - 1) : k + 2].min():
-                seeds.append(tuple(line[k]))
+                seeds.append(tuple(line[k, :2]))
         for end in (line[0], line[-1]):
-            seeds.append(tuple(end))
+            seeds.append(tuple(end[:2]))
 
     # All seeds are refined together; the de-duplication then runs in seed
     # order, exactly as if each seed were refined after the previous one.
     cands = _detect_eps(model, plane, seeds, cell) if seeds else []
     points = []
     seen = []
+
+    def near_seen(xy):
+        return any(
+            math.hypot(xy[0] - p[0], xy[1] - p[1]) < 2.0 * max(cell) for p in seen
+        )
+
     for seed, cand in zip(seeds, cands):
-        if any(
-            math.hypot(seed[0] - p[0], seed[1] - p[1]) < 2.0 * max(cell) for p in seen
-        ):
+        if near_seen(seed):
             continue
-        if cand is not None and cand.order >= 3:
-            if any(
-                math.hypot(cand.location[0] - p[0], cand.location[1] - p[1])
-                < 2.0 * max(cell)
-                for p in seen
-            ):
-                continue
+        if cand is not None and cand.order >= 3 and not near_seen(cand.location):
             points.append(cand)
             seen.append(cand.location)
     points.sort(key=lambda c: c.location)
     emap.points = points
     return emap
-
-
-def _is_ascending(vertices: np.ndarray) -> bool:
-    first = (vertices[0, 0], vertices[0, 1])
-    last = (vertices[-1, 0], vertices[-1, 1])
-    return first <= last
-
-
-def _chain_segments(segments, crossings):
-    """Join segments sharing edge keys into ordered vertex polylines."""
-    from collections import defaultdict
-
-    adj = defaultdict(list)
-    for a, b in segments:
-        adj[a].append(b)
-        adj[b].append(a)
-    visited = set()
-    lines = []
-
-    def walk(start, nxt):
-        chain = [start, nxt]
-        visited.add(frozenset((start, nxt)))
-        cur = nxt
-        while True:
-            options = [k for k in adj[cur] if frozenset((cur, k)) not in visited]
-            if not options:
-                break
-            cur = options[0]
-            visited.add(frozenset((chain[-1], cur)))
-            chain.append(cur)
-        return chain
-
-    # Start from degree-1 nodes (open curves), then sweep leftover loops.
-    keys = sorted(adj.keys())
-    for k in keys:
-        if len(adj[k]) == 1:
-            nb = adj[k][0]
-            if frozenset((k, nb)) not in visited:
-                lines.append(walk(k, nb))
-    for k in keys:
-        for nb in adj[k]:
-            if frozenset((k, nb)) not in visited:
-                lines.append(walk(k, nb))
-    return [[crossings[k] for k in chain] for chain in lines]
-
-
-def _orient(vertices: np.ndarray) -> np.ndarray:
-    """Normalize vertex order: ascending x, then y, between the endpoints."""
-    first, last = (vertices[0, 0], vertices[0, 1]), (vertices[-1, 0], vertices[-1, 1])
-    return vertices if first <= last else vertices[::-1]

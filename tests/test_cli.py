@@ -292,6 +292,59 @@ def test_cli_bad_plane_fails_validation(tmp_path, capsys, case):
     assert not out.exists()
 
 
+ENCIRCLE_CONFIG = """
+experiment.command = encircle
+experiment.model = encircle
+param.Gamma = 1.0
+path.center_x = 0.5
+path.center_y = 0.0
+path.radius = 0.1
+path.period = 10.0
+path.plane = J-Omega
+run.T = 10.0
+run.steps = 100
+"""
+RYDBERG_PATH_CONFIG = """
+experiment.command = rydberg
+param.gamma = 1.0
+param.W = -11.0
+path.center_x = 3.85
+path.center_y = -5.6
+path.radius = 1.477
+path.period = 100.0
+path.plane = Omega-Delta
+run.T = 100.0
+run.steps = 1000
+"""
+BAD_RUNS = {
+    "encircle_unknown_plane_axis": ENCIRCLE_CONFIG.replace("J-Omega", "J-Gamma2"),
+    "encircle_unknown_branch": ENCIRCLE_CONFIG + "run.initial_branch = middle\n",
+    "encircle_unknown_direction": ENCIRCLE_CONFIG + "run.directions = sideways\n",
+    "encircle_unknown_convention": ENCIRCLE_CONFIG + "path.convention = tan-cos\n",
+    "rydberg_unknown_root": RYDBERG_PATH_CONFIG + "run.initial_root = middle\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, case):
+    # `validate` builds the path, the drive, every requested direction and
+    # the start branch or root, so a spec the run cannot build fails both
+    # `validate` and the run with a config error (exit 2), never a traceback.
+    command = case.split("_")[0]
+    base = ENCIRCLE_CONFIG if command == "encircle" else RYDBERG_PATH_CONFIG
+    parse_config(base)  # the unmodified config is valid
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(BAD_RUNS[case])
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import NoIntersections
 from epkit.models import EncirclePath
 from epkit.rydberg import (
     RydbergParams,
+    _fold_zeros,
     bistability_map,
     bloch_rhs,
     check_conditions,
@@ -201,6 +203,35 @@ def test_fold_vertices_are_double_roots(fold_map):
                 continue
             gaps = [abs(a - b) for i, a in enumerate(ns) for b in ns[i + 1 :]]
             assert min(gaps) < 1e-5
+
+
+def test_fold_edge_lanes_independent(fold_map):
+    # All crossing edges bisected in one batch land on exactly the vertices
+    # that each edge bisected alone (a batch of one) lands on.
+    omegas, deltas = fold_map.plane.x.values(), fold_map.plane.y.values()
+    disc = fold_map.discriminant
+    keys = sorted({k for seg in _segments(disc) for k in seg})
+    p0, p1, f0, f1 = _edge_endpoints(omegas, deltas, disc, keys)
+    batch = _fold_zeros(GAMMA, W, p0, p1, f0, f1)
+    alone = np.vstack([
+        _fold_zeros(GAMMA, W, *(a[k : k + 1] for a in (p0, p1, f0, f1)))
+        for k in range(len(keys))
+    ])
+    assert len(keys) > 100
+    assert np.array_equal(batch, alone)
+    rows = {tuple(v) for v in alone}
+    for line in fold_map.lines:
+        assert all(tuple(v) in rows for v in line)
+
+
+def test_fold_vertices_lie_on_grid_edges(fold_map):
+    # A vertex is bisected along its grid edge, so one coordinate is exactly
+    # a grid value, and the vertex stays inside the plane.
+    omegas, deltas = fold_map.plane.x.values(), fold_map.plane.y.values()
+    for line in fold_map.lines:
+        for om, de in line:
+            assert om in omegas or de in deltas
+            assert omegas[0] <= om <= omegas[-1] and deltas[0] <= de <= deltas[-1]
 
 
 # -- dynamics ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epkit import linalg
+from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import ResolutionTooLarge, UnknownModel
 from epkit.models import get_model
 from epkit.spectra import (
@@ -13,9 +14,7 @@ from epkit.spectra import (
     EPCandidate,
     PlaneSpec,
     _detect_eps,
-    _edge_endpoints,
     _edge_zeros,
-    _segments,
     detect_ep,
     quasi_steady_index,
     scan_grid,
