@@ -150,6 +150,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             plane = _build_plane(cfg)
             if cfg.command == "map":
                 resolve_params(model, {plane.x.name: 0.0, plane.y.name: 0.0})
+            elif (plane.x.name, plane.y.name) != ("Omega", "Delta"):
+                raise ValueError("rydberg axes are x_name = Omega, y_name = Delta")
+            else:
+                from .rydberg import RydbergParams
+
+                # the low corner holds the smallest Omega of the scan
+                RydbergParams(Omega=plane.x.lo, Delta=plane.y.lo,
+                              gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
@@ -360,40 +368,22 @@ def _run_map(cfg, emit_text, emit_json, threads):
 
 
 def _run_encircle(cfg, emit_text, emit_json):
-    from .dynamics import (
-        classify_chirality,
-        default_steps,
-        initial_state_on_branch,
-        integrate_liouvillian,
-        integrate_schrodinger,
-        project_trajectory,
-    )
+    from .dynamics import classify_chirality, project_trajectory
 
     drive, branch, drives = _build_drives(cfg)
     T = cfg.run.get("T", drive.path.period)
-    steps = cfg.run.get("steps") or default_steps(drive, T)
     check = bool(cfg.run.get("check_steps", False))
-    x0, _ = initial_state_on_branch(drive, branch)
-
+    report = classify_chirality(
+        drive, T, branch, steps=cfg.run.get("steps"), check_steps=check
+    )
     for direction, d in drives.items():
-        if drive.model.kind == "hamiltonian":
-            traj = integrate_schrodinger(d, x0, T, steps, check_steps=check)
-        else:
-            traj = integrate_liouvillian(d, x0, T, steps, check_steps=check)
-        traj = project_trajectory(traj, d)
+        traj = project_trajectory(report.runs[direction], d)
         emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
-
-    report = classify_chirality(drive, T, branch, steps=steps)
     emit_json("chirality.json", output.chirality_json(report))
 
 
 def _run_rydberg(cfg, emit_text, emit_json):
-    from .rydberg import (
-        bistability_map,
-        check_conditions,
-        encircle_steady,
-        transfer_verdict,
-    )
+    from .rydberg import bistability_map, check_conditions, transfer_verdict
     from .dynamics import TrajectoryRecord
 
     gamma, W = cfg.params["gamma"], cfg.params["W"]
@@ -410,10 +400,12 @@ def _run_rydberg(cfg, emit_text, emit_json):
     if cfg.path:
         path = _build_path(cfg)
         T = cfg.run.get("T", path.period)
-        steps = cfg.run.get("steps")
         root = cfg.run.get("initial_root", "low")
-        for direction in ("ccw", "cw"):
-            res = encircle_steady(path, gamma, W, T, direction, root, steps=steps)
+        verdict = transfer_verdict(
+            path, gamma, W, T, root, steps=cfg.run.get("steps"),
+            check_steps=bool(cfg.run.get("check_steps", False)),
+        )
+        for direction, res in verdict.runs.items():
             states = np.stack(
                 [res.rho22.astype(complex), res.rho21], axis=1
             )
@@ -428,7 +420,6 @@ def _run_rydberg(cfg, emit_text, emit_json):
                 f"trajectory_{direction}.csv",
                 output.trajectory_csv(traj, extra_sheet=res.rho22),
             )
-        verdict = transfer_verdict(path, gamma, W, T, root, steps=steps)
         payload = {
             "verdict": verdict.verdict,
             "initial_branch_index": verdict.initial_index,

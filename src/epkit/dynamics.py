@@ -17,7 +17,7 @@ the direction of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,7 +29,7 @@ from .errors import (
     SampleTooCoarse,
     StepTooCoarse,
 )
-from .models import PathDrive
+from .models import PathDrive, pick_index
 from .spectra import quasi_steady_index
 
 # Largest number of recorded samples per trajectory; integration runs at
@@ -69,12 +69,18 @@ class AdiabaticityEstimate:
 
 @dataclass(frozen=True)
 class ChiralityReport:
+    """Final-state fidelities of both loop directions and the verdict.
+
+    runs holds the judged trajectory of each direction, keyed "ccw"/"cw".
+    """
+
     ccw_final_fidelity_to_initial_branch: float
     ccw_final_fidelity_to_other_branch: float
     cw_final_fidelity_to_initial_branch: float
     cw_final_fidelity_to_other_branch: float
     verdict: str  # "chiral" | "non_chiral" | "ambiguous"
     adiabaticity: AdiabaticityEstimate
+    runs: dict = field(compare=False, repr=False)
 
 
 def _record_indices(steps: int) -> np.ndarray:
@@ -156,63 +162,46 @@ def _integrate(drive: PathDrive, x0: np.ndarray, T: float, steps: int):
 
 
 def integrate_schrodinger(
-    drive: PathDrive,
-    psi0: np.ndarray,
-    T: float,
-    steps: int,
-    direction: str | None = None,
-    check_steps: bool = False,
+    drive: PathDrive, psi0: np.ndarray, T: float, steps: int, check_steps: bool = False
 ) -> TrajectoryRecord:
     """Schrodinger evolution i d/dt psi = H(t) psi (hbar = 1) by RK4."""
-    if drive.model.kind != "hamiltonian":
-        raise ValueError("integrate_schrodinger requires a hamiltonian model")
-    if steps < 100:
-        raise ValueError("steps must be >= 100")
-    if direction is not None:
-        drive = drive.with_direction(direction)
-    psi0 = np.asarray(psi0, dtype=complex)
-    times, states, log_norms = _integrate(drive, psi0, T, steps)
-    if check_steps:
-        times2, states2, _ = _integrate(drive, psi0, T, 2 * steps)
-        _check_step_doubling(times, states, times2, states2)
-    return TrajectoryRecord(
-        times=times,
-        states=states,
-        norm=_safe_exp(log_norms),
-        log_norm=log_norms,
-        kind="schrodinger",
-    )
+    return _evolve("schrodinger", drive, psi0, T, steps, check_steps)
 
 
 def integrate_liouvillian(
-    drive: PathDrive,
-    rho0: np.ndarray,
-    T: float,
-    steps: int,
-    direction: str | None = None,
-    check_steps: bool = False,
+    drive: PathDrive, rho0: np.ndarray, T: float, steps: int, check_steps: bool = False
 ) -> TrajectoryRecord:
-    """Master-equation evolution d/dt vec(rho) = L(t) vec(rho) by RK4."""
-    if drive.model.kind != "liouvillian":
-        raise ValueError("integrate_liouvillian requires a liouvillian model")
+    """Master-equation evolution d/dt vec(rho) = L(t) vec(rho) by RK4.
+
+    ``rho0`` is a vectorized state or a density matrix, which is validated
+    and vectorized first.
+    """
+    return _evolve("liouvillian", drive, rho0, T, steps, check_steps)
+
+
+def _evolve(
+    kind: str, drive: PathDrive, x0, T: float, steps: int, check_steps: bool
+) -> TrajectoryRecord:
+    """One RK4 run of a record kind, optionally checked by step doubling."""
+    model_kind = "hamiltonian" if kind == "schrodinger" else "liouvillian"
+    if drive.model.kind != model_kind:
+        raise ValueError(f"integrate_{kind} requires a {model_kind} model")
     if steps < 100:
         raise ValueError("steps must be >= 100")
-    if direction is not None:
-        drive = drive.with_direction(direction)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 2:
-        _validate_density(rho0)
-        rho0 = linalg.vec_row(rho0)
-    times, states, log_norms = _integrate(drive, rho0, T, steps)
+    x0 = np.asarray(x0, dtype=complex)
+    if kind == "liouvillian" and x0.ndim == 2:
+        _validate_density(x0)
+        x0 = linalg.vec_row(x0)
+    times, states, log_norms = _integrate(drive, x0, T, steps)
     if check_steps:
-        times2, states2, _ = _integrate(drive, rho0, T, 2 * steps)
+        times2, states2, _ = _integrate(drive, x0, T, 2 * steps)
         _check_step_doubling(times, states, times2, states2)
     return TrajectoryRecord(
         times=times,
         states=states,
         norm=_safe_exp(log_norms),
         log_norm=log_norms,
-        kind="liouvillian",
+        kind=kind,
     )
 
 
@@ -515,18 +504,11 @@ def initial_state_on_branch(drive: PathDrive, branch: int):
 
 
 def resolve_branch(drive: PathDrive, spec_name) -> int:
-    """Branch selector: 'upper'/'lower' by real part, 'quasi_steady', or int."""
+    """Branch selector: 'upper'/'lower' by real part, 'quasi_steady', or an index."""
     dec = linalg.eig(drive.matrix(0.0))
-    if isinstance(spec_name, (int, np.integer)):
-        return int(spec_name)
-    name = str(spec_name)
-    if name == "upper":
-        return 0  # canonical order sorts by descending real part
-    if name == "lower":
-        return dec.dim - 1
-    if name == "quasi_steady":
-        return quasi_steady_index(dec)
-    raise ValueError(f"unknown branch spec '{spec_name}'")
+    # canonical order sorts by descending real part
+    named = {"upper": 0, "lower": dec.dim - 1, "quasi_steady": quasi_steady_index(dec)}
+    return pick_index(spec_name, named, dec.dim, "branch")
 
 
 def classify_chirality(
@@ -541,7 +523,8 @@ def classify_chirality(
     The path period is set to T (a single cycle).  The verdict is chiral
     when one direction returns to the initial branch with fidelity > 0.9
     while the other leaves it below 0.5; non-chiral when both return above
-    0.9; ambiguous otherwise.
+    0.9; ambiguous otherwise.  The report keeps both runs, so callers that
+    also want the trajectories never integrate a loop again.
     """
     import dataclasses
 
@@ -554,12 +537,14 @@ def classify_chirality(
         steps = default_steps(drive, T)
 
     results = {}
+    runs = {}
     for direction in ("ccw", "cw"):
         d = drive.with_direction(direction)
         if drive.model.kind == "hamiltonian":
             traj = integrate_schrodinger(d, x0, T, steps, check_steps=check_steps)
         else:
             traj = integrate_liouvillian(d, x0, T, steps, check_steps=check_steps)
+        runs[direction] = traj
         final = traj.states[-1]
         dec_T = linalg.eig(d.matrix(T))
         # identify "the initial branch" at the returning parameter point by
@@ -588,6 +573,7 @@ def classify_chirality(
         cw_final_fidelity_to_other_branch=cw_o,
         verdict=verdict,
         adiabaticity=adiabaticity_estimate(drive, T),
+        runs=runs,
     )
 
 

@@ -162,6 +162,20 @@ class EncirclePath:
         )
 
 
+def pick_index(spec, named: dict, count: int, what: str) -> int:
+    """``named[spec]``, or ``spec`` itself when it is an index below count.
+
+    An index may be an int or a digit string, as config values arrive.
+    """
+    index = named.get(spec, spec)
+    if not (str(index).isdigit() and int(index) < count):
+        names = ", ".join(f"'{name}'" for name in named)
+        raise ValueError(
+            f"{what} spec '{spec}' is not {names} or an index below {count}"
+        )
+    return int(index)
+
+
 def pt_hamiltonian(p: PTParams) -> np.ndarray:
     """J*sx - i(Gamma/2)*sz."""
     return p.J * SIGMA_X - 0.5j * p.Gamma * SIGMA_Z

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import contour, linalg
 from .errors import NoIntersections, StepTooCoarse
-from .models import EncirclePath
+from .models import EncirclePath, pick_index
 from .spectra import PlaneSpec
 
 # Fixed-step integration: step <= STEP_FACTOR / gamma.
@@ -462,12 +462,8 @@ def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
     stable = steady_states(p0).stable_roots
     if not stable:
         raise ValueError("no stable steady state at the path start")
-    index = {"low": 0, "high": len(stable) - 1}.get(spec, spec)
-    if not (str(index).isdigit() and int(index) < len(stable)):
-        raise ValueError(
-            f"root spec '{spec}' is not 'low', 'high' or an index below {len(stable)}"
-        )
-    return p0, stable, int(index)
+    named = {"low": 0, "high": len(stable) - 1}
+    return p0, stable, pick_index(spec, named, len(stable), "root")
 
 
 @dataclass
@@ -506,7 +502,8 @@ def encircle_steady(
     times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
     if check_steps:
         _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=path)
-        if abs(float(n2[-1]) - float(n[-1])) > 1e-6:
+        # written so that a diverged (nan) run fails the check too
+        if not abs(float(n2[-1]) - float(n[-1])) <= 1e-6:
             raise StepTooCoarse("encircling run not converged in step doubling")
 
     final_n = float(n[-1])
@@ -529,7 +526,8 @@ class TransferVerdict:
     direction landed on within LANDING_TOL, or None when the final state
     missed every branch (fast, non-adiabatic driving).
     verdict is "chiral" when exactly one direction switched branch while
-    the other returned; otherwise "none".
+    the other returned; otherwise "none".  runs holds the judged run of
+    each direction, keyed "ccw"/"cw".
     """
 
     landed_ccw: int | None
@@ -538,6 +536,7 @@ class TransferVerdict:
     final_cw: float
     initial_index: int
     verdict: str
+    runs: dict = field(compare=False, repr=False)
 
 
 def transfer_verdict(
@@ -547,15 +546,17 @@ def transfer_verdict(
     T: float,
     initial_root: str = "low",
     steps: int | None = None,
+    check_steps: bool = False,
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings."""
     _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
 
+    runs = {}
     landings = {}
     finals = {}
     for direction in ("ccw", "cw"):
-        res = encircle_steady(
-            path, gamma, W, T, direction, initial_root, steps=steps
+        res = runs[direction] = encircle_steady(
+            path, gamma, W, T, direction, initial_root, steps, check_steps
         )
         nf = float(res.rho22[-1])
         finals[direction] = nf
@@ -574,6 +575,7 @@ def transfer_verdict(
         final_cw=finals["cw"],
         initial_index=idx0,
         verdict="chiral" if chiral else "none",
+        runs=runs,
     )
 
 

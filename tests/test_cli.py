@@ -254,24 +254,36 @@ def test_cli_validate_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-BAD_PLANES = {
-    "map_reversed_axis": MAP_CONFIG.replace(
-        "plane.x_min = -0.5\nplane.x_max = 0.5", "plane.x_min = 0.5\nplane.x_max = -0.5"
-    ),
-    "map_unknown_axis": MAP_CONFIG.replace("plane.x_name = delta", "plane.x_name = Omega"),
-    "rydberg_reversed_axis": """
+RYDBERG_PLANE_CONFIG = """
 experiment.command = rydberg
 param.gamma = 1.0
 param.W = -11.0
 plane.x_name = Omega
-plane.x_min = 2.4
-plane.x_max = 1.8
+plane.x_min = 1.8
+plane.x_max = 2.4
 plane.x_res = 7
 plane.y_name = Delta
 plane.y_min = -5.5
 plane.y_max = -3.5
 plane.y_res = 9
-""",
+"""
+BAD_PLANES = {
+    "map_reversed_axis": MAP_CONFIG.replace(
+        "plane.x_min = -0.5\nplane.x_max = 0.5", "plane.x_min = 0.5\nplane.x_max = -0.5"
+    ),
+    "map_unknown_axis": MAP_CONFIG.replace("plane.x_name = delta", "plane.x_name = Omega"),
+    "rydberg_reversed_axis": RYDBERG_PLANE_CONFIG.replace(
+        "plane.x_min = 1.8\nplane.x_max = 2.4", "plane.x_min = 2.4\nplane.x_max = 1.8"
+    ),
+    "rydberg_negative_omega": RYDBERG_PLANE_CONFIG.replace(
+        "plane.x_min = 1.8", "plane.x_min = -1.0"
+    ),
+    "rydberg_unknown_axis": RYDBERG_PLANE_CONFIG.replace(
+        "plane.x_name = Omega", "plane.x_name = banana"
+    ),
+    "rydberg_swapped_axes": RYDBERG_PLANE_CONFIG.replace(
+        "plane.x_name = Omega", "plane.x_name = Delta"
+    ).replace("plane.y_name = Delta", "plane.y_name = Omega"),
 }
 
 
@@ -319,6 +331,7 @@ run.steps = 1000
 BAD_RUNS = {
     "encircle_unknown_plane_axis": ENCIRCLE_CONFIG.replace("J-Omega", "J-Gamma2"),
     "encircle_unknown_branch": ENCIRCLE_CONFIG + "run.initial_branch = middle\n",
+    "encircle_branch_out_of_range": ENCIRCLE_CONFIG + "run.initial_branch = 2\n",
     "encircle_unknown_direction": ENCIRCLE_CONFIG + "run.directions = sideways\n",
     "encircle_unknown_convention": ENCIRCLE_CONFIG + "path.convention = tan-cos\n",
     "rydberg_unknown_root": RYDBERG_PATH_CONFIG + "run.initial_root = middle\n",
@@ -343,6 +356,60 @@ def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_initial_branch_index(tmp_path):
+    # An index selects the branch in canonical order: on the 2x2 model,
+    # branch 1 is the lower one.
+    runs = {}
+    for spec in ("1", "lower"):
+        cfgfile = tmp_path / f"{spec}.cfg"
+        cfgfile.write_text(ENCIRCLE_CONFIG + f"run.initial_branch = {spec}\n")
+        assert main(["validate", "--config", str(cfgfile)]) == 0
+        out = tmp_path / spec
+        assert main(["encircle", "--config", str(cfgfile), "--out", str(out)]) == 0
+        runs[spec] = json.loads(_read(out / "manifest.json"))["outputs"]
+    assert runs["1"] == runs["lower"]
+
+
+@pytest.mark.parametrize("steps", [100, 300])
+def test_cli_rydberg_check_steps(tmp_path, capsys, steps):
+    # At 100 steps the loop diverges, at 300 it converges to the wrong
+    # populations; step doubling catches both, set in the file or by flag.
+    text = RYDBERG_PATH_CONFIG.replace("run.steps = 1000", f"run.steps = {steps}")
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(text)
+    checked = tmp_path / "checked.cfg"
+    checked.write_text(text + "run.check_steps = true\n")
+    out = str(tmp_path / "out")
+    for argv in (["--config", str(checked)], ["--config", str(plain), "--check-steps"]):
+        assert main(["rydberg", *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step doubling" in err
+
+
+def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
+    # The verdicts return the runs they judged, and the trajectory files
+    # are written from those runs: one integration per direction.
+    from epkit import dynamics, rydberg
+
+    calls = []
+    for module, name in ((dynamics, "_integrate"), (rydberg, "integrate_bloch")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for command, text in (("encircle", ENCIRCLE_CONFIG), ("rydberg", RYDBERG_PATH_CONFIG)):
+        cfgfile = tmp_path / f"{command}.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
+    assert calls.count("_integrate") == 2
+    assert calls.count("integrate_bloch") == 2
 
 
 def test_cli_presets_listing(capsys):

@@ -1,5 +1,7 @@
 """Integrators, sheet tracking, projection, couplings and chirality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,28 @@ def test_trace_monotone_under_post_selection():
     x0, _ = initial_state_on_branch(drive, b)
     traj = integrate_liouvillian(drive, x0, 150.0, 3000)
     assert np.all(np.diff(traj.log_norm) < 1e-12)
+
+
+def test_resolve_branch_names_and_indices():
+    drive = coldatom_drive(T=150.0)  # 4x4 generator
+    assert resolve_branch(drive, "upper") == 0
+    assert resolve_branch(drive, "lower") == 3
+    assert resolve_branch(drive, "3") == resolve_branch(drive, 3) == 3
+    for bad in ("4", 7, -1, "-1", "1.0", "middle"):
+        with pytest.raises(ValueError, match="index below 4"):
+            resolve_branch(drive, bad)
+
+
+def test_chirality_report_keeps_the_judged_runs():
+    drive = ring_drive()
+    report = classify_chirality(drive, 100.0, "upper", steps=2000)
+    x0, _ = initial_state_on_branch(drive, 0)
+    for direction in ("ccw", "cw"):
+        again = integrate_schrodinger(drive.with_direction(direction), x0, 100.0, 2000)
+        assert np.array_equal(report.runs[direction].states, again.states)
+    # the runs take no part in equality or repr
+    assert report == dataclasses.replace(report, runs={})
+    assert "runs" not in repr(report)
 
 
 def test_liouvillian_adiabatic_loop_returns_both_ways():

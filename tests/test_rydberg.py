@@ -285,6 +285,15 @@ def test_encircle_chirality_lost_when_fast():
     assert v.landed_ccw is None and v.landed_cw is None
 
 
+def test_transfer_verdict_keeps_the_judged_runs():
+    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
+    for direction, final in (("ccw", v.final_ccw), ("cw", v.final_cw)):
+        res = encircle_steady(demo_path(), GAMMA, W, 100.0, direction, steps=1000)
+        assert np.array_equal(v.runs[direction].rho22, res.rho22)
+        assert v.runs[direction].rho22[-1] == final
+    assert "runs" not in repr(v)
+
+
 def test_encircle_outside_bistable_no_switch():
     path = EncirclePath(
         center=(1.0, -7.5), radius=0.3, period=3000.0, plane="Omega-Delta"
