@@ -164,11 +164,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
                 raise ConfigError(f"missing section key 'path.{k}'")
+        floor = 100 if cfg.command == "encircle" else 1
+        if cfg.run.get("steps", floor) < floor:
+            raise ConfigError(f"{cfg.command} runs need run.steps >= {floor}")
         # Build what the run builds, so that a bad path, direction or start
         # branch fails here.
         try:
             if cfg.command == "encircle":
                 _build_drives(cfg)
+            elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
+                raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
                 from .rydberg import resolve_root
 

@@ -17,10 +17,9 @@ the direction of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import (
@@ -194,8 +193,7 @@ def _evolve(
         x0 = linalg.vec_row(x0)
     times, states, log_norms = _integrate(drive, x0, T, steps)
     if check_steps:
-        times2, states2, _ = _integrate(drive, x0, T, 2 * steps)
-        _check_step_doubling(times, states, times2, states2)
+        _check_step_doubling(steps, states, _integrate(drive, x0, T, 2 * steps)[1])
     return TrajectoryRecord(
         times=times,
         states=states,
@@ -219,20 +217,20 @@ def _validate_density(rho: np.ndarray) -> None:
         raise ValueError("rho0 must be positive semidefinite")
 
 
-def _check_step_doubling(times1, states1, times2, states2) -> None:
-    """Compare state directions at every time both runs recorded."""
-    lookup = {round(float(t), 12): k for k, t in enumerate(times2)}
-    worst = 0.0
-    matched = 0
-    for k, t in enumerate(times1):
-        j = lookup.get(round(float(t), 12))
-        if j is None:
-            continue
-        matched += 1
-        worst = max(worst, 1.0 - abs(np.vdot(states1[k], states2[j])))
-    if matched < 2:
+def _check_step_doubling(steps: int, states1, states2) -> None:
+    """Compare state directions at every step both runs recorded.
+
+    Step i of the run at ``steps`` is step 2i of the doubled run; a
+    non-finite drift fails.
+    """
+    _, k1, k2 = np.intersect1d(
+        2 * _record_indices(steps), _record_indices(2 * steps), return_indices=True
+    )
+    if len(k1) < 2:
         raise StepTooCoarse("step-doubling runs share too few record times")
-    if worst > STEP_DOUBLING_TOL:
+    overlaps = np.einsum("ij,ij->i", states1[k1].conj(), states2[k2])
+    worst = float(np.max(1.0 - np.abs(overlaps)))
+    if not worst <= STEP_DOUBLING_TOL:
         raise StepTooCoarse(
             f"step-doubling drift {worst:.2e} exceeds {STEP_DOUBLING_TOL:.0e}"
         )
@@ -263,59 +261,41 @@ class SheetTrack:
 def track_sheets(
     drive: PathDrive, T: float, samples: int, times: np.ndarray | None = None
 ) -> SheetTrack:
-    """Match eigenvalue branches continuously along the drive path."""
+    """Match eigenvalue branches continuously along the drive path.
+
+    One stacked eigendecomposition and one batched assignment cover every
+    sample; only the composition of the matchings runs sample by sample.
+    """
     if samples < 100:
         raise SampleTooCoarse("need at least 100 samples per period")
     if times is None:
         times = np.linspace(0.0, T, samples + 1)
-    mats = drive.matrices(times)
-    vals, rights = linalg.eig_batch(mats)
-    dim = vals.shape[-1]
-    lefts = np.empty_like(rights)
+    dec = linalg.eig(drive.matrices(times))
+    vals, rights = dec.eigenvalues, dec.right
 
-    # Left eigenvectors per sample, paired to the right ones.
-    for k in range(len(times)):
-        dec = linalg.eig(mats[k])
-        # map canonical-order decomposition onto this sample's batch order
-        perm = _match_values(dec.eigenvalues, vals[k])
-        rights[k] = dec.right[:, perm]
-        lefts[k] = dec.left[:, perm]
-        vals[k] = dec.eigenvalues[perm]
-
-    order = np.arange(dim)
-    defective = np.zeros(len(times), dtype=bool)
-    out_vals = np.empty_like(vals)
-    out_r = np.empty_like(rights)
-    out_l = np.empty_like(lefts)
-    out_vals[0] = vals[0]
-    out_r[0] = rights[0]
-    out_l[0] = lefts[0]
-
+    # cost[k - 1, a, j]: branch a at sample k - 1 against branch j at sample k
     scale = 1.0 + np.abs(vals).max()
-    for k in range(1, len(times)):
-        prev_v = out_vals[k - 1]
-        prev_r = out_r[k - 1]
-        cost = np.abs(prev_v[:, None] - vals[k][None, :]) / scale
-        overlap = np.abs(prev_r.conj().T @ rights[k])
-        # eigenvalue distance decides; overlap breaks near-ties
-        rows, cols = linear_sum_assignment(cost + 1e-9 * (1.0 - overlap))
-        assignment = np.empty(dim, dtype=int)
-        assignment[rows] = cols
-        # ambiguity diagnostic: two candidates within 1e-12 and overlaps tied
-        for i in range(dim):
-            d = np.sort(cost[i])
-            if d.size > 1 and d[1] - d[0] < 1e-12 / scale:
-                ov = np.sort(overlap[i])[::-1]
-                if ov.size > 1 and abs(ov[0] - ov[1]) < 1e-6:
-                    defective[k] = True
-        out_vals[k] = vals[k][assignment]
-        out_r[k] = rights[k][:, assignment]
-        out_l[k] = lefts[k][:, assignment]
-
+    cost = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale
+    overlap = np.abs(rights[:-1].conj().swapaxes(-1, -2) @ rights[1:])
+    # eigenvalue distance decides; overlap breaks near-ties
+    step = linalg.assign(cost + 1e-9 * (1.0 - overlap))
+    # ambiguity diagnostic: two candidates within 1e-12 and overlaps tied
+    d, ov = np.sort(cost, axis=-1), np.sort(overlap, axis=-1)
+    tied = (d[..., 1:2] - d[..., :1] < 1e-12 / scale) & (
+        np.abs(ov[..., -1:] - ov[..., -2:-1]) < 1e-6
+    )
+    defective = np.concatenate([[False], tied.any(axis=(-2, -1))])
     if defective.sum() > max(3, samples // 20):
         raise SampleTooCoarse(
             f"{int(defective.sum())} ambiguous samples out of {samples + 1}"
         )
+
+    # order[k, i]: the sample-k index of the branch labelled i at sample 0
+    order = np.empty(vals.shape, dtype=int)
+    order[0] = np.arange(vals.shape[-1])
+    for k in range(1, len(times)):
+        order[k] = step[k - 1][order[k - 1]]
+    out_vals = np.take_along_axis(vals, order, axis=-1)
 
     # Closing permutation: branch j at the end corresponds to the branch
     # whose eigenvalue at the start matches out_vals[-1, j].
@@ -323,20 +303,16 @@ def track_sheets(
     return SheetTrack(
         times=times,
         values=out_vals,
-        rights=out_r,
-        lefts=out_l,
+        rights=np.take_along_axis(rights, order[:, None, :], axis=-1),
+        lefts=np.take_along_axis(dec.left, order[:, None, :], axis=-1),
         permutation=permutation,
         defective_samples=defective,
     )
 
 
 def _match_values(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Permutation p with dst[p[j]] closest to src[j], one-to-one."""
-    cost = np.abs(np.asarray(src)[:, None] - np.asarray(dst)[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(dst), dtype=int)
-    perm[rows] = cols
-    return perm
+    """Permutation p with dst[p[j]] closest to src[j], one-to-one; broadcasts."""
+    return linalg.assign(np.abs(np.asarray(src)[..., :, None] - np.asarray(dst)[..., None, :]))
 
 
 # -- projection ----------------------------------------------------------------
@@ -356,28 +332,18 @@ def project_trajectory(traj: TrajectoryRecord, drive: PathDrive) -> TrajectoryRe
         raise SampleTooCoarse("trajectory has too few records for sheet tracking")
     track = track_sheets(drive, T, len(traj.times) - 1, times=traj.times)
 
-    n = len(traj.times)
-    dim = traj.states.shape[1]
-    projected = np.empty(n, dtype=complex)
-    populations = np.empty((n, dim), dtype=complex)
-    sheet = np.empty(n, dtype=int)
-    for k in range(n):
-        psi = traj.states[k]
-        lw = track.lefts[k]
-        weights = np.abs(lw.conj().T @ psi) ** 2
-        total = weights.sum()
-        if total < 1e-14:
-            raise ProjectionUndefined(f"all branch overlaps vanish at t={traj.times[k]}")
-        projected[k] = (weights @ track.values[k]) / total
-        # biorthogonal coefficients: c_j = <chi_j|psi> / <chi_j|psi_j>
-        denom = np.einsum("ij,ij->j", lw.conj(), track.rights[k])
-        raw = lw.conj().T @ psi
-        coeff = np.where(np.abs(denom) > 1e-14, raw / denom, 0.0)
-        populations[k] = coeff
-        sheet[k] = int(np.argmax(np.abs(coeff)))
-    traj.projected = projected
-    traj.populations = populations
-    traj.sheet_index = sheet
+    # raw[k, j] = <chi_j|psi> at sample k
+    raw = (track.lefts.conj().swapaxes(-1, -2) @ traj.states[..., None])[..., 0]
+    weights = np.abs(raw) ** 2
+    total = weights.sum(axis=-1)
+    if (total < 1e-14).any():
+        t = traj.times[np.argmax(total < 1e-14)]
+        raise ProjectionUndefined(f"all branch overlaps vanish at t={t}")
+    traj.projected = (weights[:, None, :] @ track.values[..., None])[:, 0, 0] / total
+    # biorthogonal coefficients: c_j = <chi_j|psi> / <chi_j|psi_j>
+    denom = np.einsum("kij,kij->kj", track.lefts.conj(), track.rights)
+    traj.populations = np.where(np.abs(denom) > 1e-14, raw / denom, 0.0)
+    traj.sheet_index = np.argmax(np.abs(traj.populations), axis=-1)
     return traj
 
 
@@ -391,29 +357,22 @@ def nonadiabatic_couplings(drive: PathDrive, t: float, dt: float) -> np.ndarray:
     (positive overlap with the center frame) before differencing, and the
     left eigenvectors are rescaled so <chi_n|psi_n> = 1.
     """
-    mats = drive.matrices(np.array([t - dt, t, t + dt]))
-    decs = [linalg.eig(m) for m in mats]
-    center = decs[1]
-    frames = []
-    for dec in (decs[0], decs[2]):
-        perm = _match_values(center.eigenvalues, dec.eigenvalues)
-        r = dec.right[:, perm]
-        # phase alignment against the center frame
-        for j in range(r.shape[1]):
-            ov = np.vdot(center.right[:, j], r[:, j])
-            if abs(ov) < 0.1:
-                raise GaugeDiscontinuity(
-                    f"branch {j} changes too fast across dt={dt}"
-                )
-            r[:, j] *= ov.conjugate() / abs(ov)
-        frames.append(r)
+    dec = linalg.eig(drive.matrices(np.array([t - dt, t, t + dt])))
+    center = dec.right[1]
+    perms = _match_values(dec.eigenvalues[1], dec.eigenvalues[[0, 2]])
+    frames = np.take_along_axis(dec.right[[0, 2]], perms[:, None, :], axis=-1)
+    # phase alignment against the center frame
+    ov = np.einsum("ij,kij->kj", center.conj(), frames)
+    if (np.abs(ov) < 0.1).any():
+        j = int(np.argmax((np.abs(ov) < 0.1).any(axis=0)))
+        raise GaugeDiscontinuity(f"branch {j} changes too fast across dt={dt}")
+    frames = frames * (ov.conj() / np.abs(ov))[:, None, :]
     dpsi = (frames[1] - frames[0]) / (2.0 * dt)
-    chi = center.left.copy()
-    for j in range(chi.shape[1]):
-        denom = np.vdot(chi[:, j], center.right[:, j])
-        if abs(denom) < 1e-14:
-            raise GaugeDiscontinuity(f"biorthogonal norm vanishes for branch {j}")
-        chi[:, j] /= denom.conjugate()
+    denom = np.einsum("ij,ij->j", dec.left[1].conj(), center)
+    if (np.abs(denom) < 1e-14).any():
+        j = int(np.argmax(np.abs(denom) < 1e-14))
+        raise GaugeDiscontinuity(f"biorthogonal norm vanishes for branch {j}")
+    chi = dec.left[1] / denom.conj()
     return chi.conj().T @ dpsi
 
 
@@ -481,12 +440,8 @@ def state_branch_fidelity(
 def adiabaticity_estimate(drive: PathDrive, T: float, samples: int = 720) -> AdiabaticityEstimate:
     ts = np.linspace(0.0, T, samples + 1)
     vals, _ = linalg.eig_batch(drive.matrices(ts))
-    dim = vals.shape[-1]
-    gap = np.full(len(ts), np.inf)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            gap = np.minimum(gap, np.abs(vals[:, i] - vals[:, j]))
-    min_gap = float(gap.min())
+    i, j = np.triu_indices(vals.shape[-1], 1)
+    min_gap = float(np.abs(vals[:, i] - vals[:, j]).min(initial=np.inf))
     return AdiabaticityEstimate(
         min_real_gap=min_gap, dimensionless_ratio=float(T * min_gap)
     )
@@ -526,11 +481,7 @@ def classify_chirality(
     0.9; ambiguous otherwise.  The report keeps both runs, so callers that
     also want the trajectories never integrate a loop again.
     """
-    import dataclasses
-
-    drive = dataclasses.replace(
-        drive, path=dataclasses.replace(drive.path, period=T)
-    )
+    drive = replace(drive, path=replace(drive.path, period=T))
     branch = resolve_branch(drive, initial_branch)
     x0, dec0 = initial_state_on_branch(drive, branch)
     if steps is None:

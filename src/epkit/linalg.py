@@ -14,15 +14,17 @@ Conventions
   outputs deterministic across runs.
 * Left eigenvectors are right eigenvectors of the conjugate transpose,
   index-matched to the right ones by maximal |<l|r>| (eigenvalue proximity
-  breaks ties).
+  breaks ties).  ``assign`` is the one assignment solver.
+* ``eig`` takes one matrix or a stack; a stacked matrix gets exactly the
+  result of a lone call, as LAPACK solves every stacked matrix on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionTooLarge, NonConvergence
 
@@ -37,10 +39,15 @@ COALESCENCE_TOL = 1e-6
 # ep_condition = 1/sigma_min of the right-eigenvector matrix, capped here.
 EP_CONDITION_CAP = 1e16
 
+# The permutations of range(n) in lexicographic order, for n <= 4.
+_PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n))), dtype=int) for n in range(5)}
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues with paired right/left eigenvectors and EP diagnostics.
+
+    A stacked decomposition carries its input's leading axes on every field.
 
     Attributes:
         eigenvalues: shape (dim,), canonical order (Re desc, Im asc).
@@ -62,7 +69,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def _require_finite(m: np.ndarray, what: str = "matrix") -> None:
@@ -101,23 +108,23 @@ def unvec_row(v) -> np.ndarray:
 
 def canonical_order(values: np.ndarray) -> np.ndarray:
     """Index array sorting eigenvalues by Re descending, then Im ascending."""
-    return np.lexsort((values.imag, -values.real))
+    return np.lexsort((values.imag, -values.real), axis=-1)
 
 
 def fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive.
 
-    Columns are assumed unit-norm.  "Significant" means at least 1e-8 of the
-    largest component, so the anchor does not jump under tiny perturbations.
+    Columns are assumed unit-norm; ``vectors`` may be stacked (..., n, m).
+    "Significant" means at least 1e-8 of the largest component, so the
+    anchor does not jump under tiny perturbations.
     """
     v = np.array(vectors, dtype=complex)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        mags = np.abs(col)
-        anchor = np.argmax(mags >= 1e-8 * mags.max())
-        a = col[anchor]
-        if abs(a) > 0:
-            col *= a.conjugate() / abs(a)
+    mags = np.abs(v)
+    anchor = np.argmax(mags >= 1e-8 * mags.max(axis=-2, keepdims=True), axis=-2)
+    a = np.take_along_axis(v, anchor[..., None, :], axis=-2)
+    # |a| by hypot rounds like the scalar abs(); np.abs on arrays may not
+    size = np.hypot(a.real, a.imag)
+    v *= np.divide(a.conj(), size, out=np.ones_like(a), where=size > 0)
     return v
 
 
@@ -144,61 +151,109 @@ def char_poly(m) -> np.ndarray:
 def eig(m) -> SpectralDecomposition:
     """Full right/left eigendecomposition with coalescence diagnostics.
 
-    Eigenvectors come from the LAPACK Hessenberg-QR path, which meets the
-    residual contract ||m v - lambda v|| <= 1e-9 (1 + ||m||_F) for all
-    non-defective eigenpairs.
+    ``m`` is one matrix or a stack (..., n, n).  Eigenvectors come from the
+    LAPACK Hessenberg-QR path, which meets the residual contract
+    ||m v - lambda v|| <= 1e-9 (1 + ||m||_F) for all non-defective
+    eigenpairs.
     """
-    a = as_matrix(m)
-    n = a.shape[0]
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
+    _require_finite(a)
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionTooLarge(f"dim {n} exceeds the supported maximum {MAX_DIM}")
 
     try:
-        vals_r, vecs_r = np.linalg.eig(a)
-        vals_l, vecs_l = np.linalg.eig(a.conj().T)
+        vals_r, vecs_r = eig_batch(a)
+        vals_l, vecs_l = np.linalg.eig(a.conj().swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-
-    order = canonical_order(vals_r)
-    vals_r = vals_r[order]
-    vecs_r = fix_phase(vecs_r[:, order])
+    vecs_r = fix_phase(vecs_r)
 
     # Pair left eigenvectors to right ones: maximal overlap wins, eigenvalue
     # proximity acts as a tie-break (both go into one assignment cost).
-    overlap = np.abs(vecs_l.conj().T @ vecs_r)
-    scale = 1.0 + np.abs(vals_r).max()
-    dist = np.abs(vals_l.conj()[:, None] - vals_r[None, :]) / scale
-    cost = (1.0 - overlap) + 1e-6 * dist
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=int)
-    perm[cols] = rows
-    vecs_l = fix_phase(vecs_l[:, perm])
+    overlap = np.abs(vecs_l.conj().swapaxes(-1, -2) @ vecs_r)
+    scale = 1.0 + np.abs(vals_r).max(axis=-1)[..., None, None]
+    dist = np.abs(vals_l.conj()[..., :, None] - vals_r[..., None, :]) / scale
+    # assign maps each left vector to a right one; its inverse orders them
+    perm = np.argsort(assign((1.0 - overlap) + 1e-6 * dist), axis=-1)
+    vecs_l = fix_phase(np.take_along_axis(vecs_l, perm[..., None, :], axis=-1))
 
-    fro = float(np.linalg.norm(a))
-    defective = _flag_defective(vals_r, vecs_r, fro)
+    # defective: a pair with close eigenvalues and near-parallel vectors
+    tol = EIG_CLUSTER_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))[..., None, None]
+    gap = vals_r[..., :, None] - vals_r[..., None, :]
+    gram = vecs_r.conj().swapaxes(-1, -2) @ vecs_r
+    pairs = np.triu((np.hypot(gap.real, gap.imag) < tol)
+                    & (np.hypot(gram.real, gram.imag) > 1.0 - COALESCENCE_TOL), k=1)
 
-    smin = float(np.linalg.svd(vecs_r, compute_uv=False)[-1])
-    ep_condition = min(1.0 / smin if smin > 0 else np.inf, EP_CONDITION_CAP)
+    smin = np.linalg.svd(vecs_r, compute_uv=False)[..., -1]
+    with np.errstate(divide="ignore"):
+        ep_condition = np.minimum(1.0 / smin, EP_CONDITION_CAP)
 
     return SpectralDecomposition(
         eigenvalues=vals_r,
         right=vecs_r,
         left=vecs_l,
-        defective=defective,
-        ep_condition=float(ep_condition),
+        defective=pairs.any(axis=-1) | pairs.any(axis=-2),
+        ep_condition=ep_condition if a.ndim > 2 else float(ep_condition),
     )
 
 
-def _flag_defective(values: np.ndarray, rights: np.ndarray, fro: float) -> np.ndarray:
-    n = values.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    tol = EIG_CLUSTER_TOL * (1.0 + fro)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < tol:
-                if abs(np.vdot(rights[:, i], rights[:, j])) > 1.0 - COALESCENCE_TOL:
-                    flags[i] = flags[j] = True
-    return flags
+def assign(cost) -> np.ndarray:
+    """Minimum-cost assignment of rows to columns, batched over leading axes.
+
+    ``cost`` has shape (..., n, n).  Returns ``cols`` of shape (..., n):
+    row i takes column ``cols[..., i]``, one entry per row and per column,
+    and the sum of the taken entries is minimal.  For n <= 4 every
+    permutation is enumerated and ties go to the lexicographically first
+    one; larger n (up to MAX_DIM) runs shortest augmenting paths per lane.
+    """
+    c = np.asarray(cost, dtype=float)
+    n = c.shape[-1]
+    if c.ndim < 2 or c.shape[-2] != n:
+        raise ValueError(f"expected square cost matrices, got shape {c.shape}")
+    if n > MAX_DIM:
+        raise DimensionTooLarge(f"dim {n} exceeds the supported maximum {MAX_DIM}")
+    if n in _PERMUTATIONS:
+        perms = _PERMUTATIONS[n]
+        totals = c[..., np.arange(n), perms].sum(axis=-1)
+        return perms[np.argmin(totals, axis=-1)]
+    lanes = [_augmenting_paths(lane) for lane in c.reshape(-1, n, n)]
+    return np.array(lanes, dtype=int).reshape(c.shape[:-1])
+
+
+def _augmenting_paths(c: np.ndarray) -> np.ndarray:
+    """One lane of ``assign`` by shortest augmenting paths, O(n^3).
+
+    Rows enter one at a time; a Dijkstra sweep over the reduced costs
+    c[i, j] - u[i] - v[j] reaches a free column, the duals u, v absorb its
+    length and the alternating path flips (Kuhn 1955; Jonker and Volgenant,
+    Computing 38, 1987).  Column 0 is the root; indices count from 1.
+    """
+    n = len(c)
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=int)  # row holding each column, 0 = free
+    for i in range(1, n + 1):
+        owner[0], j = i, 0
+        way, dist = np.zeros(n + 1, dtype=int), np.full(n + 1, np.inf)
+        done = np.zeros(n + 1, dtype=bool)
+        while owner[j]:
+            done[j] = True
+            row = owner[j]
+            reduced = np.where(done, np.inf, np.r_[0.0, c[row - 1]] - u[row] - v)
+            better = reduced < dist
+            dist[better], way[better] = reduced[better], j
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[j]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while j:
+            owner[j], j = owner[way[j]], way[j]
+    cols = np.empty(n, dtype=int)
+    cols[owner[1:] - 1] = np.arange(n)
+    return cols
 
 
 def coalescence_measure(d: SpectralDecomposition, i: int, j: int) -> float:
@@ -228,7 +283,7 @@ def eig_batch(mats: np.ndarray):
     """
     mats = np.asarray(mats, dtype=complex)
     vals, vecs = np.linalg.eig(mats)
-    order = np.lexsort((vals.imag, -vals.real), axis=-1)
+    order = canonical_order(vals)
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return vals, vecs

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,11 +152,9 @@ def _real_roots_in_unit_interval(coeffs):
     if len(cs) <= 1:
         return []
     deg = len(cs) - 1
-    companion = np.zeros((deg, deg), dtype=complex)
+    companion = np.eye(deg, k=-1, dtype=complex)
     companion[0, :] = [-c / cs[0] for c in cs[1:]]
-    for k in range(1, deg):
-        companion[k, k - 1] = 1.0
-    roots = linalg.eig(companion).eigenvalues
+    roots = linalg.eig_batch(linalg.as_matrix(companion))[0]
     out = []
     for r in roots:
         # Exactly on a fold the double root splits into a conjugate pair
@@ -184,7 +182,7 @@ def jacobian(n, rho21, p: RydbergParams) -> np.ndarray:
 
 def stability(p: RydbergParams, n: float, rho21: complex):
     """Stability label and Jacobian eigenvalues at a steady state."""
-    eigvals = linalg.eig(jacobian(n, rho21, p).astype(complex)).eigenvalues
+    eigvals = linalg.eig_batch(linalg.as_matrix(jacobian(n, rho21, p)))[0]
     max_re = float(eigvals.real.max())
     marginal = abs(max_re) < 1e-9
     return max_re < 0.0, eigvals, marginal
@@ -197,8 +195,7 @@ def steady_states(p: RydbergParams) -> SteadyStateSet:
     for n in roots:
         r21 = rho21_for(n, p)
         d22, d21 = bloch_rhs(n, r21, p)
-        residual = math.hypot(abs(d22), abs(d21))
-        if residual > RESIDUAL_TOL:
+        if math.hypot(abs(d22), abs(d21)) > RESIDUAL_TOL:
             # Newton polish on the cubic (derivative of the scalar equation)
             a, b, c, d = cubic_coefficients(p)
             for _ in range(50):
@@ -208,8 +205,6 @@ def steady_states(p: RydbergParams) -> SteadyStateSet:
                     break
                 n -= f / df
             r21 = rho21_for(n, p)
-            d22, d21 = bloch_rhs(n, r21, p)
-            residual = math.hypot(abs(d22), abs(d21))
         stable, jac_eigs, marginal = stability(p, n, r21)
         out.append(
             SteadyState(
@@ -491,9 +486,7 @@ def encircle_steady(
     The verdict ``switched`` is True when the final population is closest
     to the other stable branch at the returning parameter point.
     """
-    import dataclasses
-
-    path = dataclasses.replace(path, direction=direction, period=T)
+    path = replace(path, direction=direction, period=T)
     p0, stable, index = resolve_root(path, gamma, W, initial_root)
     start = stable[index]
 
@@ -505,6 +498,8 @@ def encircle_steady(
         # written so that a diverged (nan) run fails the check too
         if not abs(float(n2[-1]) - float(n[-1])) <= 1e-6:
             raise StepTooCoarse("encircling run not converged in step doubling")
+    if not (np.isfinite(n).all() and np.isfinite(r).all()):
+        raise StepTooCoarse(f"encircling run diverged at {steps} steps")
 
     final_n = float(n[-1])
     nearest = min(stable, key=lambda s: abs(s.n - final_n))
@@ -560,11 +555,8 @@ def transfer_verdict(
         )
         nf = float(res.rho22[-1])
         finals[direction] = nf
-        landed = None
-        for k, s in enumerate(stable):
-            if abs(nf - s.n) < LANDING_TOL:
-                landed = k
-        landings[direction] = landed
+        near = [k for k, s in enumerate(stable) if abs(nf - s.n) < LANDING_TOL]
+        landings[direction] = near[-1] if near else None
 
     a, b = landings["ccw"], landings["cw"]
     chiral = a is not None and b is not None and ((a == idx0) != (b == idx0))

@@ -183,11 +183,8 @@ def scan_grid(plane: PlaneSpec, model_name: str, threads: int = 1) -> Exceptiona
 
 def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
     """Index of the eigenvalue with maximal real part (ties: smaller |Im|)."""
-    order = sorted(
-        range(d.dim),
-        key=lambda i: (-d.eigenvalues[i].real, abs(d.eigenvalues[i].imag)),
-    )
-    return order[0]
+    vals = d.eigenvalues
+    return min(range(d.dim), key=lambda i: (-vals[i].real, abs(vals[i].imag)))
 
 
 # -- refinement ---------------------------------------------------------------

@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +338,9 @@ BAD_RUNS = {
     "encircle_unknown_direction": ENCIRCLE_CONFIG + "run.directions = sideways\n",
     "encircle_unknown_convention": ENCIRCLE_CONFIG + "path.convention = tan-cos\n",
     "rydberg_unknown_root": RYDBERG_PATH_CONFIG + "run.initial_root = middle\n",
+    "encircle_too_few_steps": ENCIRCLE_CONFIG.replace("run.steps = 100\n", "run.steps = 50\n"),
+    "rydberg_zero_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 0"),
+    "rydberg_unknown_path_plane": RYDBERG_PATH_CONFIG.replace("Omega-Delta", "banana-Omega"),
 }
 
 
@@ -388,6 +394,19 @@ def test_cli_rydberg_check_steps(tmp_path, capsys, steps):
         assert err.startswith("error: ") and "step doubling" in err
 
 
+def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
+    # At 100 steps the T = 100 loop diverges to nan: the run ends with a
+    # typed error (exit 2) and writes no transfer.json, even unchecked.
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 100"))
+    assert main(["validate", "--config", str(cfgfile)]) == 0
+    out = tmp_path / "out"
+    assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diverged" in err and "Traceback" not in err
+    assert not (out / "transfer.json").exists()
+
+
 def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # The verdicts return the runs they judged, and the trajectory files
     # are written from those runs: one integration per direction.
@@ -410,6 +429,17 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
         assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
     assert calls.count("_integrate") == 2
     assert calls.count("integrate_bloch") == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # The assignment solver is epkit's own; importing the CLI loads no scipy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, epkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_presets_listing(capsys):

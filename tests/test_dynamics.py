@@ -22,7 +22,6 @@ from epkit.dynamics import (
     state_branch_fidelity,
     track_sheets,
     uhlmann_fidelity_2x2,
-    _match_values,
 )
 from epkit.errors import SampleTooCoarse, StepTooCoarse
 from epkit.models import (
@@ -87,6 +86,26 @@ def test_step_doubling_flag_raises_when_coarse():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(StepTooCoarse):
         integrate_schrodinger(drive, psi0, 10.0, 100, check_steps=True)
+
+
+def test_step_doubling_fails_on_nan_drift(monkeypatch):
+    # A diverged (nan) doubled run must fail the check; max(0.0, nan) is 0.0,
+    # so a running maximum would let it pass.
+    from epkit import dynamics
+
+    original = dynamics._integrate
+
+    def diverged(drive, x0, T, steps):
+        times, states, log_norms = original(drive, x0, T, steps)
+        if steps == 400:
+            states = np.full_like(states, np.nan)
+        return times, states, log_norms
+
+    monkeypatch.setattr(dynamics, "_integrate", diverged)
+    drive = ring_drive()
+    x0, _ = initial_state_on_branch(drive, 0)
+    with pytest.raises(StepTooCoarse):
+        integrate_schrodinger(drive, x0, 100.0, 200, check_steps=True)
 
 
 def test_gauge_invariance_of_fidelities():
@@ -307,6 +326,43 @@ def test_track_matches_square_root_closed_form():
     b = 0 if abs(track.values[0, 0] - root[0]) < abs(track.values[0, 1] - root[0]) else 1
     assert np.max(np.abs(track.values[:, b] - root)) < 1e-9
     assert np.max(np.abs(track.values[:, 1 - b] + root)) < 1e-9
+
+
+def test_track_makes_one_eigendecomposition(monkeypatch):
+    # Every sample comes from one stacked linalg.eig call.
+    calls = []
+    original = linalg.eig
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "eig", counted)
+    track = track_sheets(ring_drive(), 100.0, 400)
+    assert calls == [(401, 2, 2)]
+    assert track.values.shape == (401, 2)
+
+
+@pytest.mark.parametrize("make", [ring_drive, lambda: coldatom_drive(150.0)])
+def test_track_matches_sample_by_sample_reference(make):
+    # Reference: one eigendecomposition per sample and one assignment per
+    # step on the previous sample's tracked order, as sheet tracking was
+    # defined before it was batched.
+    drive = make()
+    track = track_sheets(drive, drive.path.period, 300)
+    mats = drive.matrices(track.times)
+    decs = [linalg.eig(m) for m in mats]
+    vals, rights, lefts = decs[0].eigenvalues, decs[0].right, decs[0].left
+    scale = 1.0 + max(np.abs(d.eigenvalues).max() for d in decs)
+    for k, dec in enumerate(decs):
+        if k:
+            cost = np.abs(vals[:, None] - dec.eigenvalues[None, :]) / scale
+            overlap = np.abs(rights.conj().T @ dec.right)
+            cols = linalg.assign(cost + 1e-9 * (1.0 - overlap))
+            vals, rights, lefts = dec.eigenvalues[cols], dec.right[:, cols], dec.left[:, cols]
+        assert np.array_equal(track.values[k], vals)
+        assert np.array_equal(track.rights[k], rights)
+        assert np.array_equal(track.lefts[k], lefts)
 
 
 def test_track_rejects_coarse_sampling():

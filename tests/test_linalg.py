@@ -1,4 +1,6 @@
-"""Eigensolver, characteristic polynomial and vectorization contracts."""
+"""Eigensolver, assignment, characteristic polynomial and vectorization contracts."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -257,3 +259,78 @@ def test_eig_batch_matches_scalar_order():
         for i in range(4):
             r = mats[k] @ vecs[k][:, i] - vals[k][i] * vecs[k][:, i]
             assert np.linalg.norm(r) < 1e-9 * (1 + np.linalg.norm(mats[k]))
+
+
+def test_eig_stacked_equals_per_matrix():
+    # A stack (..., n, n) gives every matrix exactly its lone result,
+    # defective and near-EP members included.
+    rng = np.random.default_rng(23)
+    stacks = [
+        np.concatenate([
+            random_complex(rng, 5, 2, 2),
+            [pt_hamiltonian(PTParams(J=0.5 + 1e-9, Gamma=1.0)),
+             pt_hamiltonian(PTParams(J=0.5, Gamma=1.0))],
+        ]),
+        np.concatenate([
+            random_complex(rng, 5, 4, 4),
+            [basic_liouvillian(J=0.125, Gamma=1.0), basic_liouvillian(J=0.3, Gamma=1.0)],
+        ]),
+        random_complex(rng, 6, 5, 5).reshape(2, 3, 5, 5),
+    ]
+    for mats in stacks:
+        stacked = linalg.eig(mats)
+        assert stacked.ep_condition.shape == mats.shape[:-2]
+        for idx in np.ndindex(*mats.shape[:-2]):
+            lone = linalg.eig(mats[idx])
+            for name in ("eigenvalues", "right", "left", "defective"):
+                assert np.array_equal(getattr(stacked, name)[idx], getattr(lone, name))
+            assert stacked.ep_condition[idx] == lone.ep_condition
+    assert linalg.eig(stacks[1]).defective[5].sum() == 2
+
+
+# -- assignment -------------------------------------------------------------
+
+
+def brute_force_min(c):
+    n = c.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    return c[np.arange(n), perms].sum(axis=1).min()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_assign_optimal_on_both_paths(n):
+    # assign enumerates permutations for n <= 4 and runs shortest augmenting
+    # paths above; the augmenting-path lane solver is checked at every n.
+    rng = np.random.default_rng(100 + n)
+    for trial in range(12):
+        c = rng.random((n, n))
+        if trial % 2:
+            c = np.round(3.0 * c)  # integer costs: many tied optima
+        best = brute_force_min(c)
+        for cols in (linalg.assign(c), linalg._augmenting_paths(c)):
+            assert sorted(cols.tolist()) == list(range(n))
+            assert abs(c[np.arange(n), cols].sum() - best) <= 1e-12
+
+
+def test_assign_ties_take_lexicographically_first():
+    assert linalg.assign(np.zeros((4, 4))).tolist() == [0, 1, 2, 3]
+    # the two zero-cost derangements tie; (1, 2, 0) precedes (2, 0, 1)
+    assert linalg.assign(np.eye(3)).tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_assign_batched_lanes_equal_single_lanes(n):
+    rng = np.random.default_rng(n)
+    costs = rng.random((2, 5, n, n))
+    costs[0, 1] = np.round(3.0 * costs[0, 1])
+    batched = linalg.assign(costs)
+    assert batched.shape == (2, 5, n)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(batched[idx], linalg.assign(costs[idx]))
+
+
+def test_assign_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        linalg.assign(np.zeros((2, 3)))
+    with pytest.raises(DimensionTooLarge):
+        linalg.assign(np.zeros((17, 17)))
