@@ -171,7 +171,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         # branch fails here.
         try:
             if cfg.command == "encircle":
-                _build_drives(cfg)
+                from .dynamics import resolve_branch
+
+                drive, _ = _build_drives(cfg)
+                resolve_branch(drive, cfg.run.get("initial_branch", "upper"))
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
@@ -295,16 +298,13 @@ def _build_plane(cfg: ExperimentConfig) -> PlaneSpec:
 
 
 def _build_drives(cfg: ExperimentConfig):
-    """Drive of an encircle run, its start branch and a drive per direction."""
-    from .dynamics import resolve_branch
-
+    """Drive of an encircle run and a drive per requested direction."""
     model = get_model(cfg.model)
     fixed = resolve_params(model, cfg.params)
     drive = PathDrive(model=model, path=_build_path(cfg), fixed=fixed)
-    branch = resolve_branch(drive, cfg.run.get("initial_branch", "upper"))
     directions = cfg.run.get("directions", "both")
     directions = ("ccw", "cw") if directions == "both" else (directions,)
-    return drive, branch, {d: drive.with_direction(d) for d in directions}
+    return drive, {d: drive.with_direction(d) for d in directions}
 
 
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict:
@@ -348,12 +348,10 @@ def _run_spectrum(cfg, emit_text, emit_json):
     model = get_model(cfg.model)
     mat = model.matrix(**resolve_params(model, cfg.params))
     dec = linalg.eig(mat)
-    header = ["index", "re_lambda", "im_lambda", "defective"]
-    rows = [
-        [k, dec.eigenvalues[k].real, dec.eigenvalues[k].imag, int(dec.defective[k])]
-        for k in range(dec.dim)
-    ]
-    emit_text("spectrum.csv", output.csv_lines(header, rows))
+    emit_text("spectrum.csv", output.csv_lines(
+        ["index", "re_lambda", "im_lambda", "defective"],
+        [np.arange(dec.dim), dec.eigenvalues.real, dec.eigenvalues.imag, dec.defective],
+    ))
     emit_json(
         "spectrum.json",
         {
@@ -375,11 +373,12 @@ def _run_map(cfg, emit_text, emit_json, threads):
 def _run_encircle(cfg, emit_text, emit_json):
     from .dynamics import classify_chirality, project_trajectory
 
-    drive, branch, drives = _build_drives(cfg)
+    drive, drives = _build_drives(cfg)
     T = cfg.run.get("T", drive.path.period)
     check = bool(cfg.run.get("check_steps", False))
     report = classify_chirality(
-        drive, T, branch, steps=cfg.run.get("steps"), check_steps=check
+        drive, T, cfg.run.get("initial_branch", "upper"), steps=cfg.run.get("steps"),
+        check_steps=check,
     )
     for direction, d in drives.items():
         traj = project_trajectory(report.runs[direction], d)
@@ -388,7 +387,8 @@ def _run_encircle(cfg, emit_text, emit_json):
 
 
 def _run_rydberg(cfg, emit_text, emit_json):
-    from .rydberg import bistability_map, check_conditions, transfer_verdict
+    from .rydberg import (RydbergParams, bistability_map, check_conditions,
+                          steady_states_batch, transfer_verdict)
     from .dynamics import TrajectoryRecord
 
     gamma, W = cfg.params["gamma"], cfg.params["W"]
@@ -396,10 +396,10 @@ def _run_rydberg(cfg, emit_text, emit_json):
     if cfg.plane:
         plane = _build_plane(cfg)
         fmap = bistability_map(plane, gamma=gamma, W=W)
-        emit_text(
-            "steady_scan.csv",
-            output.steady_scan_csv(plane.x.values(), plane.y.values(), gamma, W),
-        )
+        om, de = plane.x.values(), plane.y.values()
+        steady = steady_states_batch(RydbergParams(om[:, None], de[None, :], gamma, W))
+        emit_text("steady_scan.csv", output.steady_scan_csv(om, de, steady))
+        del steady  # not held through the loop integration below
         emit_json("folds.json", output.fold_json(fmap))
 
     if cfg.path:
@@ -411,20 +411,15 @@ def _run_rydberg(cfg, emit_text, emit_json):
             check_steps=bool(cfg.run.get("check_steps", False)),
         )
         for direction, res in verdict.runs.items():
-            states = np.stack(
-                [res.rho22.astype(complex), res.rho21], axis=1
-            )
             traj = TrajectoryRecord(
                 times=res.times,
-                states=states,
+                states=np.stack([res.rho22.astype(complex), res.rho21], axis=1),
                 norm=np.hypot(np.abs(res.rho22), np.abs(res.rho21)),
                 log_norm=np.zeros(len(res.times)),
                 kind="meanfield",
+                sheet_index=res.rho22,  # the excited population stands in
             )
-            emit_text(
-                f"trajectory_{direction}.csv",
-                output.trajectory_csv(traj, extra_sheet=res.rho22),
-            )
+            emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
         payload = {
             "verdict": verdict.verdict,
             "initial_branch_index": verdict.initial_index,

@@ -54,7 +54,7 @@ class TrajectoryRecord:
     log_norm: np.ndarray
     kind: str  # "schrodinger" | "liouvillian"
     projected: np.ndarray | None = None  # weighted spectral projection
-    sheet_index: np.ndarray | None = None
+    sheet_index: np.ndarray | None = None  # mean-field runs: the population
     populations: np.ndarray | None = None  # biorthogonal coefficients (n, dim)
 
 
@@ -447,9 +447,10 @@ def adiabaticity_estimate(drive: PathDrive, T: float, samples: int = 720) -> Adi
     )
 
 
-def initial_state_on_branch(drive: PathDrive, branch: int):
-    """Instantaneous eigenstate (or Hermitized eigenmatrix) at t = 0."""
+def initial_state_on_branch(drive: PathDrive, branch):
+    """Eigenstate (or Hermitized eigenmatrix) at t = 0 on a branch spec."""
     dec = linalg.eig(drive.matrix(0.0))
+    branch = _branch_index(dec, branch)
     if drive.model.kind == "hamiltonian":
         return dec.right[:, branch], dec
     rho = hermitize_density(dec.right[:, branch])
@@ -460,7 +461,10 @@ def initial_state_on_branch(drive: PathDrive, branch: int):
 
 def resolve_branch(drive: PathDrive, spec_name) -> int:
     """Branch selector: 'upper'/'lower' by real part, 'quasi_steady', or an index."""
-    dec = linalg.eig(drive.matrix(0.0))
+    return _branch_index(linalg.eig(drive.matrix(0.0)), spec_name)
+
+
+def _branch_index(dec, spec_name) -> int:
     # canonical order sorts by descending real part
     named = {"upper": 0, "lower": dec.dim - 1, "quasi_steady": quasi_steady_index(dec)}
     return pick_index(spec_name, named, dec.dim, "branch")
@@ -482,8 +486,8 @@ def classify_chirality(
     also want the trajectories never integrate a loop again.
     """
     drive = replace(drive, path=replace(drive.path, period=T))
-    branch = resolve_branch(drive, initial_branch)
-    x0, dec0 = initial_state_on_branch(drive, branch)
+    x0, dec0 = initial_state_on_branch(drive, initial_branch)
+    branch = _branch_index(dec0, initial_branch)
     if steps is None:
         steps = default_steps(drive, T)
 

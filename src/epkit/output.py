@@ -8,8 +8,10 @@ inputs therefore produce byte-identical files regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -19,25 +21,34 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def csv_lines(header, rows):
-    out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+def csv_lines(header, columns) -> str:
+    """CSV text with one row per index of the equal-length ``columns``.
+
+    Integer and boolean columns are written with '%d', all others with
+    '%.17g'; one format string formats each row.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols)
+    body = [row % values for values in zip(*(c.tolist() for c in cols))]
+    return "\n".join([",".join(header), *body]) + "\n"
 
 
 def write_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` and return its SHA-256.
+
+    The bytes go to a temporary file next to ``path`` that is then renamed
+    onto it, so a failed write leaves no partial artifact behind.
+    """
     data = text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return hashlib.sha256(data).hexdigest()
 
 
@@ -49,28 +60,21 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def complex_columns(prefix: str, count: int):
-    cols = []
-    for k in range(1, count + 1):
-        cols.append(f"re_{prefix}{k}")
-        cols.append(f"im_{prefix}{k}")
-    return cols
+def complex_columns(prefix: str, z):
+    """Header names and columns Re, Im of each column of a (rows, k) array."""
+    names = [f"{part}_{prefix}{k}" for k in range(1, z.shape[1] + 1) for part in ("re", "im")]
+    return names, list(np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1).T)
 
 
 def map_csv(emap) -> str:
     """One row per cell: x, y, Re/Im of each eigenvalue, min gap, max overlap."""
-    dim = emap.eigenvalues.shape[-1]
-    header = ["x", "y"] + complex_columns("lambda", dim) + ["min_gap", "max_overlap"]
-    rows = []
-    for i, x in enumerate(emap.xs):
-        for j, y in enumerate(emap.ys):
-            row = [x, y]
-            for k in range(dim):
-                lam = emap.eigenvalues[i, j, k]
-                row.extend([lam.real, lam.imag])
-            row.extend([emap.min_gap[i, j], emap.max_overlap[i, j]])
-            rows.append(row)
-    return csv_lines(header, rows)
+    nx, ny, dim = emap.eigenvalues.shape
+    names, lam = complex_columns("lambda", emap.eigenvalues.reshape(nx * ny, dim))
+    return csv_lines(
+        ["x", "y", *names, "min_gap", "max_overlap"],
+        [np.repeat(emap.xs, ny), np.tile(emap.ys, nx), *lam,
+         emap.min_gap.ravel(), emap.max_overlap.ravel()],
+    )
 
 
 def map_json(emap) -> dict:
@@ -97,43 +101,22 @@ def map_json(emap) -> dict:
     }
 
 
-def trajectory_csv(traj, extra_sheet=None) -> str:
+def trajectory_csv(traj) -> str:
     """t, Re/Im state components, norm, Re/Im projection, sheet, weights.
 
     States are the unit-normalized snapshots; the norm column carries the
-    magnitude (zero after underflow).  ``extra_sheet`` substitutes the
-    sheet column (used by the mean-field runs, which report the excited
-    population there instead).
+    magnitude (zero after underflow).  Integer sheet indices are written
+    as integers, any other sheet column as floats.
     """
-    dim = traj.states.shape[1]
-    header = (
-        ["t"]
-        + complex_columns("state", dim)
-        + ["norm", "re_projection", "im_projection", "sheet_index", "pop1", "pop2"]
+    nan = np.full(len(traj.times), np.nan)
+    names, states = complex_columns("state", traj.states)
+    proj = [nan, nan] if traj.projected is None else [traj.projected.real, traj.projected.imag]
+    pops = [nan, nan] if traj.populations is None else (np.abs(traj.populations) ** 2).T[:2]
+    sheet = nan if traj.sheet_index is None else traj.sheet_index
+    return csv_lines(
+        ["t", *names, "norm", "re_projection", "im_projection", "sheet_index", "pop1", "pop2"],
+        [traj.times, *states, traj.norm, *proj, sheet, *pops],
     )
-    rows = []
-    for k in range(len(traj.times)):
-        row = [traj.times[k]]
-        for c in range(dim):
-            row.extend([traj.states[k, c].real, traj.states[k, c].imag])
-        row.append(traj.norm[k])
-        if traj.projected is not None:
-            row.extend([traj.projected[k].real, traj.projected[k].imag])
-        else:
-            row.extend([float("nan"), float("nan")])
-        if extra_sheet is not None:
-            row.append(extra_sheet[k])
-        elif traj.sheet_index is not None:
-            row.append(int(traj.sheet_index[k]))
-        else:
-            row.append(float("nan"))
-        if traj.populations is not None:
-            w = np.abs(traj.populations[k]) ** 2
-            row.extend([w[0], w[1] if len(w) > 1 else float("nan")])
-        else:
-            row.extend([float("nan"), float("nan")])
-        rows.append(row)
-    return csv_lines(header, rows)
 
 
 def chirality_json(report) -> dict:
@@ -154,23 +137,20 @@ def chirality_json(report) -> dict:
     }
 
 
-def steady_scan_csv(omegas, deltas, gamma, W) -> str:
-    """Omega, Delta, root count, each population, stability flags."""
-    from .rydberg import RydbergParams, steady_states
+def steady_scan_csv(omegas, deltas, steady) -> str:
+    """Omega, Delta, root count, each population, stability flags.
 
-    header = [
-        "Omega", "Delta", "root_count",
-        "n_1", "n_2", "n_3", "stable_1", "stable_2", "stable_3",
-    ]
-    rows = []
-    for om in omegas:
-        for de in deltas:
-            p = RydbergParams(Omega=float(om), Delta=float(de), gamma=gamma, W=W)
-            roots = steady_states(p).roots
-            ns = [s.n for s in roots] + [float("nan")] * (3 - len(roots))
-            st = [int(s.stable) for s in roots] + [-1] * (3 - len(roots))
-            rows.append([om, de, len(roots)] + ns + st)
-    return csv_lines(header, rows)
+    ``steady`` holds the steady-state arrays of the (Omega, Delta) grid,
+    Omega along the first axis; missing roots read nan and stability -1.
+    """
+    om, de = np.meshgrid(omegas, deltas, indexing="ij")
+    n = steady.n.reshape(-1, 3)
+    stable = np.where(np.isfinite(n), steady.stable.reshape(-1, 3), -1)
+    return csv_lines(
+        ["Omega", "Delta", "root_count", "n_1", "n_2", "n_3",
+         "stable_1", "stable_2", "stable_3"],
+        [om.ravel(), de.ravel(), np.isfinite(n).sum(axis=-1), *n.T, *stable.T],
+    )
 
 
 def fold_json(fmap) -> dict:

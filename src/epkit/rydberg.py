@@ -42,7 +42,10 @@ LANDING_TOL = 1e-4
 
 @dataclass(frozen=True)
 class RydbergParams:
-    """Rabi frequency, detuning, decay rate and collective shift W."""
+    """Rabi frequency, detuning, decay rate and collective shift W.
+
+    Fields are floats, or arrays that broadcast together (one point each).
+    """
 
     Omega: float
     Delta: float
@@ -51,16 +54,20 @@ class RydbergParams:
 
     def __post_init__(self):
         for v in (self.Omega, self.Delta, self.gamma, self.W):
-            if not math.isfinite(v):
+            if not np.isfinite(v).all():
                 raise ValueError("RydbergParams requires finite values")
-        if self.Omega < 0:
+        if np.any(self.Omega < 0):
             raise ValueError("Omega must be non-negative")
-        if self.gamma <= 0:
+        if np.any(self.gamma <= 0):
             raise ValueError("gamma must be positive")
 
 
 @dataclass(frozen=True)
 class SteadyState:
+    """One steady state; from ``steady_states_batch``, arrays of them with
+    the parameters' broadcast shape plus a root axis of length 3 (ascending
+    in n, empty slots nan and False)."""
+
     n: float  # excited population rho22
     rho21: complex
     stable: bool
@@ -96,20 +103,18 @@ class FoldMap:
     cusp: tuple | None = None
 
 
-def bloch_rhs(rho22, rho21, p: RydbergParams, Omega=None, Delta=None):
-    """Mean-field equations of motion; broadcasts over array states.
+def bloch_rhs(rho22, rho21, p: RydbergParams):
+    """Mean-field equations of motion; broadcasts over arrays.
 
     d rho22 / dt = -Omega Im rho21 - gamma rho22
     d rho21 / dt = i (Delta - W rho22) rho21 - gamma/2 rho21
                    + i Omega (rho22 - 1/2)
     """
-    om = p.Omega if Omega is None else Omega
-    de = p.Delta if Delta is None else Delta
-    d22 = -om * np.imag(rho21) - p.gamma * rho22
+    d22 = -p.Omega * np.imag(rho21) - p.gamma * rho22
     d21 = (
-        1j * (de - p.W * rho22) * rho21
+        1j * (p.Delta - p.W * rho22) * rho21
         - 0.5 * p.gamma * rho21
-        + 1j * om * (rho22 - 0.5)
+        + 1j * p.Omega * (rho22 - 0.5)
     )
     return d22, d21
 
@@ -139,84 +144,103 @@ def rho21_for(n, p: RydbergParams):
     return 1j * p.Omega * (n - 0.5) / (0.5 * p.gamma - 1j * delta_eff)
 
 
-def _real_roots_in_unit_interval(coeffs):
-    """Real roots in [0, 1] of a polynomial given by descending coefficients.
-
-    Solved through the companion-matrix eigenvalues (reusing the dense
-    eigensolver) rather than closed-form radicals, which avoids branch
-    mistakes near folds.  Degenerate leading coefficients are trimmed.
-    """
-    cs = list(coeffs)
-    while len(cs) > 1 and cs[0] == 0.0:
-        cs = cs[1:]
-    if len(cs) <= 1:
-        return []
-    deg = len(cs) - 1
-    companion = np.eye(deg, k=-1, dtype=complex)
-    companion[0, :] = [-c / cs[0] for c in cs[1:]]
-    roots = linalg.eig_batch(linalg.as_matrix(companion))[0]
-    out = []
-    for r in roots:
-        # Exactly on a fold the double root splits into a conjugate pair
-        # with |Im| ~ sqrt(eps) from coefficient rounding; a 1e-10 cut
-        # would silently drop the colliding pair there.
-        if abs(r.imag) < 1e-7:
-            x = float(r.real)
-            if -1e-9 <= x <= 1.0 + 1e-9:
-                out.append(min(max(x, 0.0), 1.0))
-    return sorted(out)
-
-
 def jacobian(n, rho21, p: RydbergParams) -> np.ndarray:
-    """Linearization of the real 3-D flow (rho22, Re rho21, Im rho21)."""
-    x, y = rho21.real, rho21.imag
+    """Linearization of the real 3-D flow (rho22, Re rho21, Im rho21).
+
+    Broadcasts over array states and parameters; the matrix axes are last.
+    """
+    x, y = np.real(rho21), np.imag(rho21)
     delta_eff = p.Delta - p.W * n
-    return np.array(
-        [
-            [-p.gamma, 0.0, -p.Omega],
-            [p.W * y, -0.5 * p.gamma, -delta_eff],
-            [-p.W * x + p.Omega, delta_eff, -0.5 * p.gamma],
-        ]
+    entries = np.broadcast_arrays(
+        -p.gamma, 0.0, -p.Omega,
+        p.W * y, -0.5 * p.gamma, -delta_eff,
+        -p.W * x + p.Omega, delta_eff, -0.5 * p.gamma,
     )
-
-
-def stability(p: RydbergParams, n: float, rho21: complex):
-    """Stability label and Jacobian eigenvalues at a steady state."""
-    eigvals = linalg.eig_batch(linalg.as_matrix(jacobian(n, rho21, p)))[0]
-    max_re = float(eigvals.real.max())
-    marginal = abs(max_re) < 1e-9
-    return max_re < 0.0, eigvals, marginal
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
 def steady_states(p: RydbergParams) -> SteadyStateSet:
     """All physical steady states with stability labels, ascending in n."""
-    roots = _real_roots_in_unit_interval(cubic_coefficients(p))
-    out = []
-    for n in roots:
-        r21 = rho21_for(n, p)
-        d22, d21 = bloch_rhs(n, r21, p)
-        if math.hypot(abs(d22), abs(d21)) > RESIDUAL_TOL:
-            # Newton polish on the cubic (derivative of the scalar equation)
-            a, b, c, d = cubic_coefficients(p)
-            for _ in range(50):
-                f = ((a * n + b) * n + c) * n + d
-                df = (3 * a * n + 2 * b) * n + c
-                if df == 0:
-                    break
-                n -= f / df
-            r21 = rho21_for(n, p)
-        stable, jac_eigs, marginal = stability(p, n, r21)
-        out.append(
-            SteadyState(
-                n=float(n),
-                rho21=complex(r21),
-                stable=bool(stable),
-                jacobian_eigenvalues=jac_eigs,
-                marginal=marginal,
-            )
-        )
-    out.sort(key=lambda s: s.n)
-    return SteadyStateSet(params=p, roots=out)
+    s = steady_states_batch(p)
+    return SteadyStateSet(params=p, roots=[
+        SteadyState(float(s.n[k]), complex(s.rho21[k]), bool(s.stable[k]),
+                    s.jacobian_eigenvalues[k], bool(s.marginal[k]))
+        for k in np.flatnonzero(np.isfinite(s.n))
+    ])
+
+
+def steady_states_batch(p: RydbergParams) -> SteadyState:
+    """Steady states of every point of an array-valued parameter set.
+
+    The cubic's roots are its companion matrices' eigenvalues (no branch
+    mistakes of closed-form radicals near folds), one stacked eigensolve
+    for all points.  Roots that miss stationarity by more than
+    RESIDUAL_TOL get a Newton polish; one stacked eigensolve over all root
+    Jacobians labels stability.
+    """
+    shape = np.broadcast(p.Omega, p.Delta, p.gamma, p.W).shape
+    lanes = [np.broadcast_to(v, shape).ravel() for v in (p.Omega, p.Delta, p.gamma, p.W)]
+    padded = _unit_interval_roots(np.stack(_cubic(*lanes), axis=-1))
+    lane, slot = np.nonzero(padded < np.inf)
+    q = RydbergParams(*(v[lane] for v in lanes))
+
+    n = padded[lane, slot]
+    d22, d21 = bloch_rhs(n, rho21_for(n, q), q)
+    off = np.hypot(np.abs(d22), np.hypot(d21.real, d21.imag)) > RESIDUAL_TOL
+    a, b, c, d = (v[off] for v in cubic_coefficients(q))
+    x, live = n[off], np.ones(off.sum(), dtype=bool)
+    for _ in range(50 if off.any() else 0):  # Newton; a root stops where f' = 0
+        f = ((a * x + b) * x + c) * x + d
+        df = (3 * a * x + 2 * b) * x + c
+        live &= df != 0
+        x = x - np.divide(f, df, out=np.zeros_like(x), where=live)
+    padded[lane[off], slot[off]] = x
+    padded.sort(axis=-1)  # polishing may reorder the roots of a point
+    n = padded[lane, slot]
+    r21 = rho21_for(n, q)
+    jac_eigs = linalg.eig_batch(jacobian(n, r21, q))[0]
+    max_re = jac_eigs.real.max(axis=-1)
+
+    def per_point(values, pad):
+        out = np.full(padded.shape + values.shape[1:], pad, dtype=values.dtype)
+        out[lane, slot] = values
+        return out.reshape(shape + out.shape[1:])
+
+    return SteadyState(
+        n=per_point(n, np.nan),
+        rho21=per_point(r21, np.nan),
+        stable=per_point(max_re < 0.0, False),
+        jacobian_eigenvalues=per_point(jac_eigs, np.nan),
+        marginal=per_point(np.abs(max_re) < 1e-9, False),
+    )
+
+
+def _unit_interval_roots(coeffs):
+    """Real roots in [0, 1] of cubics with descending coefficients (k, 4).
+
+    Returns (k, 3), each row ascending and padded with inf.  Zero leading
+    coefficients lower the degree; each degree has its own eigensolve.
+    """
+    nonzero = coeffs[:, :3] != 0.0
+    degree = np.where(nonzero.any(axis=-1), 3 - nonzero.argmax(axis=-1), 0)
+    values = np.zeros((len(coeffs), 3), dtype=complex)
+    found = np.zeros((len(coeffs), 3), dtype=bool)
+    for deg in sorted(set(degree.tolist()) - {0}):
+        rows = np.flatnonzero(degree == deg)
+        cs = coeffs[rows, 3 - deg :]
+        companion = np.zeros((len(rows), deg, deg), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(deg - 1)
+        companion[:, 0, :] = -cs[:, 1:] / cs[:, :1]
+        linalg._require_finite(companion)
+        values[rows, :deg] = linalg.eig_batch(companion)[0]
+        found[rows, :deg] = True
+    x = values.real
+    # Exactly on a fold the double root splits into a conjugate pair with
+    # |Im| ~ sqrt(eps) from coefficient rounding; a 1e-10 cut would
+    # silently drop the colliding pair there.
+    found &= (np.abs(values.imag) < 1e-7) & (x >= -1e-9) & (x <= 1.0 + 1e-9)
+    x = np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+    return np.sort(np.where(found, x, np.inf), axis=-1)
 
 
 def discriminant(p: RydbergParams) -> float:
@@ -247,12 +271,8 @@ def _discriminant(Omega, Delta, gamma, W):
 
 
 def root_count_grid(omegas, deltas, gamma, W) -> np.ndarray:
-    out = np.zeros((len(omegas), len(deltas)), dtype=int)
-    for i, om in enumerate(omegas):
-        for j, de in enumerate(deltas):
-            p = RydbergParams(Omega=float(om), Delta=float(de), gamma=gamma, W=W)
-            out[i, j] = len(_real_roots_in_unit_interval(cubic_coefficients(p)))
-    return out
+    p = RydbergParams(np.asarray(omegas)[:, None], np.asarray(deltas)[None, :], gamma, W)
+    return np.isfinite(steady_states_batch(p).n).sum(axis=-1)
 
 
 def bistability_map(plane: PlaneSpec, gamma: float, W: float) -> FoldMap:

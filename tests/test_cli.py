@@ -20,6 +20,7 @@ from epkit.cli import (
     serialize_config,
 )
 from epkit.errors import ConfigError
+from epkit.output import csv_lines
 
 
 MAP_CONFIG = """
@@ -409,11 +410,13 @@ def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
 
 def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # The verdicts return the runs they judged, and the trajectory files
-    # are written from those runs: one integration per direction.
-    from epkit import dynamics, rydberg
+    # are written from those runs: one integration per direction.  The
+    # t = 0 generator is decomposed once by validate and once by the run.
+    from epkit import dynamics, linalg, rydberg
 
     calls = []
-    for module, name in ((dynamics, "_integrate"), (rydberg, "integrate_bloch")):
+    targets = ((dynamics, "_integrate"), (rydberg, "integrate_bloch"), (linalg, "eig"))
+    for module, name in targets:
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -429,6 +432,37 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
         assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
     assert calls.count("_integrate") == 2
     assert calls.count("integrate_bloch") == 2
+    # encircle: t = 0 in validate and in the run, t = T and the sheet
+    # tracking once per direction; the rydberg run makes no linalg.eig call
+    assert calls.count("eig") == 6
+
+
+def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # The artifact is renamed into place only once it is fully written; a
+    # failure on the way removes the temporary file and exits 3.
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(MAP_CONFIG)
+    out = tmp_path / "out"
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    assert main(["map", "--config", str(cfgfile), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("io error:")
+    assert os.listdir(out) == []
+
+
+def test_csv_lines_formats_columns():
+    text = csv_lines(
+        ["i", "flag", "x"],
+        [np.array([3, -1]), np.array([True, False]), np.array([0.1, np.nan])],
+    )
+    assert text == "i,flag,x\n3,1,0.10000000000000001\n-1,0,nan\n"
+    assert csv_lines(["x"], [np.array([2.0 / 3.0, 1e300])]) == (
+        "x\n0.66666666666666663\n1.0000000000000001e+300\n"
+    )
+    assert float(csv_lines(["x"], [[math.pi]]).splitlines()[1]) == math.pi
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from epkit import linalg
 from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import NoIntersections
 from epkit.models import EncirclePath
 from epkit.rydberg import (
+    RESIDUAL_TOL,
     RydbergParams,
     _fold_zeros,
     bistability_map,
@@ -21,8 +23,10 @@ from epkit.rydberg import (
     integrate_bloch,
     jacobian,
     path_fold_crossings,
+    rho21_for,
     root_count_grid,
     steady_states,
+    steady_states_batch,
     transfer_verdict,
 )
 from epkit.spectra import AxisSpec, PlaneSpec
@@ -158,6 +162,102 @@ def test_fold_point_marginal_and_both_steady():
         assert math.hypot(abs(d22), abs(d21)) <= 1e-10  # both remain steady
     marginal = min(abs(s.jacobian_eigenvalues.real.max()) for s in ss.roots)
     assert marginal < 1e-5
+
+
+def _reference_steady_states(p):
+    """(n, stable, marginal) of each root, and how many roots were polished.
+
+    One companion eigensolve per point, a Python-float Newton polish and one
+    Jacobian eigensolve per root: the per-point algorithm the batched solver
+    replaced, kept here as its reference.
+    """
+    cs = list(cubic_coefficients(p))
+    while len(cs) > 1 and cs[0] == 0.0:
+        cs = cs[1:]
+    if len(cs) <= 1:
+        return [], 0
+    deg = len(cs) - 1
+    companion = np.eye(deg, k=-1, dtype=complex)
+    companion[0, :] = [-c / cs[0] for c in cs[1:]]
+    roots = sorted(
+        min(max(float(r.real), 0.0), 1.0)
+        for r in linalg.eig_batch(companion)[0]
+        if abs(r.imag) < 1e-7 and -1e-9 <= float(r.real) <= 1.0 + 1e-9
+    )
+    out, polished = [], 0
+    for n in roots:
+        d22, d21 = bloch_rhs(n, rho21_for(n, p), p)
+        if math.hypot(abs(d22), abs(d21)) > RESIDUAL_TOL:
+            polished += 1
+            a, b, c, d = (float(v) for v in cubic_coefficients(p))
+            for _ in range(50):
+                f = ((a * n + b) * n + c) * n + d
+                df = (3 * a * n + 2 * b) * n + c
+                if df == 0:
+                    break
+                n -= f / df
+        max_re = float(linalg.eig_batch(jacobian(n, rho21_for(n, p), p))[0].real.max())
+        out.append((n, max_re < 0.0, abs(max_re) < 1e-9))
+    return sorted(out, key=lambda r: r[0]), polished
+
+
+# (Omega axis, Delta axis, W).  "folds" crosses both fold lines and runs
+# past the cusp; "linear" is the W = 0 limit; at W = -2e4 the companion
+# roots of "polished" miss stationarity and take the Newton polish.
+SOLVER_PLANES = {
+    "folds": (np.linspace(1.2, 6.0, 25), np.linspace(-9.0, -1.0, 25), W),
+    "linear": (np.linspace(0.0, 6.0, 25), np.linspace(-9.0, 1.0, 25), 0.0),
+    "polished": (np.linspace(100.0, 400.0, 25), np.linspace(-15000.0, -5000.0, 25), -2e4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_PLANES))
+def test_batched_steady_states_equal_one_lane_calls(case):
+    omegas, deltas, w = SOLVER_PLANES[case]
+    grid = steady_states_batch(RydbergParams(omegas[:, None], deltas[None, :], GAMMA, w))
+    counts = np.isfinite(grid.n).sum(axis=-1)
+    assert set(counts.ravel().tolist()) == ({1} if w == 0.0 else {1, 3})
+    for i, om in enumerate(omegas):
+        for j, de in enumerate(deltas):
+            roots = steady_states(RydbergParams(float(om), float(de), GAMMA, w)).roots
+            assert len(roots) == counts[i, j]
+            for k, s in enumerate(roots):
+                assert s.n == grid.n[i, j, k] and s.rho21 == grid.rho21[i, j, k]
+                assert s.stable == grid.stable[i, j, k]
+                assert s.marginal == grid.marginal[i, j, k]
+                assert np.array_equal(s.jacobian_eigenvalues, grid.jacobian_eigenvalues[i, j, k])
+            assert np.isnan(grid.n[i, j, len(roots):]).all()
+            assert not grid.stable[i, j, len(roots):].any()
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_PLANES))
+def test_steady_states_match_per_point_reference(case):
+    omegas, deltas, w = SOLVER_PLANES[case]
+    grid = steady_states_batch(RydbergParams(omegas[:, None], deltas[None, :], GAMMA, w))
+    polished = 0
+    for i, om in enumerate(omegas):
+        for j, de in enumerate(deltas):
+            ref, k = _reference_steady_states(RydbergParams(float(om), float(de), GAMMA, w))
+            polished += k
+            got = list(zip(grid.n[i, j], grid.stable[i, j], grid.marginal[i, j]))
+            assert got[: len(ref)] == ref
+            assert np.isfinite(grid.n[i, j]).sum() == len(ref)
+    assert (polished > 0) == (case == "polished")
+
+
+def test_fold_point_matches_per_point_reference():
+    lo, hi = -5.2, -4.8
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = discriminant(RydbergParams(2.0, lo, GAMMA, W)) < 0
+        if below != (discriminant(RydbergParams(2.0, mid, GAMMA, W)) < 0):
+            hi = mid
+        else:
+            lo = mid
+    p = RydbergParams(2.0, 0.5 * (lo + hi), GAMMA, W)
+    got = [(s.n, s.stable, s.marginal) for s in steady_states(p).roots]
+    assert (got, 0) == _reference_steady_states(p)
+    assert len(got) == 3 and any(marginal for _, _, marginal in got)
 
 
 # -- fold map ---------------------------------------------------------------------
