@@ -439,7 +439,7 @@ def state_branch_fidelity(
 
 def adiabaticity_estimate(drive: PathDrive, T: float, samples: int = 720) -> AdiabaticityEstimate:
     ts = np.linspace(0.0, T, samples + 1)
-    vals, _ = linalg.eig_batch(drive.matrices(ts))
+    vals = linalg.eigvals_batch(drive.matrices(ts))
     i, j = np.triu_indices(vals.shape[-1], 1)
     min_gap = float(np.abs(vals[:, i] - vals[:, j]).min(initial=np.inf))
     return AdiabaticityEstimate(

@@ -287,3 +287,13 @@ def eig_batch(mats: np.ndarray):
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return vals, vecs
+
+
+def eigvals_batch(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stacked array of matrices, canonical order per matrix.
+
+    The values of ``eig_batch`` without its eigenvectors, which LAPACK then
+    skips computing.
+    """
+    vals = np.linalg.eigvals(np.asarray(mats, dtype=complex))
+    return np.take_along_axis(vals, canonical_order(vals), axis=-1)

@@ -126,8 +126,8 @@ class EncirclePath:
             raise ValueError("path center must be finite")
         if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ValueError("radius must be finite and non-negative")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0 and math.isfinite(self.omega)):
+            raise ValueError("period must be positive and 2 pi / period finite")
         if self.direction not in ("ccw", "cw"):
             raise ValueError("direction must be 'ccw' or 'cw'")
         if self.convention not in ("cos-sin", "sin-cos"):

@@ -58,8 +58,9 @@ class RydbergParams:
                 raise ValueError("RydbergParams requires finite values")
         if np.any(self.Omega < 0):
             raise ValueError("Omega must be non-negative")
-        if np.any(self.gamma <= 0):
-            raise ValueError("gamma must be positive")
+        # a subnormal gamma halves to zero, and rho21_for divides by gamma/2
+        if np.any(self.gamma < np.finfo(float).tiny):
+            raise ValueError("gamma must be positive and normal")
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,23 @@ def bloch_rhs(rho22, rho21, p: RydbergParams):
     d rho21 / dt = i (Delta - W rho22) rho21 - gamma/2 rho21
                    + i Omega (rho22 - 1/2)
     """
-    d22 = -p.Omega * np.imag(rho21) - p.gamma * rho22
-    d21 = (
-        1j * (p.Delta - p.W * rho22) * rho21
-        - 0.5 * p.gamma * rho21
-        + 1j * p.Omega * (rho22 - 0.5)
+    dn, dx, dy = _rhs(rho22, np.real(rho21), np.imag(rho21),
+                      p.Omega, p.Delta, p.gamma, p.W, 0.5 * p.gamma)
+    return dn, dx + 1j * dy
+
+
+def _rhs(n, x, y, Omega, Delta, gamma, W, half_gamma):
+    """``bloch_rhs`` on the real state (n, x, y), rho21 = x + i y.
+
+    These are the IEEE operations that complex arithmetic performs on the
+    complex form, so every nonzero component agrees with it bit for bit.
+    """
+    e = Delta - W * n
+    return (
+        -Omega * y - gamma * n,
+        -e * y - half_gamma * x,
+        (e * x - half_gamma * y) + Omega * (n - 0.5),
     )
-    return d22, d21
 
 
 def cubic_coefficients(p: RydbergParams):
@@ -198,7 +209,7 @@ def steady_states_batch(p: RydbergParams) -> SteadyState:
     padded.sort(axis=-1)  # polishing may reorder the roots of a point
     n = padded[lane, slot]
     r21 = rho21_for(n, q)
-    jac_eigs = linalg.eig_batch(jacobian(n, r21, q))[0]
+    jac_eigs = linalg.eigvals_batch(jacobian(n, r21, q))
     max_re = jac_eigs.real.max(axis=-1)
 
     def per_point(values, pad):
@@ -218,11 +229,16 @@ def steady_states_batch(p: RydbergParams) -> SteadyState:
 def _unit_interval_roots(coeffs):
     """Real roots in [0, 1] of cubics with descending coefficients (k, 4).
 
-    Returns (k, 3), each row ascending and padded with inf.  Zero leading
-    coefficients lower the degree; each degree has its own eigensolve.
+    Returns (k, 3), each row ascending and padded with inf.  A leading
+    coefficient that is zero, or so small that the companion would overflow
+    (its dropped roots lie beyond 1e100), lowers the degree; each degree
+    has its own eigensolve.
     """
-    nonzero = coeffs[:, :3] != 0.0
-    degree = np.where(nonzero.any(axis=-1), 3 - nonzero.argmax(axis=-1), 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = coeffs[:, None, :] / coeffs[:, :3, None]  # c_j / c_i
+    later = np.triu(np.ones((3, 4), dtype=bool), k=1)  # j > i
+    usable = (np.isfinite(ratios) | ~later).all(axis=-1)
+    degree = np.where(usable.any(axis=-1), 3 - usable.argmax(axis=-1), 0)
     values = np.zeros((len(coeffs), 3), dtype=complex)
     found = np.zeros((len(coeffs), 3), dtype=bool)
     for deg in sorted(set(degree.tolist()) - {0}):
@@ -232,7 +248,7 @@ def _unit_interval_roots(coeffs):
         companion[:, 1:, :-1] = np.eye(deg - 1)
         companion[:, 0, :] = -cs[:, 1:] / cs[:, :1]
         linalg._require_finite(companion)
-        values[rows, :deg] = linalg.eig_batch(companion)[0]
+        values[rows, :deg] = linalg.eigvals_batch(companion)
         found[rows, :deg] = True
     x = values.real
     # Exactly on a fold the double root splits into a conjugate pair with
@@ -387,83 +403,48 @@ def integrate_bloch(
 ):
     """Fixed-step RK4 on the mean-field equations, optionally path-driven.
 
-    Returns (times, rho22, rho21) arrays at the recorded samples.  The
-    state may be a scalar pair or arrays; each member of an array state
-    (an ensemble) runs the scalar loop on its own and the records are
-    stacked along the trailing axes.  When a path is given it modulates
+    Returns (times, rho22, rho21) arrays at the recorded samples, with the
+    time axis first.  The state may be a scalar pair, which runs on Python
+    floats, or arrays (an ensemble), which run as numpy lanes with the
+    members' shape on the trailing axes; each member gets bit for bit the
+    result of a lone call.  When a path is given it modulates
     (Omega(t), Delta(t)).
     """
     h = T / steps
     rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
-    times = rec_idx * h
-    pos = {int(s): k for k, s in enumerate(rec_idx)}
-
     if path is not None:
-        ts = np.arange(2 * steps + 1) * (0.5 * h)
-        xs, ys = path.point(ts)
+        xs, ys = path.point(np.arange(2 * steps + 1) * (0.5 * h))
         om_all, de_all = np.asarray(xs, float), np.asarray(ys, float)
     else:
-        om_all = de_all = None
+        om_all, de_all = np.full(2 * steps + 1, p.Omega), np.full(2 * steps + 1, p.Delta)
 
     if np.ndim(rho22_0) == 0:
-        return _integrate_scalar(
-            p, float(rho22_0), complex(rho21_0), h, steps, om_all, de_all, times, pos
-        )
-    n0, r0 = np.broadcast_arrays(
-        np.asarray(rho22_0, dtype=float), np.asarray(rho21_0, dtype=complex)
-    )
-    _, ns, rs = zip(*(
-        _integrate_scalar(p, n, r, h, steps, om_all, de_all, times, pos)
-        for n, r in zip(n0.ravel().tolist(), r0.ravel().tolist())
-    ))
-    shape = (len(times),) + n0.shape
-    out_n, out_r = (np.stack(x, axis=-1).reshape(shape) for x in (ns, rs))
-    return times, out_n, out_r
+        n, r = float(rho22_0), complex(rho21_0)
+        x, y = r.real, r.imag
+    else:
+        n, r = np.broadcast_arrays(np.asarray(rho22_0, float), np.asarray(rho21_0, complex))
+        n, x, y = n.copy(), r.real.copy(), r.imag.copy()
+    out_n = np.empty((len(rec_idx),) + np.shape(n))
+    out_r = np.empty(out_n.shape, dtype=complex)
+    out_n[0], out_r.real[0], out_r.imag[0] = n, x, y
 
-
-def _integrate_scalar(p, n, r, h, steps, om_all, de_all, times, pos):
-    """Plain-float RK4 loop; ~10x faster than 0-d numpy arithmetic.
-
-    The long steady-state encircling runs live here (millions of steps),
-    so the inner loop avoids numpy scalars entirely.
-    """
-    gamma, W = p.gamma, p.W
-    half_g = 0.5 * gamma
-    om_list = om_all.tolist() if om_all is not None else None
-    de_list = de_all.tolist() if de_all is not None else None
-    out_n = np.empty(len(pos))
-    out_r = np.empty(len(pos), dtype=complex)
-    out_n[0], out_r[0] = n, r
-    om = p.Omega
-    de = p.Delta
-    h6 = h / 6.0
-    h2 = 0.5 * h
-
-    def f(nn, rr, o, d):
-        return (
-            -o * rr.imag - gamma * nn,
-            1j * (d - W * nn) * rr - half_g * rr + 1j * o * (nn - 0.5),
-        )
-
-    for k in range(steps):
-        if om_list is None:
-            o1 = o2 = o3 = om
-            d1 = d2 = d3 = de
-        else:
-            kk = 2 * k
-            o1, d1 = om_list[kk], de_list[kk]
-            o2, d2 = om_list[kk + 1], de_list[kk + 1]
-            o3, d3 = om_list[kk + 2], de_list[kk + 2]
-        a1, b1 = f(n, r, o1, d1)
-        a2, b2 = f(n + h2 * a1, r + h2 * b1, o2, d2)
-        a3, b3 = f(n + h2 * a2, r + h2 * b2, o2, d2)
-        a4, b4 = f(n + h * a3, r + h * b3, o3, d3)
-        n = n + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        r = r + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        j = pos.get(k + 1)
-        if j is not None:
-            out_n[j], out_r[j] = n, r
-    return times, out_n, out_r
+    gamma, W, half_g = p.gamma, p.W, 0.5 * p.gamma
+    h2, h6 = 0.5 * h, h / 6.0
+    for j in range(1, len(rec_idx)):
+        # the drive at the half steps of this record interval, as floats
+        span = slice(2 * rec_idx[j - 1], 2 * rec_idx[j] + 1)
+        om, de = om_all[span].tolist(), de_all[span].tolist()
+        drive = zip(om[0::2], om[1::2], om[2::2], de[0::2], de[1::2], de[2::2])
+        for o1, o2, o3, d1, d2, d3 in drive:
+            a1, b1, c1 = _rhs(n, x, y, o1, d1, gamma, W, half_g)
+            a2, b2, c2 = _rhs(n + h2 * a1, x + h2 * b1, y + h2 * c1, o2, d2, gamma, W, half_g)
+            a3, b3, c3 = _rhs(n + h2 * a2, x + h2 * b2, y + h2 * c2, o2, d2, gamma, W, half_g)
+            a4, b4, c4 = _rhs(n + h * a3, x + h * b3, y + h * c3, o3, d3, gamma, W, half_g)
+            n = n + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            x = x + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            y = y + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        out_n[j], out_r.real[j], out_r.imag[j] = n, x, y
+    return rec_idx * h, out_n, out_r
 
 
 def resolve_root(path: EncirclePath, gamma: float, W: float, spec):

@@ -418,7 +418,7 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
 
 def _cluster_spread(model, plane, x, y, order: int) -> np.ndarray:
     """Diameter of the tightest ``order``-sized eigenvalue cluster, per lane."""
-    vals = linalg.eig_batch(model.matrix(**_cell_params(model, plane, x, y)))[0]
+    vals = linalg.eigvals_batch(model.matrix(**_cell_params(model, plane, x, y)))
     return _spread(vals, order)
 
 

@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.cli import (
     PRESETS,
@@ -19,7 +22,7 @@ from epkit.cli import (
     run,
     serialize_config,
 )
-from epkit.errors import ConfigError
+from epkit.errors import ConfigError, EpkitError
 from epkit.output import csv_lines
 
 
@@ -342,6 +345,9 @@ BAD_RUNS = {
     "encircle_too_few_steps": ENCIRCLE_CONFIG.replace("run.steps = 100\n", "run.steps = 50\n"),
     "rydberg_zero_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 0"),
     "rydberg_unknown_path_plane": RYDBERG_PATH_CONFIG.replace("Omega-Delta", "banana-Omega"),
+    # 2 pi / period overflows; gamma / 2 underflows to zero
+    "rydberg_subnormal_period": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 5e-324"),
+    "rydberg_subnormal_gamma": RYDBERG_PATH_CONFIG.replace("gamma = 1.0", "gamma = 5e-324"),
 }
 
 
@@ -363,6 +369,54 @@ def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@st.composite
+def rydberg_configs(draw):
+    """Small ``rydberg`` experiment files: a plane, a path or both.
+
+    Every range holds 0, and the Omega and Delta ranges negative values.
+    """
+    lines = ["experiment.command = rydberg",
+             f"param.gamma = {draw(st.floats(0.0, 3.0))!r}",
+             f"param.W = {draw(st.floats(-20.0, 5.0))!r}"]
+    sections = draw(st.sampled_from(["plane", "path", "both"]))
+    if sections != "path":
+        for axis, name, lo, hi in (("x", "Omega", -2.0, 7.0), ("y", "Delta", -10.0, 3.0)):
+            low = draw(st.floats(lo, hi))
+            lines += [f"plane.{axis}_name = {name}",
+                      f"plane.{axis}_min = {low!r}",
+                      f"plane.{axis}_max = {low + draw(st.floats(0.0, 6.0))!r}",
+                      f"plane.{axis}_res = {draw(st.integers(2, 9))}"]
+    if sections != "plane":
+        T = draw(st.floats(0.0, 200.0))
+        lines += [f"path.center_x = {draw(st.floats(-2.0, 7.0))!r}",
+                  f"path.center_y = {draw(st.floats(-10.0, 3.0))!r}",
+                  f"path.radius = {draw(st.floats(0.0, 3.0))!r}",
+                  f"path.period = {T!r}",
+                  f"path.phase0 = {draw(st.floats(-4.0, 4.0))!r}",
+                  f"path.convention = {draw(st.sampled_from(['cos-sin', 'sin-cos']))}",
+                  f"run.T = {T!r}",
+                  f"run.steps = {draw(st.integers(1, 400))}",
+                  f"run.initial_root = {draw(st.sampled_from(['low', 'high', *'0123']))}",
+                  f"run.check_steps = {draw(st.sampled_from(['true', 'false']))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=rydberg_configs())
+def test_validated_rydberg_config_fails_only_typed(text):
+    # "validate says ok" means the run cannot fail on its config: it ends
+    # normally or with a typed error (exit 2), never an untyped exception.
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(cfg, out_dir=out)
+        except EpkitError:
+            pass
 
 
 def test_cli_initial_branch_index(tmp_path):

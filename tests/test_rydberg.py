@@ -1,6 +1,7 @@
 """Mean-field steady states, folds, cusp, hysteresis and encircling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from epkit.models import EncirclePath
 from epkit.rydberg import (
     RESIDUAL_TOL,
     RydbergParams,
+    _cubic,
     _fold_zeros,
     bistability_map,
     bloch_rhs,
@@ -22,6 +24,7 @@ from epkit.rydberg import (
     encircle_steady,
     integrate_bloch,
     jacobian,
+    default_steps,
     path_fold_crossings,
     rho21_for,
     root_count_grid,
@@ -100,6 +103,15 @@ def test_jacobian_matches_finite_differences():
 
 
 # -- steady states ----------------------------------------------------------------
+
+
+def test_tiny_coupling_has_the_linear_limit_roots():
+    # At W = 1e-160, W^2 is subnormal and c / W^2 overflows; at W = 5e-324,
+    # W^2 is zero and c / b overflows.  Those leading coefficients drop out.
+    want = steady_states(RydbergParams(2.0, -1.0, GAMMA, 0.0)).roots
+    for w in (5e-324, 1e-160):
+        got = steady_states(RydbergParams(2.0, -1.0, GAMMA, w)).roots
+        assert [(s.n, s.stable) for s in got] == [(s.n, s.stable) for s in want]
 
 
 def test_bistable_window_at_omega_two():
@@ -337,11 +349,152 @@ def test_fold_vertices_lie_on_grid_edges(fold_map):
 # -- dynamics ----------------------------------------------------------------------
 
 
-def test_basin_of_attraction_never_hits_unstable_root():
+def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=1025):
+    """``integrate_bloch`` of a scalar start as it ran on complex numbers.
+
+    The CPython complex-arithmetic RK4 loop that the real-arithmetic loop
+    replaced, kept here as its reference.
+    """
+    h = T / steps
+    rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
+    pos = {int(s): k for k, s in enumerate(rec_idx)}
+    if path is not None:
+        xs, ys = path.point(np.arange(2 * steps + 1) * (0.5 * h))
+        om_list, de_list = np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist()
+    else:
+        om_list = de_list = None
+    gamma, W, half_g = p.gamma, p.W, 0.5 * p.gamma
+    n, r = float(rho22_0), complex(rho21_0)
+    out_n = np.empty(len(pos))
+    out_r = np.empty(len(pos), dtype=complex)
+    out_n[0], out_r[0] = n, r
+    h6, h2 = h / 6.0, 0.5 * h
+
+    def f(nn, rr, o, d):
+        return (
+            -o * rr.imag - gamma * nn,
+            1j * (d - W * nn) * rr - half_g * rr + 1j * o * (nn - 0.5),
+        )
+
+    for k in range(steps):
+        if om_list is None:
+            o1 = o2 = o3 = p.Omega
+            d1 = d2 = d3 = p.Delta
+        else:
+            kk = 2 * k
+            o1, d1 = om_list[kk], de_list[kk]
+            o2, d2 = om_list[kk + 1], de_list[kk + 1]
+            o3, d3 = om_list[kk + 2], de_list[kk + 2]
+        a1, b1 = f(n, r, o1, d1)
+        a2, b2 = f(n + h2 * a1, r + h2 * b1, o2, d2)
+        a3, b3 = f(n + h2 * a2, r + h2 * b2, o2, d2)
+        a4, b4 = f(n + h * a3, r + h * b3, o3, d3)
+        n = n + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        r = r + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        j = pos.get(k + 1)
+        if j is not None:
+            out_n[j], out_r[j] = n, r
+    return rec_idx * h, out_n, out_r
+
+
+def _same_bits(a, b):
+    return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+
+def _loop_start(T):
+    path = demo_path(T)
+    om0, de0 = path.point(0.0)
+    p0 = RydbergParams(float(om0), float(de0), GAMMA, W)
+    return p0, steady_states(p0).stable_roots[0]
+
+
+@pytest.mark.parametrize("direction", ["ccw", "cw"])
+def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
+    # a fig5-shaped loop, 20,000 steps; 20,000 / 1,024 records is not whole
+    T = 1000.0
+    path = replace(demo_path(T), direction=direction)
+    p0, start = _loop_start(T)
+    steps = default_steps(GAMMA, T)
+    got = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
+    want = _reference_integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
+    assert steps == 20000 and len(got[0]) == 1025
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("steps", [1000, 2500])
+def test_integrate_bloch_matches_complex_reference_from_zero_coherence(steps):
+    # rho21 = 0j and Omega = 0 keep exact zeros in the state, where a slip
+    # in the sign of a zero would show; 2,500 steps record at a non-integer
+    # spacing.
+    for p in (RydbergParams(2.0, -4.4, GAMMA, W), RydbergParams(0.0, 0.5, GAMMA, W)):
+        got = integrate_bloch(p, 0.0, 0j, 50.0, steps)
+        assert _same_bits(got, _reference_integrate_bloch(p, 0.0, 0j, 50.0, steps))
+
+
+def test_integrate_bloch_diverges_where_the_complex_reference_does():
+    # Past the first overflow, inf and nan may land in other components
+    # than in complex arithmetic; the records turn non-finite together.
+    p = RydbergParams(2.0, -4.4, GAMMA, W)
+    for steps in (3, 7, 20):
+        (_, n, r), (_, n_ref, r_ref) = (
+            f(p, 0.0, 0j, 50.0, steps) for f in (integrate_bloch, _reference_integrate_bloch)
+        )
+        finite = np.isfinite(n) & np.isfinite(r)
+        assert not finite[-1]
+        assert np.array_equal(finite, np.isfinite(n_ref) & np.isfinite(r_ref))
+        assert _same_bits((n[finite], r[finite]), (n_ref[finite], r_ref[finite]))
+
+
+def _basin_ensemble():
+    """100 random physical starts."""
     rng = np.random.default_rng(3)
     n0 = rng.uniform(0, 1, 100)
     amp = np.sqrt(n0 * (1 - n0)) * np.sqrt(rng.uniform(0, 1, 100))
-    r0 = amp * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
+    return n0, amp * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
+
+
+def test_ensemble_members_equal_lone_runs():
+    n0, r0 = _basin_ensemble()
+    p = RydbergParams(Omega=2.0, Delta=-4.4, gamma=GAMMA, W=W)
+    times, ns, rs = integrate_bloch(p, n0, r0, 200.0, 4000)
+    assert ns.shape == rs.shape == (len(times), 100)
+    for k in range(100):
+        lone = integrate_bloch(p, n0[k], r0[k], 200.0, 4000)
+        assert _same_bits((times, ns[:, k], rs[:, k]), lone)
+    # a path-driven 2x5 ensemble near the first stable root
+    T = 200.0
+    p0, start = _loop_start(T)
+    rng = np.random.default_rng(4)
+    n0 = start.n + 1e-3 * rng.uniform(-1, 1, (2, 5))
+    r0 = start.rho21 + 1e-3 * rng.uniform(-1, 1, (2, 5))
+    times, ns, rs = integrate_bloch(p0, n0, r0, T, 3000, path=demo_path(T))
+    assert ns.shape == (len(times), 2, 5)
+    for i, j in np.ndindex(2, 5):
+        lone = _reference_integrate_bloch(p0, n0[i, j], r0[i, j], T, 3000, path=demo_path(T))
+        assert _same_bits((times, ns[:, i, j], rs[:, i, j]), lone)
+
+
+def test_eigvals_batch_equals_eig_batch_values():
+    # the fig5 plane's companions and root Jacobians, and random 4x4 stacks
+    om, de = np.linspace(1.2, 6.0, 161), np.linspace(-9.0, -1.0, 161)
+    p = RydbergParams(om[:, None], de[None, :], GAMMA, W)
+    a, b, c, d = (np.broadcast_to(v, (161, 161)).ravel() for v in _cubic(*vars(p).values()))
+    companion = np.zeros((a.size, 3, 3), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(2)
+    companion[:, 0, :] = -np.stack([b, c, d], axis=-1) / a[:, None]
+    s = steady_states_batch(p)
+    live = np.isfinite(s.n)
+    roots_p = RydbergParams(*(np.broadcast_to(v, live.shape)[live] for v in (
+        om[:, None, None], de[None, :, None], GAMMA, W)))
+    jacobians = jacobian(s.n[live], s.rho21[live], roots_p)
+    rng = np.random.default_rng(5)
+    random4 = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    for mats in (companion, jacobians, random4, random4.real):
+        assert linalg.eigvals_batch(mats).tobytes() == linalg.eig_batch(mats)[0].tobytes()
+
+
+def test_basin_of_attraction_never_hits_unstable_root():
+    n0, r0 = _basin_ensemble()
     p = RydbergParams(Omega=2.0, Delta=-4.4, gamma=GAMMA, W=W)
     _, ns, rs = integrate_bloch(p, n0, r0, 200.0, 4000)
     d22, d21 = bloch_rhs(ns[-1], rs[-1], p)
