@@ -155,8 +155,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             else:
                 from .rydberg import RydbergParams
 
-                # the low corner holds the smallest Omega of the scan
-                RydbergParams(Omega=plane.x.lo, Delta=plane.y.lo,
+                # the corners hold the smallest Omega and the largest
+                # magnitudes of the scan
+                RydbergParams(Omega=np.array([plane.x.lo, plane.x.hi]),
+                              Delta=np.array([plane.y.lo, plane.y.hi]),
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
@@ -171,10 +173,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         # branch fails here.
         try:
             if cfg.command == "encircle":
-                from .dynamics import resolve_branch
+                from .dynamics import initial_state_on_branch
 
                 drive, _ = _build_drives(cfg)
-                resolve_branch(drive, cfg.run.get("initial_branch", "upper"))
+                initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
@@ -323,20 +325,22 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
     def emit_json(name, obj):
         artifacts[name] = output.write_json(os.path.join(out_dir, name), obj)
 
+    counters = {}
     if cfg.command == "spectrum":
         _run_spectrum(cfg, emit_text, emit_json)
     elif cfg.command == "map":
         _run_map(cfg, emit_text, emit_json, threads)
     elif cfg.command == "encircle":
-        _run_encircle(cfg, emit_text, emit_json)
+        counters = _run_encircle(cfg, emit_text, emit_json)
     elif cfg.command == "rydberg":
-        _run_rydberg(cfg, emit_text, emit_json)
+        counters = _run_rydberg(cfg, emit_text, emit_json)
 
     manifest = {
         "config_sha256": output.sha256_text(serialize_config(cfg)),
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": artifacts,
+        "counters": counters,
     }
     output.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -384,6 +388,7 @@ def _run_encircle(cfg, emit_text, emit_json):
         traj = project_trajectory(report.runs[direction], d)
         emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
     emit_json("chirality.json", output.chirality_json(report))
+    return _step_counters("integrate", cfg, report.runs.values())
 
 
 def _run_rydberg(cfg, emit_text, emit_json):
@@ -392,7 +397,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
     from .dynamics import TrajectoryRecord
 
     gamma, W = cfg.params["gamma"], cfg.params["W"]
-    fmap = None
+    fmap, counters = None, {}
     if cfg.plane:
         plane = _build_plane(cfg)
         fmap = bistability_map(plane, gamma=gamma, W=W)
@@ -420,6 +425,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
                 sheet_index=res.rho22,  # the excited population stands in
             )
             emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
+        counters = _step_counters("integrate_bloch", cfg, verdict.runs.values())
         payload = {
             "verdict": verdict.verdict,
             "initial_branch_index": verdict.initial_index,
@@ -433,6 +439,20 @@ def _run_rydberg(cfg, emit_text, emit_json):
                 "nearest_crossings_straddle_cusp": cond.nearest_crossings_straddle_cusp,
             }
         emit_json("transfer.json", payload)
+    return counters
+
+
+def _step_counters(name, cfg, runs) -> dict:
+    """Steps integrated (a step-doubling check adds a run at twice the
+    steps), the rule that chose them and the worst step-doubling drift."""
+    check = bool(cfg.run.get("check_steps", False))
+    counters = {
+        f"{name}.steps": sum((3 if check else 1) * r.steps for r in runs),
+        f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
+    }
+    if check:
+        counters[f"{name}.drift"] = max(r.drift for r in runs)
+    return counters
 
 
 # -- entry point --------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Provides the full right/left eigendecomposition with biorthogonal pairing,
 coalescence diagnostics for locating non-diagonalizable (exceptional) points,
-the characteristic polynomial, and row-major vectorization helpers used to
-represent superoperators as matrices.
+the characteristic polynomial, row-major vectorization helpers used to
+represent superoperators as matrices, and batched matrix exponentials and
+chain products for the time integrators.
 
 Conventions
 -----------
@@ -17,11 +18,16 @@ Conventions
   breaks ties).  ``assign`` is the one assignment solver.
 * ``eig`` takes one matrix or a stack; a stacked matrix gets exactly the
   result of a lone call, as LAPACK solves every stacked matrix on its own.
+* ``expm_batch_scaled`` and ``chain_batch`` return a matrix M as a pair
+  (E, k) with M = 2**k E and the largest entry of E in [0.5, 1): products
+  of many exponentials neither overflow nor underflow, and the power-of-two
+  rescaling is exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,3 +303,126 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
     """
     vals = np.linalg.eigvals(np.asarray(mats, dtype=complex))
     return np.take_along_axis(vals, canonical_order(vals), axis=-1)
+
+
+
+# Truncated Taylor series of expm_batch: (degree m, block size p, theta_m).
+# theta_m is the largest norm with ||X||^(m+1)/(m+1)! / (1 - ||X||/(m+2))
+# <= 2**-53, a bound on the series tail; the Paterson-Stockmeyer scheme
+# evaluates degree m = p q in (p - 1) + (q - 1) matrix products.
+_TAYLOR = ((6, 3, 0.01776), (9, 3, 0.1148), (12, 4, 0.3352), (16, 4, 0.8245))
+
+# Complex entries per operand of the batched products.  At 32,768 entries
+# (512 kB) the operands stay in a core's L2 cache: a product of 2,048 4x4
+# matrices took 0.15 us per matrix, one of 8,192 took 0.46 us.
+_CACHE_ENTRIES = 32768
+
+
+def expm_batch(x) -> np.ndarray:
+    """Matrix exponentials of a stack (..., n, n), numpy only.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) around
+    a truncated Taylor series; the degree and the number of squarings follow
+    from the largest 1-norm in the stack.
+    """
+    e, k = expm_batch_scaled(x)
+    return e * np.exp2(k)[..., None, None]
+
+
+def expm_batch_scaled(x):
+    """``expm_batch`` as (E, k) with exp(x) = 2**k E, for any finite norm."""
+    a = np.asarray(x, dtype=complex)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    norm = float(np.abs(flat).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("matrix contains NaN or Inf entries, or its norm overflows")
+    # the fewest products, series and squarings together; ties go to the
+    # higher degree, which squares less
+    best = None
+    for m, p, theta in _TAYLOR:
+        s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+        cost = (p - 1) + (m // p - 1) + s
+        if best is None or cost <= best[0]:
+            best = (cost, m, p, s)
+    _, m, p, s = best
+    e, k = np.empty_like(flat), np.empty(len(flat))
+    size = max(1, _CACHE_ENTRIES // (n * n))
+    for i in range(0, len(flat), size):
+        y = np.ascontiguousarray(flat[i:i + size].transpose(1, 2, 0))
+        ei, ki = _normalize(_taylor(y * 2.0**-s, m, p))
+        for _ in range(s):
+            ei, ex = _normalize(_mm(ei, ei))
+            ki = 2.0 * ki + ex
+        e[i:i + size], k[i:i + size] = ei.transpose(2, 0, 1), ki
+    return e.reshape(a.shape), k.reshape(a.shape[:-2])
+
+
+def chain_batch(mats, exps):
+    """Products of chains (..., L, n, n) of scaled matrices, in log depth.
+
+    ``mats[..., j, :, :]`` acts after ``mats[..., j - 1, :, :]``, so later
+    factors multiply from the left; ``exps`` (..., L) holds their power-of-two
+    exponents.  Returns (E, k) for the products, as ``expm_batch_scaled``.
+    """
+    a = np.asarray(mats, dtype=complex)
+    length, n = a.shape[-3], a.shape[-1]
+    flat = a.reshape(-1, length, n, n)
+    kflat = np.asarray(exps, dtype=float).reshape(-1, length)
+    e, k = np.empty((len(flat), n, n), dtype=complex), np.empty(len(flat))
+    size = max(1, _CACHE_ENTRIES // (n * n * length))
+    for i in range(0, len(flat), size):
+        mi = np.ascontiguousarray(flat[i:i + size].transpose(2, 3, 1, 0))
+        ki = kflat[i:i + size].T
+        while mi.shape[2] > 1:
+            half = mi.shape[2] // 2
+            prod, ex = _normalize(_mm(mi[:, :, 1:2 * half:2], mi[:, :, 0:2 * half:2]))
+            ex += ki[1:2 * half:2] + ki[0:2 * half:2]
+            if mi.shape[2] % 2:  # the latest factor waits for the next level
+                prod = np.concatenate([prod, mi[:, :, -1:]], axis=2)
+                ex = np.concatenate([ex, ki[-1:]])
+            mi, ki = prod, ex
+        e[i:i + size], k[i:i + size] = mi[:, :, 0].transpose(2, 0, 1), ki[0]
+    return e.reshape(a.shape[:-3] + (n, n)), k.reshape(a.shape[:-3])
+
+
+def _mm(a, b) -> np.ndarray:
+    """a @ b for matrices stored batch-last, (n, n, ...): a sum over the
+    inner index of broadcast column-times-row products.  On stacks of 2x2
+    and 4x4 matrices this runs several times faster than np.matmul."""
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[None, j]
+    return out
+
+
+def _normalize(e):
+    """(E, k) with e = 2**k E and max |E| in [0.5, 1) per batch-last matrix."""
+    top = np.maximum(np.abs(e.real), np.abs(e.imag)).max(axis=(0, 1))
+    # a subnormal top is not raised past the largest power of two
+    ex = np.maximum(np.frexp(top)[1], -1021)
+    e *= np.ldexp(1.0, -ex)
+    return e, ex.astype(float)
+
+
+def _taylor(y, m: int, p: int) -> np.ndarray:
+    """sum_{j <= m} y^j / j! by Paterson-Stockmeyer, y batch-last (n, n, ...)."""
+    coef = [1.0 / math.factorial(j) for j in range(m + 1)]
+    powers = [None, y]
+    for _ in range(p - 1):
+        powers.append(_mm(powers[-1], y))
+
+    def block(j):  # sum_{i < p} coef[j p + i] y^i
+        b = coef[j * p + 1] * y
+        for i in range(2, p):
+            b += coef[j * p + i] * powers[i]
+        for d in range(y.shape[0]):
+            b[d, d] += coef[j * p]
+        return b
+
+    q = m // p
+    acc = block(q - 1) + coef[m] * powers[p]
+    for j in range(q - 2, -1, -1):
+        acc = _mm(powers[p], acc)
+        acc += block(j)
+    return acc

@@ -39,6 +39,10 @@ RESIDUAL_TOL = 1e-10
 # the regimes with an order of magnitude to spare on either side.
 LANDING_TOL = 1e-4
 
+# Largest parameter magnitude: the steady-state cubic squares Omega, Delta,
+# gamma and W, which overflows past ~1e154.
+PARAM_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class RydbergParams:
@@ -61,6 +65,8 @@ class RydbergParams:
         # a subnormal gamma halves to zero, and rho21_for divides by gamma/2
         if np.any(self.gamma < np.finfo(float).tiny):
             raise ValueError("gamma must be positive and normal")
+        if any(np.any(np.abs(v) > PARAM_MAX) for v in (self.Omega, self.Delta, self.gamma, self.W)):
+            raise ValueError(f"|Omega|, |Delta|, gamma and |W| must be at most {PARAM_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -470,6 +476,8 @@ class EncircleResult:
     initial_root: SteadyState
     final_root: SteadyState
     switched: bool
+    steps: int | None = None  # integration steps of the run
+    drift: float | None = None  # step-doubling change of the final population
 
 
 def encircle_steady(
@@ -494,10 +502,12 @@ def encircle_steady(
     if steps is None:
         steps = default_steps(gamma, T)
     times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
+    drift = None
     if check_steps:
         _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=path)
+        drift = abs(float(n2[-1]) - float(n[-1]))
         # written so that a diverged (nan) run fails the check too
-        if not abs(float(n2[-1]) - float(n[-1])) <= 1e-6:
+        if not drift <= 1e-6:
             raise StepTooCoarse("encircling run not converged in step doubling")
     if not (np.isfinite(n).all() and np.isfinite(r).all()):
         raise StepTooCoarse(f"encircling run diverged at {steps} steps")
@@ -511,6 +521,8 @@ def encircle_steady(
         initial_root=start,
         final_root=nearest,
         switched=abs(nearest.n - start.n) > 1e-6,
+        steps=steps,
+        drift=drift,
     )
 
 

@@ -291,6 +291,10 @@ BAD_PLANES = {
     "rydberg_swapped_axes": RYDBERG_PLANE_CONFIG.replace(
         "plane.x_name = Omega", "plane.x_name = Delta"
     ).replace("plane.y_name = Delta", "plane.y_name = Omega"),
+    # the steady-state cubic squares Delta; only the high corner is huge
+    "rydberg_huge_detuning": RYDBERG_PLANE_CONFIG.replace(
+        "plane.y_max = -3.5", "plane.y_max = 1e160"
+    ),
 }
 
 
@@ -348,6 +352,8 @@ BAD_RUNS = {
     # 2 pi / period overflows; gamma / 2 underflows to zero
     "rydberg_subnormal_period": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 5e-324"),
     "rydberg_subnormal_gamma": RYDBERG_PATH_CONFIG.replace("gamma = 1.0", "gamma = 5e-324"),
+    # W^2 overflows in the steady-state cubic
+    "rydberg_huge_W": RYDBERG_PATH_CONFIG.replace("param.W = -11.0", "param.W = 1e160"),
 }
 
 
@@ -408,6 +414,56 @@ def rydberg_configs(draw):
 def test_validated_rydberg_config_fails_only_typed(text):
     # "validate says ok" means the run cannot fail on its config: it ends
     # normally or with a typed error (exit 2), never an untyped exception.
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(cfg, out_dir=out)
+        except EpkitError:
+            pass
+
+
+@st.composite
+def encircle_configs(draw):
+    """Small ``encircle`` experiment files on both linear models.
+
+    Radius 0 holds the generator fixed; T reaches 1e12, where one of at
+    most 400 steps spans up to ~1e10 inverse rates.
+    """
+    if draw(st.booleans()):
+        lines = ["experiment.model = encircle",
+                 f"param.Gamma = {draw(st.floats(0.0, 3.0))!r}",
+                 "path.plane = J-Omega",
+                 f"path.center_x = {draw(st.floats(-2.0, 3.0))!r}",
+                 f"path.center_y = {draw(st.floats(-2.0, 2.0))!r}"]
+    else:
+        lines = ["experiment.model = coldatom_liouvillian",
+                 f"param.Gamma = {draw(st.floats(0.0, 0.2))!r}",
+                 f"param.gamma = {draw(st.floats(0.0, 0.05))!r}",
+                 "path.plane = delta-J",
+                 f"path.center_x = {draw(st.floats(-0.5, 0.5))!r}",
+                 f"path.center_y = {draw(st.floats(0.0, 1.0))!r}"]
+    T = draw(st.one_of(st.floats(1e-3, 200.0), st.floats(1e3, 1e12)))
+    lines += ["experiment.command = encircle",
+              f"path.radius = {draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))!r}",
+              f"path.period = {T!r}",
+              f"path.phase0 = {draw(st.floats(-4.0, 4.0))!r}",
+              f"path.convention = {draw(st.sampled_from(['cos-sin', 'sin-cos']))}",
+              f"run.T = {T!r}",
+              f"run.steps = {draw(st.integers(1, 400))}",
+              f"run.directions = {draw(st.sampled_from(['both', 'ccw', 'cw']))}",
+              "run.initial_branch = "
+              f"{draw(st.sampled_from(['upper', 'lower', 'quasi_steady', '0', '1']))}",
+              f"run.check_steps = {draw(st.sampled_from(['true', 'false']))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=encircle_configs())
+def test_validated_encircle_config_fails_only_typed(text):
+    # as for rydberg: a config that validates runs, or fails typed
     try:
         cfg = parse_config(text)
     except ConfigError:

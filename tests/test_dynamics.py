@@ -82,10 +82,68 @@ def test_step_doubling_flag_passes_at_default():
 def test_step_doubling_flag_raises_when_coarse():
     # fast coherent precession with far too few steps: the relative phase
     # between the superposed branches drifts between the two resolutions
-    drive = ring_drive(Gamma=0.0, r=2.0, T=10.0, center=(15.0, 0.0))
+    # (h rate ~ 3.4, past CF4's convergence bound h ||A|| < pi; drift 1.2e-4)
+    drive = ring_drive(Gamma=0.0, r=2.0, T=20.0, center=(15.0, 0.0))
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(StepTooCoarse):
-        integrate_schrodinger(drive, psi0, 10.0, 100, check_steps=True)
+        integrate_schrodinger(drive, psi0, 20.0, 100, check_steps=True)
+
+
+def test_step_doubling_passes_where_only_rk4_was_coarse():
+    # the T = 10 ring at 100 steps failed the check under RK4; CF4 drifts 2.3e-9
+    drive = ring_drive(Gamma=0.0, r=2.0, T=10.0, center=(15.0, 0.0))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate_schrodinger(drive, psi0, 10.0, 100, check_steps=True)
+    assert traj.steps == 100
+    assert 0.0 <= traj.drift < 1e-8
+
+
+def test_constant_generator_gives_the_exponential():
+    # a zero-radius loop holds H fixed: psi(T) = exp(-i T H) psi0
+    drive = ring_drive(r=0.0, center=(0.7, 0.2))
+    h = drive.matrix(0.0)
+    w, v = np.linalg.eig(-1j * h)
+    psi0 = np.array([0.6, 0.8j])
+    exact = v @ (np.exp(7.0 * w) * np.linalg.solve(v, psi0))
+    traj = integrate_schrodinger(drive, psi0, 7.0, 100)
+    got = traj.states[-1] * np.exp(traj.log_norm[-1])
+    assert np.max(np.abs(got - exact)) < 1e-12 * np.linalg.norm(exact)
+
+
+def test_cf4_observed_order():
+    # halving h cuts the final-state error 16-fold for a fourth-order
+    # method; the factor order of each step decides it (the reversed
+    # order is second order)
+    drive = ring_drive(Gamma=0.3, r=2.0, T=10.0, center=(15.0, 0.0))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+
+    def final(steps):
+        traj = integrate_schrodinger(drive, psi0, 10.0, steps)
+        return traj.states[-1] * np.exp(traj.log_norm[-1])
+
+    ref = final(6400)
+    errors = [np.linalg.norm(final(steps) - ref) for steps in (100, 200, 400)]
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert orders.min() >= 3.5, orders
+
+
+@pytest.mark.parametrize("T", [150.0, 8e4])
+def test_block_composition_equals_stepwise_evolution(monkeypatch, T):
+    # 3 steps per record interval composed into one block (T = 150) or, where
+    # h rate ~ 6.5 caps the blocks at 2 steps, into blocks of 2 and 1
+    # (T = 8e4), against one step per block
+    from epkit import dynamics
+
+    drive = coldatom_drive(T)
+    x0, _ = initial_state_on_branch(drive, "quasi_steady")
+    steps = 3 * 4096
+    blocks = integrate_liouvillian(drive, x0, T, steps)
+    monkeypatch.setattr(dynamics, "BLOCK_RATE", 0.0)
+    stepwise = integrate_liouvillian(drive, x0, T, steps)
+    assert np.max(np.abs(blocks.states - stepwise.states)) < 1e-13
+    assert np.max(np.abs(blocks.log_norm - stepwise.log_norm)) < 1e-12 * max(
+        1.0, np.abs(stepwise.log_norm).max()
+    )
 
 
 def test_step_doubling_fails_on_nan_drift(monkeypatch):

@@ -334,3 +334,68 @@ def test_assign_rejects_bad_shapes():
         linalg.assign(np.zeros((2, 3)))
     with pytest.raises(DimensionTooLarge):
         linalg.assign(np.zeros((17, 17)))
+
+
+# -- matrix exponentials ------------------------------------------------------------
+
+
+def _diagonalizable_stack(rng, count, n, norm):
+    """Random V diag(w) V^-1 with well-conditioned V, scaled to a 1-norm."""
+    v = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    v += 3.0 * np.eye(n)
+    w = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    x = v @ (w[..., :, None] * np.linalg.inv(v))
+    scale = norm / np.abs(x).sum(axis=-2).max(axis=-1)
+    return x * scale[:, None, None], v, w * scale[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("norm", [1e-9, 1e-3, 0.5, 3.0, 40.0, 300.0])
+def test_expm_batch_matches_eigendecomposition(n, norm):
+    # from norms the series handles alone to norms that need squaring
+    rng = np.random.default_rng(int(norm * 1e9) % 2**32 + n)
+    x, v, w = _diagonalizable_stack(rng, 50, n, norm)
+    ref = v @ (np.exp(w)[..., :, None] * np.linalg.inv(v))
+    got = linalg.expm_batch(x)
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert np.max(np.abs(got - ref).max(axis=(-2, -1)) / scale) < 1e-12
+
+
+def test_expm_batch_of_zero_is_identity():
+    assert np.array_equal(linalg.expm_batch(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_expm_batch_inverse_pairs():
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))) * 0.7
+    prod = linalg.expm_batch(x) @ linalg.expm_batch(-x)
+    assert np.max(np.abs(prod - np.eye(4))) < 1e-12
+
+
+def test_expm_batch_scaled_reaches_past_overflow():
+    # exp(diag(800, -800, 1j)) overflows and underflows a double; the scaled
+    # form carries the magnitude in a power-of-two exponent
+    e, k = linalg.expm_batch_scaled(np.diag([800.0, -800.0, 1j])[None])
+    assert k.shape == (1,) and 0.5 <= np.abs(e).max() < 1.0
+    assert abs(k[0] * np.log(2.0) + np.log(e[0, 0, 0].real) - 800.0) < 1e-9
+    assert e[0, 1, 1] == 0.0 and abs(e[0, 2, 2]) < 1e-300
+
+
+def test_expm_batch_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        linalg.expm_batch(np.full((1, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 8])
+def test_chain_batch_equals_sequential_products(length):
+    # later factors multiply from the left; exponents add up
+    rng = np.random.default_rng(length)
+    m = rng.standard_normal((3, length, 4, 4)) + 1j * rng.standard_normal((3, length, 4, 4))
+    k = rng.integers(-50, 50, size=(3, length)).astype(float)
+    e, kk = linalg.chain_batch(m, k)
+    for lane in range(3):
+        ref = np.eye(4, dtype=complex)
+        for j in range(length):
+            ref = m[lane, j] @ ref
+        got = e[lane] * 2.0 ** (kk[lane] - k[lane].sum())
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()

@@ -26,8 +26,13 @@ from epkit.cli import PRESETS, run
 
 REFERENCE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference")
 
-# Fidelities and final populations of the loops.
-DYNAMICS_TOL = 1e-9
+# Fidelities and final populations of the loops, absolute.  A loop whose
+# reference or whose current run is only as accurate as its step count gets
+# a tolerance from its measured step-doubling change: doubling the default
+# 4,096 CF4 steps of fig4_adiabatic moves these quantities by up to 8.4e-8,
+# and doubling the 3,000 RK4 steps the fig4_intermediate reference was made
+# with moved them by up to 3.3e-7.
+DYNAMICS_TOL = {"fig2": 1e-9, "fig4_adiabatic": 2e-7, "fig4_intermediate": 1e-6, "fig5": 1e-9}
 # The projected eigenvalue at t = kT/16, linearly interpolated from the
 # records, absolute in each of Re and Im.
 PROJECTION_TOL = 1e-7
@@ -119,7 +124,8 @@ def compare(name, got, ref):
         for key in ("initial_branch_index", "conditions", "landed"):
             assert got[key] == ref[key]
         for d in ("ccw", "cw"):
-            _assert_close(got["final_population"][d], ref["final_population"][d], DYNAMICS_TOL)
+            _assert_close(got["final_population"][d], ref["final_population"][d],
+                          DYNAMICS_TOL[name])
         assert math.dist(got["cusp"], ref["cusp"]) <= POINT_TOL
         _assert_lines(got["lines"], ref["lines"])
         return
@@ -128,7 +134,7 @@ def compare(name, got, ref):
     for d in ("ccw", "cw"):
         for key in ("fidelity_to_initial_branch", "fidelity_to_other_branch",
                     "final_populations"):
-            _assert_close(got[d][key], ref[d][key], DYNAMICS_TOL)
+            _assert_close(got[d][key], ref[d][key], DYNAMICS_TOL[name])
         _assert_close(got[d]["projection"], ref[d]["projection"], PROJECTION_TOL)
 
 
