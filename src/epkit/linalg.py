@@ -19,9 +19,9 @@ Conventions
 * ``eig`` takes one matrix or a stack; a stacked matrix gets exactly the
   result of a lone call, as LAPACK solves every stacked matrix on its own.
 * ``expm_batch_scaled`` and ``chain_batch`` return a matrix M as a pair
-  (E, k) with M = 2**k E and the largest entry of E in [0.5, 1): products
-  of many exponentials neither overflow nor underflow, and the power-of-two
-  rescaling is exact.
+  (E, k) with M = 2**k E and the largest |Re| or |Im| of E in [0.5, 1):
+  products of many exponentials neither overflow nor underflow, and the
+  power-of-two rescaling is exact.
 """
 
 from __future__ import annotations
@@ -305,7 +305,6 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, canonical_order(vals), axis=-1)
 
 
-
 # Truncated Taylor series of expm_batch: (degree m, block size p, theta_m).
 # theta_m is the largest norm with ||X||^(m+1)/(m+1)! / (1 - ||X||/(m+2))
 # <= 2**-53, a bound on the series tail; the Paterson-Stockmeyer scheme
@@ -313,8 +312,9 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
 _TAYLOR = ((6, 3, 0.01776), (9, 3, 0.1148), (12, 4, 0.3352), (16, 4, 0.8245))
 
 # Complex entries per operand of the batched products.  At 32,768 entries
-# (512 kB) the operands stay in a core's L2 cache: a product of 2,048 4x4
-# matrices took 0.15 us per matrix, one of 8,192 took 0.46 us.
+# (512 kB) the operands stay in a core's L2 cache: on a Xeon with 2 MB of L2
+# per core, a product of 2,048 4x4 matrices took 0.15 us per matrix, one of
+# 8,192 took 0.46 us.
 _CACHE_ENTRIES = 32768
 
 
@@ -397,7 +397,8 @@ def _mm(a, b) -> np.ndarray:
 
 
 def _normalize(e):
-    """(E, k) with e = 2**k E and max |E| in [0.5, 1) per batch-last matrix."""
+    """(E, k) with e = 2**k E, the largest |Re| or |Im| of each batch-last
+    matrix E in [0.5, 1); the rescaling by a power of two is exact."""
     top = np.maximum(np.abs(e.real), np.abs(e.imag)).max(axis=(0, 1))
     # a subnormal top is not raised past the largest power of two
     ex = np.maximum(np.frexp(top)[1], -1021)

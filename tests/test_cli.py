@@ -354,6 +354,14 @@ BAD_RUNS = {
     "rydberg_subnormal_gamma": RYDBERG_PATH_CONFIG.replace("gamma = 1.0", "gamma = 5e-324"),
     # W^2 overflows in the steady-state cubic
     "rydberg_huge_W": RYDBERG_PATH_CONFIG.replace("param.W = -11.0", "param.W = 1e160"),
+    # without loss the upper branch of the post-selected generator is a
+    # traceless coherence, which cannot be prepared as a state
+    "encircle_traceless_start_branch": ENCIRCLE_CONFIG.replace(
+        "experiment.model = encircle\nparam.Gamma = 1.0",
+        "experiment.model = coldatom_liouvillian\nparam.Gamma = 0.0\nparam.gamma = 0.0",
+    ).replace("path.center_x = 0.5\npath.center_y = 0.0\npath.radius = 0.1",
+              "path.center_x = 0.0\npath.center_y = 1.0\npath.radius = 0.0")
+    .replace("path.plane = J-Omega", "path.plane = delta-J"),
 }
 
 
@@ -545,6 +553,36 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # encircle: t = 0 in validate and in the run, t = T and the sheet
     # tracking once per direction; the rydberg run makes no linalg.eig call
     assert calls.count("eig") == 6
+
+
+def test_manifest_reports_steps_and_drift(tmp_path, capsys):
+    # The manifest counts the steps integrated (a step-doubling check adds a
+    # run at twice the steps, as perfbench counts them), names the step
+    # rule and, under --check-steps, gives the worst drift; the artifacts
+    # and stdout do not change with the check.
+    for name, text, counter, steps in (
+        ("fixed", ENCIRCLE_CONFIG, "integrate", 2 * 100),
+        ("default", ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""), "integrate", 2 * 4096),
+        ("meanfield", RYDBERG_PATH_CONFIG, "integrate_bloch", 2 * 1000),
+    ):
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(text)
+        seen = []
+        for check in (False, True):
+            out = tmp_path / f"{name}-{check}"
+            argv = [text.split()[2], "--config", str(cfgfile), "--out", str(out)]
+            assert main(argv + ["--check-steps"] * check) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            counters = manifest["counters"]
+            assert counters[f"{counter}.steps"] == (3 if check else 1) * steps
+            assert counters[f"{counter}.step_rule"] == (
+                "default" if name == "default" else "run.steps"
+            )
+            assert (f"{counter}.drift" in counters) == check
+            if check:
+                assert 0.0 <= counters[f"{counter}.drift"] <= 1e-6
+            seen.append((manifest["outputs"], capsys.readouterr().out))
+        assert seen[0] == seen[1]
 
 
 def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -510,6 +510,11 @@ def test_coupling_grows_toward_ep():
 # -- fidelity helpers ---------------------------------------------------------------
 
 
+def test_hermitize_density_rejects_zero_hermitian_part():
+    # an anti-Hermitian coherence has neither trace nor Hermitian part
+    assert hermitize_density(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)) is None
+
+
 def test_uhlmann_agrees_with_pure_state_overlap():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
