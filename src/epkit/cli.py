@@ -53,6 +53,11 @@ _STRING_KEYS = {
 _INT_KEYS = {("plane", "x_res"), ("plane", "y_res"), ("run", "steps"), ("run", "threads")}
 _BOOL_KEYS = {("run", "check_steps")}
 
+# Largest step count per loop direction, from run.steps or the default
+# rule: past it a loop cannot finish in reasonable time, and a mean-field
+# loop holds its drive at every half step in memory.
+MAX_STEPS = 10**7
+
 
 @dataclass
 class ExperimentConfig:
@@ -149,7 +154,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         try:
             plane = _build_plane(cfg)
             if cfg.command == "map":
-                resolve_params(model, {plane.x.name: 0.0, plane.y.name: 0.0})
+                axes = resolve_params(model, {plane.x.name: 0.0, plane.y.name: 0.0})
+                if len(axes) < 2:
+                    raise ValueError("x_name and y_name name the same parameter")
+                model.matrix(**{**resolve_params(model, cfg.params), **axes})
             elif (plane.x.name, plane.y.name) != ("Omega", "Delta"):
                 raise ValueError("rydberg axes are x_name = Omega, y_name = Delta")
             else:
@@ -162,6 +170,11 @@ def _validate(cfg: ExperimentConfig) -> None:
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
+    if cfg.path and "T" in cfg.run and "period" in cfg.path:
+        if cfg.run["T"] != cfg.path["period"]:
+            raise ConfigError(
+                "runs integrate one full cycle: run.T must equal path.period"
+            )
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
@@ -170,31 +183,34 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.run.get("steps", floor) < floor:
             raise ConfigError(f"{cfg.command} runs need run.steps >= {floor}")
         # Build what the run builds, so that a bad path, direction or start
-        # branch fails here.
+        # branch fails here, and count the steps it will take.
+        T, steps = cfg.path["period"], cfg.run.get("steps")
         try:
             if cfg.command == "encircle":
-                from .dynamics import initial_state_on_branch
+                from .dynamics import default_steps, initial_state_on_branch, step_rate
 
                 drive, _ = _build_drives(cfg)
                 initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
+                if steps is None:
+                    steps = default_steps(step_rate(drive, T), T)
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import resolve_root
+                from .rydberg import default_steps, resolve_root, step_rate
 
-                resolve_root(
-                    _build_path(cfg), cfg.params["gamma"], cfg.params["W"],
-                    cfg.run.get("initial_root", "low"),
-                )
+                path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
+                resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
+                if steps is None:
+                    steps = default_steps(step_rate(path, gamma, W), T)
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
+        except OverflowError:  # T rate past the float range
+            steps = math.inf
+        if steps > MAX_STEPS:
+            rule = "run.steps" if "steps" in cfg.run else "the default step rule at this loop time"
+            raise ConfigError(f"run: {rule} takes more than {MAX_STEPS} steps per direction")
     if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
         raise ConfigError("rydberg runs need a 'plane' section, a 'path' section or both")
-    if cfg.path and "T" in cfg.run and "period" in cfg.path:
-        if cfg.run["T"] != cfg.path["period"]:
-            raise ConfigError(
-                "runs integrate one full cycle: run.T must equal path.period"
-            )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -388,7 +404,7 @@ def _run_encircle(cfg, emit_text, emit_json):
         traj = project_trajectory(report.runs[direction], d)
         emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
     emit_json("chirality.json", output.chirality_json(report))
-    return _step_counters("integrate", cfg, report.runs.values())
+    return _step_counters("integrate", cfg, report)
 
 
 def _run_rydberg(cfg, emit_text, emit_json):
@@ -425,7 +441,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
                 sheet_index=res.rho22,  # the excited population stands in
             )
             emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
-        counters = _step_counters("integrate_bloch", cfg, verdict.runs.values())
+        counters = _step_counters("integrate_bloch", cfg, verdict)
         payload = {
             "verdict": verdict.verdict,
             "initial_branch_index": verdict.initial_index,
@@ -442,14 +458,18 @@ def _run_rydberg(cfg, emit_text, emit_json):
     return counters
 
 
-def _step_counters(name, cfg, runs) -> dict:
+def _step_counters(name, cfg, report) -> dict:
     """Steps integrated (a step-doubling check adds a run at twice the
-    steps), the rule that chose them and the worst step-doubling drift."""
+    steps), the rule that chose them, the rate that set a default step
+    count and the worst step-doubling drift."""
+    runs = report.runs.values()
     check = bool(cfg.run.get("check_steps", False))
     counters = {
         f"{name}.steps": sum((3 if check else 1) * r.steps for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
+    if report.rate is not None:
+        counters[f"{name}.rate"] = report.rate
     if check:
         counters[f"{name}.drift"] = max(r.drift for r in runs)
     return counters

@@ -96,7 +96,9 @@ class AdiabaticityEstimate:
 class ChiralityReport:
     """Final-state fidelities of both loop directions and the verdict.
 
-    runs holds the judged trajectory of each direction, keyed "ccw"/"cw".
+    runs holds the judged trajectory of each direction, keyed "ccw"/"cw";
+    rate is the rate that set their default step count (None when the
+    steps were given).
     """
 
     ccw_final_fidelity_to_initial_branch: float
@@ -106,6 +108,7 @@ class ChiralityReport:
     verdict: str  # "chiral" | "non_chiral" | "ambiguous"
     adiabaticity: AdiabaticityEstimate
     runs: dict = field(compare=False, repr=False)
+    rate: float | None = None
 
 
 def _record_indices(steps: int) -> np.ndarray:
@@ -544,8 +547,10 @@ def classify_chirality(
     drive = replace(drive, path=replace(drive.path, period=T))
     x0, dec0 = initial_state_on_branch(drive, initial_branch)
     branch = _branch_index(dec0, initial_branch)
+    rate = None
     if steps is None:
-        steps = default_steps(drive, T)
+        rate = step_rate(drive, T)
+        steps = default_steps(rate, T)
 
     results = {}
     runs = {}
@@ -585,19 +590,23 @@ def classify_chirality(
         verdict=verdict,
         adiabaticity=adiabaticity_estimate(drive, T),
         runs=runs,
+        rate=rate,
     )
 
 
-def default_steps(drive: PathDrive, T: float) -> int:
+def step_rate(drive: PathDrive, T: float) -> float:
+    """Rate that sets the default step count: the largest generator entry
+    magnitude along the path."""
+    return float(np.max(np.abs(drive.matrices(np.linspace(0.0, T, 65)))))
+
+
+def default_steps(rate: float, T: float) -> int:
     """Step count keeping h rate at or below STEP_RATE, in whole record grids.
 
-    The rate is the largest generator entry magnitude along the path.  The
-    count is a multiple of MAX_RECORDS - 1, so a default run records at the
-    times k T / (MAX_RECORDS - 1) and its step-doubling check compares every
-    record.
+    The count is a multiple of MAX_RECORDS - 1, so a default run records at
+    the times k T / (MAX_RECORDS - 1) and its step-doubling check compares
+    every record.
     """
-    probe = drive.matrices(np.linspace(0.0, T, 65))
-    rate = float(np.max(np.abs(probe)))
     grid = MAX_RECORDS - 1
     return grid * max(1, math.ceil(T * rate / (STEP_RATE * grid)))
 

@@ -27,8 +27,15 @@ from .errors import NoIntersections, StepTooCoarse
 from .models import EncirclePath, pick_index
 from .spectra import PlaneSpec
 
-# Fixed-step integration: step <= STEP_FACTOR / gamma.
-STEP_FACTOR = 0.05
+# Default steps keep h rate <= STEP_RATE, rate the largest |eigenvalue| of
+# the steady-state Jacobians along the loop (floor gamma).  RK4's stability
+# interval reaches ~2.8 / |lambda|: the fig5 loop stays finite up to
+# h rate ~3.1 and diverges at 3.3, so 1 leaves a threefold margin.
+STEP_RATE = 1.0
+
+# Loop points of the rate probe, and the record intervals of a default run:
+# its step count is a multiple of this, so it records at k T / RECORD_GRID.
+RECORD_GRID = 1024
 
 RESIDUAL_TOL = 1e-10
 
@@ -394,8 +401,28 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 # -- time integration -------------------------------------------------------------
 
 
-def default_steps(p_gamma: float, T: float) -> int:
-    return max(100, int(math.ceil(T * p_gamma / STEP_FACTOR)))
+def step_rate(path: EncirclePath, gamma: float, W: float) -> float:
+    """Rate that sets the default step count of a loop around ``path``.
+
+    The largest |eigenvalue| of the Jacobian over every steady state at
+    RECORD_GRID points of the loop, one batched solve, and at least gamma.
+    Both directions trace the same points.  The flow at -Omega is the flow
+    at Omega with rho21 negated, so a loop through Omega < 0 is probed at
+    |Omega|.
+    """
+    xs, ys = path.point(path.period * (np.arange(RECORD_GRID) / RECORD_GRID))
+    probe = RydbergParams(np.abs(xs), ys, gamma, W)
+    lam = np.abs(steady_states_batch(probe).jacobian_eigenvalues)
+    return max(gamma, float(lam[np.isfinite(lam)].max(initial=0.0)))
+
+
+def default_steps(rate: float, T: float) -> int:
+    """Step count keeping h rate at or below STEP_RATE, in whole record grids.
+
+    The count is a multiple of RECORD_GRID, so a default run (``record``
+    = RECORD_GRID + 1) records at the times k T / RECORD_GRID.
+    """
+    return RECORD_GRID * max(1, math.ceil(T * rate / (STEP_RATE * RECORD_GRID)))
 
 
 def integrate_bloch(
@@ -405,16 +432,16 @@ def integrate_bloch(
     T: float,
     steps: int,
     path: EncirclePath | None = None,
-    record: int = 1025,
+    record: int = RECORD_GRID + 1,
 ):
     """Fixed-step RK4 on the mean-field equations, optionally path-driven.
 
     Returns (times, rho22, rho21) arrays at the recorded samples, with the
-    time axis first.  The state may be a scalar pair, which runs on Python
-    floats, or arrays (an ensemble), which run as numpy lanes with the
-    members' shape on the trailing axes; each member gets bit for bit the
-    result of a lone call.  When a path is given it modulates
-    (Omega(t), Delta(t)).
+    time axis first; the record after s steps sits at T (s / steps).  The
+    state may be a scalar pair, which runs on Python floats, or arrays (an
+    ensemble), which run as numpy lanes with the members' shape on the
+    trailing axes; each member gets bit for bit the result of a lone call.
+    When a path is given it modulates (Omega(t), Delta(t)).
     """
     h = T / steps
     rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
@@ -450,7 +477,7 @@ def integrate_bloch(
             x = x + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
             y = y + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
         out_n[j], out_r.real[j], out_r.imag[j] = n, x, y
-    return rec_idx * h, out_n, out_r
+    return T * (rec_idx / steps), out_n, out_r
 
 
 def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
@@ -500,11 +527,14 @@ def encircle_steady(
     start = stable[index]
 
     if steps is None:
-        steps = default_steps(gamma, T)
+        steps = default_steps(step_rate(path, gamma, W), T)
     times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
     drift = None
     if check_steps:
         _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=path)
+        # The final population, not every record: the records inside a fold
+        # jump still move by up to ~1e-4 on doubling (the cw demonstration
+        # loop at T = 500 to 5000), the final population by at most ~1e-9.
         drift = abs(float(n2[-1]) - float(n[-1]))
         # written so that a diverged (nan) run fails the check too
         if not drift <= 1e-6:
@@ -535,7 +565,8 @@ class TransferVerdict:
     missed every branch (fast, non-adiabatic driving).
     verdict is "chiral" when exactly one direction switched branch while
     the other returned; otherwise "none".  runs holds the judged run of
-    each direction, keyed "ccw"/"cw".
+    each direction, keyed "ccw"/"cw"; rate is the rate that set their
+    default step count (None when the steps were given).
     """
 
     landed_ccw: int | None
@@ -545,6 +576,7 @@ class TransferVerdict:
     initial_index: int
     verdict: str
     runs: dict = field(compare=False, repr=False)
+    rate: float | None = None
 
 
 def transfer_verdict(
@@ -556,8 +588,15 @@ def transfer_verdict(
     steps: int | None = None,
     check_steps: bool = False,
 ) -> TransferVerdict:
-    """Chirality of the steady-state loop judged by clean branch landings."""
+    """Chirality of the steady-state loop judged by clean branch landings.
+
+    A default step count comes from one rate probe for both directions.
+    """
     _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
+    rate = None
+    if steps is None:
+        rate = step_rate(replace(path, period=T), gamma, W)
+        steps = default_steps(rate, T)
 
     runs = {}
     landings = {}
@@ -581,6 +620,7 @@ def transfer_verdict(
         initial_index=idx0,
         verdict="chiral" if chiral else "none",
         runs=runs,
+        rate=rate,
     )
 
 

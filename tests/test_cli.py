@@ -279,6 +279,8 @@ BAD_PLANES = {
         "plane.x_min = -0.5\nplane.x_max = 0.5", "plane.x_min = 0.5\nplane.x_max = -0.5"
     ),
     "map_unknown_axis": MAP_CONFIG.replace("plane.x_name = delta", "plane.x_name = Omega"),
+    "map_same_axis_twice": MAP_CONFIG.replace("plane.y_name = J", "plane.y_name = delta"),
+    "map_missing_parameter": MAP_CONFIG.replace("param.Gamma = 1.0\n", ""),
     "rydberg_reversed_axis": RYDBERG_PLANE_CONFIG.replace(
         "plane.x_min = 1.8\nplane.x_max = 2.4", "plane.x_min = 2.4\nplane.x_max = 1.8"
     ),
@@ -362,14 +364,29 @@ BAD_RUNS = {
     ).replace("path.center_x = 0.5\npath.center_y = 0.0\npath.radius = 0.1",
               "path.center_x = 0.0\npath.center_y = 1.0\npath.radius = 0.0")
     .replace("path.plane = J-Omega", "path.plane = delta-J"),
+    # past MAX_STEPS per direction, by the default rule or by run.steps
+    "encircle_huge_T": ENCIRCLE_CONFIG.replace("= 10.0", "= 1e15")
+    .replace("run.steps = 100\n", ""),
+    "encircle_huge_steps": ENCIRCLE_CONFIG.replace("run.steps = 100", f"run.steps = {10**12}"),
+    "rydberg_huge_T": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 1e15")
+    .replace("run.steps = 1000\n", ""),
+    "rydberg_huge_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", f"run.steps = {10**12}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
-def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, case):
+def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, monkeypatch, case):
     # `validate` builds the path, the drive, every requested direction and
-    # the start branch or root, so a spec the run cannot build fails both
-    # `validate` and the run with a config error (exit 2), never a traceback.
+    # the start branch or root, and counts the steps, so a spec the run
+    # cannot build or finish fails both `validate` and the run with a
+    # config error (exit 2), never a traceback, and starts no integration.
+    from epkit import dynamics, rydberg
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "_integrate", no_integration)
+    monkeypatch.setattr(rydberg, "integrate_bloch", no_integration)
     command = case.split("_")[0]
     base = ENCIRCLE_CONFIG if command == "encircle" else RYDBERG_PATH_CONFIG
     parse_config(base)  # the unmodified config is valid
@@ -390,6 +407,7 @@ def rydberg_configs(draw):
     """Small ``rydberg`` experiment files: a plane, a path or both.
 
     Every range holds 0, and the Omega and Delta ranges negative values.
+    A path runs at 1 to 400 steps or by the default rule.
     """
     lines = ["experiment.command = rydberg",
              f"param.gamma = {draw(st.floats(0.0, 3.0))!r}",
@@ -411,9 +429,11 @@ def rydberg_configs(draw):
                   f"path.phase0 = {draw(st.floats(-4.0, 4.0))!r}",
                   f"path.convention = {draw(st.sampled_from(['cos-sin', 'sin-cos']))}",
                   f"run.T = {T!r}",
-                  f"run.steps = {draw(st.integers(1, 400))}",
                   f"run.initial_root = {draw(st.sampled_from(['low', 'high', *'0123']))}",
                   f"run.check_steps = {draw(st.sampled_from(['true', 'false']))}"]
+        steps = draw(st.one_of(st.none(), st.integers(1, 400)))
+        if steps is not None:  # none: the default rule, which probes the loop
+            lines.append(f"run.steps = {steps}")
     return "\n".join(lines) + "\n"
 
 
@@ -471,6 +491,47 @@ def encircle_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(text=encircle_configs())
 def test_validated_encircle_config_fails_only_typed(text):
+    # as for rydberg: a config that validates runs, or fails typed
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(cfg, out_dir=out)
+        except EpkitError:
+            pass
+
+
+@st.composite
+def map_configs(draw):
+    """Small ``map`` experiment files over every catalog model.
+
+    The axes are two model parameters or aliases; a fixed parameter is
+    left out now and then.  The ranges hold 0 and negative values, where
+    branches meet.
+    """
+    from epkit.models import MODELS, PARAM_ALIASES
+
+    name = draw(st.sampled_from(sorted(MODELS)))
+    names = [*MODELS[name].params, *PARAM_ALIASES.get(name, {})]
+    x_name, y_name = draw(st.permutations(names))[:2]
+    lines = ["experiment.command = map", f"experiment.model = {name}"]
+    for p in MODELS[name].params:
+        if draw(st.integers(0, 9)):
+            lines.append(f"param.{p} = {draw(st.floats(-2.0, 2.0))!r}")
+    for axis, axis_name in (("x", x_name), ("y", y_name)):
+        low = draw(st.floats(-2.0, 2.0))
+        lines += [f"plane.{axis}_name = {axis_name}",
+                  f"plane.{axis}_min = {low!r}",
+                  f"plane.{axis}_max = {low + draw(st.floats(0.0, 3.0))!r}",
+                  f"plane.{axis}_res = {draw(st.integers(1, 7))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=map_configs())
+def test_validated_map_config_fails_only_typed(text):
     # as for rydberg: a config that validates runs, or fails typed
     try:
         cfg = parse_config(text)
@@ -556,14 +617,19 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):
+    from epkit import dynamics, rydberg
+
     # The manifest counts the steps integrated (a step-doubling check adds a
     # run at twice the steps, as perfbench counts them), names the step
-    # rule and, under --check-steps, gives the worst drift; the artifacts
-    # and stdout do not change with the check.
+    # rule, gives the rate that set a default step count and, under
+    # --check-steps, the worst drift; the artifacts and stdout do not change
+    # with the check.
     for name, text, counter, steps in (
         ("fixed", ENCIRCLE_CONFIG, "integrate", 2 * 100),
         ("default", ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""), "integrate", 2 * 4096),
         ("meanfield", RYDBERG_PATH_CONFIG, "integrate_bloch", 2 * 1000),
+        ("meanfield-default", RYDBERG_PATH_CONFIG.replace("run.steps = 1000\n", ""),
+         "integrate_bloch", 2 * 1024),
     ):
         cfgfile = tmp_path / f"{name}.cfg"
         cfgfile.write_text(text)
@@ -575,9 +641,13 @@ def test_manifest_reports_steps_and_drift(tmp_path, capsys):
             manifest = json.loads((out / "manifest.json").read_text())
             counters = manifest["counters"]
             assert counters[f"{counter}.steps"] == (3 if check else 1) * steps
-            assert counters[f"{counter}.step_rule"] == (
-                "default" if name == "default" else "run.steps"
-            )
+            default = name.endswith("default")
+            assert counters[f"{counter}.step_rule"] == ("default" if default else "run.steps")
+            assert (f"{counter}.rate" in counters) == default
+            if default:  # the rate gives the steps taken per direction
+                module = dynamics if counter == "integrate" else rydberg
+                T = float(text.split("run.T = ")[1].split()[0])
+                assert module.default_steps(counters[f"{counter}.rate"], T) == steps // 2
             assert (f"{counter}.drift" in counters) == check
             if check:
                 assert 0.0 <= counters[f"{counter}.drift"] <= 1e-6

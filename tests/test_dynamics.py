@@ -20,6 +20,7 @@ from epkit.dynamics import (
     project_trajectory,
     resolve_branch,
     state_branch_fidelity,
+    step_rate,
     track_sheets,
     uhlmann_fidelity_2x2,
 )
@@ -75,7 +76,7 @@ def test_hermitian_norm_conserved():
 def test_step_doubling_flag_passes_at_default():
     drive = ring_drive()
     x0, _ = initial_state_on_branch(drive, 0)
-    steps = default_steps(drive, 100.0)
+    steps = default_steps(step_rate(drive, 100.0), 100.0)
     integrate_schrodinger(drive, x0, 100.0, steps, check_steps=True)
 
 

@@ -10,8 +10,11 @@ from epkit import linalg
 from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import NoIntersections
 from epkit.models import EncirclePath
+from epkit import rydberg
 from epkit.rydberg import (
+    RECORD_GRID,
     RESIDUAL_TOL,
+    STEP_RATE,
     RydbergParams,
     _cubic,
     _fold_zeros,
@@ -30,6 +33,7 @@ from epkit.rydberg import (
     root_count_grid,
     steady_states,
     steady_states_batch,
+    step_rate,
     transfer_verdict,
 )
 from epkit.spectra import AxisSpec, PlaneSpec
@@ -394,7 +398,7 @@ def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=
         j = pos.get(k + 1)
         if j is not None:
             out_n[j], out_r[j] = n, r
-    return rec_idx * h, out_n, out_r
+    return T * (rec_idx / steps), out_n, out_r
 
 
 def _same_bits(a, b):
@@ -408,17 +412,103 @@ def _loop_start(T):
     return p0, steady_states(p0).stable_roots[0]
 
 
+@pytest.mark.parametrize("steps", [None, 20000])
 @pytest.mark.parametrize("direction", ["ccw", "cw"])
-def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
-    # a fig5-shaped loop, 20,000 steps; 20,000 / 1,024 records is not whole
+def test_integrate_bloch_matches_complex_reference_on_a_loop(direction, steps):
+    # a fig5-shaped loop at the default 7,168 steps and at 20,000, where
+    # 20,000 / 1,024 records is not whole
     T = 1000.0
     path = replace(demo_path(T), direction=direction)
     p0, start = _loop_start(T)
-    steps = default_steps(GAMMA, T)
+    if steps is None:
+        steps = default_steps(step_rate(path, GAMMA, W), T)
+        assert steps == 7 * RECORD_GRID
     got = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
     want = _reference_integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
-    assert steps == 20000 and len(got[0]) == 1025
+    assert len(got[0]) == 1025
     assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("T", [1.0, 100.0, 1000.0, 5000.0, 50000.0])
+def test_default_steps_keep_h_rate_within_the_bound(T):
+    # whole record grids, h rate <= STEP_RATE, and no grid more than needed
+    rate = step_rate(demo_path(T), GAMMA, W)
+    steps = default_steps(rate, T)
+    assert steps % RECORD_GRID == 0 and steps >= RECORD_GRID
+    assert (T / steps) * rate <= STEP_RATE
+    assert steps == RECORD_GRID or (T / (steps - RECORD_GRID)) * rate > STEP_RATE
+
+
+def test_step_rate_is_the_largest_jacobian_eigenvalue_on_the_loop():
+    # the fig5 loop: the steepest steady state along it sets the rate
+    path = demo_path()
+    xs, ys = path.point(path.period * (np.arange(RECORD_GRID) / RECORD_GRID))
+    lam = np.abs(steady_states_batch(RydbergParams(xs, ys, GAMMA, W)).jacobian_eigenvalues)
+    assert step_rate(path, GAMMA, W) == np.nanmax(lam) > GAMMA
+    assert math.isclose(step_rate(path, GAMMA, W), 6.5625, abs_tol=1e-4)
+    # direction does not matter: both trace the same points
+    cw = replace(path, direction="cw")
+    assert math.isclose(step_rate(cw, GAMMA, W), step_rate(path, GAMMA, W), rel_tol=1e-12)
+
+
+def test_step_rate_has_gamma_as_its_floor():
+    # W = 0, Delta = 0, Omega = gamma / 4: the Jacobian eigenvalues are
+    # -gamma / 2 and -3 gamma / 4 (double), all below gamma in magnitude
+    gamma = 2.0
+    path = EncirclePath(center=(0.5, 0.0), radius=0.0, period=10.0, plane="Omega-Delta")
+    (root,) = steady_states(RydbergParams(0.5, 0.0, gamma, 0.0)).roots
+    assert np.abs(root.jacobian_eigenvalues).max() < 0.8 * gamma
+    assert step_rate(path, gamma, 0.0) == gamma
+
+
+def test_step_rate_probes_negative_omega_at_its_magnitude():
+    # the flow at -Omega is the flow at Omega with rho21 negated; a loop
+    # through Omega < 0 gets the rate of its mirror image
+    loop = EncirclePath(center=(0.2, -3.0), radius=1.0, period=10.0, plane="Omega-Delta")
+    mirror = EncirclePath(center=(-0.2, -3.0), radius=1.0, period=10.0, plane="Omega-Delta",
+                          phase0=math.pi)
+    assert math.isclose(step_rate(loop, GAMMA, W), step_rate(mirror, GAMMA, W), rel_tol=1e-12)
+
+
+def test_default_run_records_on_the_fixed_grid():
+    # a default step count records at exactly k T / 1024, and the records
+    # of twice the steps sit at the same times
+    T = 100.0
+    res = encircle_steady(demo_path(T), GAMMA, W, T, "cw")
+    assert res.steps == RECORD_GRID
+    assert np.array_equal(res.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
+    p0, start = _loop_start(T)
+    path = replace(demo_path(T), direction="cw")
+    doubled = integrate_bloch(p0, start.n, start.rho21, T, 2 * res.steps, path=path)
+    assert np.array_equal(doubled[0], res.times)
+
+
+def test_transfer_verdict_probes_the_rate_once(monkeypatch):
+    # one steady-state solve over the probe points serves both directions;
+    # the other calls are single start points
+    sizes = []
+    original = rydberg.steady_states_batch
+
+    def spy(p):
+        sizes.append(np.broadcast(p.Omega, p.Delta).size)
+        return original(p)
+
+    monkeypatch.setattr(rydberg, "steady_states_batch", spy)
+    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
+    assert sizes.count(RECORD_GRID) == 1 and set(sizes) == {1, RECORD_GRID}
+    assert v.rate == step_rate(demo_path(100.0), GAMMA, W)
+    assert v.runs["ccw"].steps == v.runs["cw"].steps == default_steps(v.rate, 100.0)
+
+
+def test_explicit_steps_bypass_the_rule(monkeypatch):
+    def no_probe(*args):
+        raise AssertionError("step rate probed under explicit steps")
+
+    monkeypatch.setattr(rydberg, "step_rate", no_probe)
+    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
+    assert v.rate is None
+    assert v.runs["ccw"].steps == v.runs["cw"].steps == 1000
+    assert encircle_steady(demo_path(), GAMMA, W, 100.0, "ccw", steps=1000).steps == 1000
 
 
 @pytest.mark.parametrize("steps", [1000, 2500])
