@@ -170,11 +170,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
-    if cfg.path and "T" in cfg.run and "period" in cfg.path:
-        if cfg.run["T"] != cfg.path["period"]:
-            raise ConfigError(
-                "runs integrate one full cycle: run.T must equal path.period"
-            )
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
@@ -211,6 +206,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"run: {rule} takes more than {MAX_STEPS} steps per direction")
     if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
         raise ConfigError("rydberg runs need a 'plane' section, a 'path' section or both")
+    if cfg.path and "T" in cfg.run and "period" in cfg.path:
+        if cfg.run["T"] != cfg.path["period"]:
+            raise ConfigError(
+                "runs integrate one full cycle: run.T must equal path.period"
+            )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

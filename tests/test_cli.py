@@ -617,13 +617,13 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):
-    from epkit import dynamics, rydberg
-
     # The manifest counts the steps integrated (a step-doubling check adds a
     # run at twice the steps, as perfbench counts them), names the step
     # rule, gives the rate that set a default step count and, under
     # --check-steps, the worst drift; the artifacts and stdout do not change
     # with the check.
+    from epkit import dynamics, rydberg
+
     for name, text, counter, steps in (
         ("fixed", ENCIRCLE_CONFIG, "integrate", 2 * 100),
         ("default", ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""), "integrate", 2 * 4096),
@@ -646,7 +646,7 @@ def test_manifest_reports_steps_and_drift(tmp_path, capsys):
             assert (f"{counter}.rate" in counters) == default
             if default:  # the rate gives the steps taken per direction
                 module = dynamics if counter == "integrate" else rydberg
-                T = float(text.split("run.T = ")[1].split()[0])
+                T = parse_config(text).run["T"]
                 assert module.default_steps(counters[f"{counter}.rate"], T) == steps // 2
             assert (f"{counter}.drift" in counters) == check
             if check:
