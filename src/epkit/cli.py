@@ -68,6 +68,9 @@ class ExperimentConfig:
     path: dict = field(default_factory=dict)
     run: dict = field(default_factory=dict)
     out_dir: str = "out"
+    # ((path, gamma, W), rate): the step rate that validation probed for a
+    # rydberg loop; a run of the same loop takes it instead of probing again
+    rate_probe: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -196,7 +199,9 @@ def _validate(cfg: ExperimentConfig) -> None:
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
                 if steps is None:
-                    steps = default_steps(step_rate(path, gamma, W), T)
+                    rate = step_rate(path, gamma, W)
+                    cfg.rate_probe = ((path, gamma, W), rate)
+                    steps = default_steps(rate, T)
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
@@ -345,7 +350,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
     if cfg.command == "spectrum":
         _run_spectrum(cfg, emit_text, emit_json)
     elif cfg.command == "map":
-        _run_map(cfg, emit_text, emit_json, threads)
+        counters = _run_map(cfg, emit_text, emit_json, threads)
     elif cfg.command == "encircle":
         counters = _run_encircle(cfg, emit_text, emit_json)
     elif cfg.command == "rydberg":
@@ -388,6 +393,7 @@ def _run_map(cfg, emit_text, emit_json, threads):
     emap = trace_lines(scan_grid(plane, cfg.model, threads=threads))
     emit_text("map.csv", output.map_csv(emap))
     emit_json("map.json", output.map_json(emap))
+    return emap.counters
 
 
 def _run_encircle(cfg, emit_text, emit_json):
@@ -427,9 +433,11 @@ def _run_rydberg(cfg, emit_text, emit_json):
         path = _build_path(cfg)
         T = cfg.run.get("T", path.period)
         root = cfg.run.get("initial_root", "low")
+        probed = cfg.rate_probe
         verdict = transfer_verdict(
             path, gamma, W, T, root, steps=cfg.run.get("steps"),
             check_steps=bool(cfg.run.get("check_steps", False)),
+            rate=probed[1] if probed and probed[0] == (path, gamma, W) else None,
         )
         for direction, res in verdict.runs.items():
             traj = TrajectoryRecord(

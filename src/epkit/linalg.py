@@ -137,20 +137,26 @@ def fix_phase(vectors: np.ndarray) -> np.ndarray:
 def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial coefficients, highest power first.
 
-    Uses the Faddeev-LeVerrier recursion; exact in rational arithmetic, and
-    well conditioned for the small dimensions supported here.
+    ``m`` is one matrix or a stack (..., n, n); the coefficients of each
+    matrix lie on the last axis, and a stacked matrix gets exactly the
+    result of a lone call.  Uses the Faddeev-LeVerrier recursion; exact in
+    rational arithmetic, and well conditioned for the small dimensions
+    supported here.
     """
-    a = as_matrix(m)
-    n = a.shape[0]
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
+    _require_finite(a)
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionTooLarge(f"dim {n} exceeds the supported maximum {MAX_DIM}")
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
+    coeffs = np.empty(a.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
     aux = np.zeros_like(a)
     eye = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        aux = a @ aux + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(a @ aux) / k
+        aux = a @ aux + coeffs[..., k - 1, None, None] * eye
+        coeffs[..., k] = -np.trace(a @ aux, axis1=-2, axis2=-1) / k
     return coeffs
 
 

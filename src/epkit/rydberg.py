@@ -587,16 +587,20 @@ def transfer_verdict(
     initial_root: str = "low",
     steps: int | None = None,
     check_steps: bool = False,
+    rate: float | None = None,
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings.
 
-    A default step count comes from one rate probe for both directions.
+    A default step count comes from one rate probe for both directions;
+    ``rate``, the ``step_rate`` of this loop when already probed, spares it.
     """
     _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
-    rate = None
     if steps is None:
-        rate = step_rate(replace(path, period=T), gamma, W)
+        if rate is None:
+            rate = step_rate(replace(path, period=T), gamma, W)
         steps = default_steps(rate, T)
+    else:
+        rate = None
 
     runs = {}
     landings = {}

@@ -110,6 +110,8 @@ class ExceptionalMap:
     indicator: np.ndarray  # (nx, ny) signed gap product
     lines: list = field(default_factory=list)  # list of (k, 2) vertex arrays
     points: list = field(default_factory=list)  # list of EPCandidate
+    # refinement diagnostics for the run manifest, not part of the map
+    counters: dict = field(default_factory=dict)
 
 
 def _cell_params(model: ModelSpec, plane: PlaneSpec, x, y) -> dict:
@@ -123,20 +125,34 @@ def evaluate_cells(model: ModelSpec, plane: PlaneSpec, x, y):
     """Spectra and summaries for broadcastable coordinate arrays."""
     mats = model.matrix(**_cell_params(model, plane, x, y))
     vals, vecs = linalg.eig_batch(mats)
-    d = model.dim
-    diag = np.eye(d, dtype=bool)
-    diff = vals[..., :, None] - vals[..., None, :]
-    adiff = np.abs(diff)
-    adiff[..., diag] = np.inf
-    min_gap = adiff.min(axis=(-2, -1))
     gram = np.abs(np.einsum("...ij,...ik->...jk", vecs.conj(), vecs))
-    gram[..., diag] = 0.0
+    gram[..., np.eye(model.dim, dtype=bool)] = 0.0
     max_overlap = gram.max(axis=(-2, -1))
+    return vals, _spread(vals, 2), max_overlap, _indicator_of(vals)
+
+
+def _eigvals(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
+    """Spectra alone, for the searches that need no eigenvectors."""
+    return linalg.eigvals_batch(model.matrix(**_cell_params(model, plane, x, y)))
+
+
+def _spread(vals: np.ndarray, order: int) -> np.ndarray:
+    """Tightest ``order``-cluster diameter of the eigenvalues on the last axis;
+    order 2 gives the smallest pairwise gap."""
+    if vals.shape[-1] < order:
+        return np.full(vals.shape[:-1], np.inf)
+    dists = np.sort(np.abs(vals[..., None, :] - vals[..., :, None]), axis=-1)
+    return dists[..., order - 1].min(axis=-1)
+
+
+def _indicator_of(vals: np.ndarray) -> np.ndarray:
+    """Real part of the product of all squared pairwise eigenvalue gaps."""
+    d = vals.shape[-1]
     prod = np.ones(vals.shape[:-1], dtype=complex)
     for i in range(d):
         for j in range(i + 1, d):
-            prod = prod * diff[..., i, j] ** 2
-    return vals, min_gap, max_overlap, prod.real
+            prod = prod * (vals[..., i] - vals[..., j]) ** 2
+    return prod.real
 
 
 def scan_grid(plane: PlaneSpec, model_name: str, threads: int = 1) -> ExceptionalMap:
@@ -189,16 +205,16 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 
 # -- refinement ---------------------------------------------------------------
 #
-# Every search below runs on lanes: one lane per grid edge, per seed or per
-# walk orientation.  All lanes take the same number of steps, so one step is
-# one evaluate_cells call on the stacked lane points, and per-lane branches
-# are np.where selections.  A lane does exactly the arithmetic of a lone
-# search and LAPACK solves every stacked matrix on its own, so a lane's
-# result does not depend on the other lanes of its batch.
+# Every search below runs on lanes: one lane per grid edge or per seed.
+# All lanes of a search take the same number of steps, so one step is one
+# batched eigensolve on the stacked lane points, and per-lane branches are
+# np.where selections.  A lane does exactly the arithmetic of a lone search
+# and LAPACK solves every stacked matrix on its own, so a lane's result does
+# not depend on the other lanes of its batch.
 
 
 def _min_gap(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
-    return evaluate_cells(model, plane, x, y)[1]
+    return _spread(_eigvals(model, plane, x, y), 2)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -313,22 +329,28 @@ def detect_ep(
     Returns None when the refined location does not satisfy the gap and
     coalescence criteria.  The order is the size of the eigenvalue cluster
     at the refined location, counted inside a window that widens with the
-    cluster multiplicity (see below).  For order >= 3 the location is
-    accurate to roughly the seeding cell: in double precision a triple root
-    cannot be pinned tighter through the eigenvalue cluster alone.
+    cluster multiplicity (see below).  An order >= 3 point is pinned as the
+    triple root of the characteristic polynomial (``_pin_ep3``), to the
+    float resolution of that solve; the eigenvalue cluster alone cannot
+    locate it tighter than about the seeding cell.
     """
     model = get_model(model_name)
     return _detect_eps(model, plane, [cell_xy], cell_size, iters, kind)[0]
 
 
-def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point"):
-    """``detect_ep`` for many seeds at once, one lane per seed."""
+def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point",
+                counters: dict | None = None):
+    """``detect_ep`` for many seeds at once, one lane per seed.
+
+    ``counters``, when given, receives the Newton iterations of the
+    third-order solve and every rejected solve lane with its reason.
+    """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     xs, ys = refine_gap_minimum(
         model, plane, seeds[:, 0], seeds[:, 1], cell_size[0], cell_size[1], iters
     )
     found = [None] * len(seeds)  # [x, y, residual, order, eigenvalue]
-    walkers = {}  # lane -> gap gate of its walked point
+    solves = {}  # lane -> (gap gate of its solved point, starting eigenvalue)
     for k, (x, y) in enumerate(zip(xs, ys)):
         dec, fro, gmin, bi, bj = _closest_pair(model, plane, x, y)
         gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
@@ -338,26 +360,38 @@ def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "po
         found[k] = [x, y, gmin, order, value]
         if order >= 3 or near_miss:
             # At an order-3 point the attainable pair gap is cube-root
-            # limited, so a walked point is gated on eps^(1/3) rather than
+            # limited, so a solved point is gated on eps^(1/3) rather than
             # the pair tolerance.
             eps3 = float(np.finfo(float).eps) ** (1 / 3)
-            walkers[k] = max(gap_tol, 50.0 * (1.0 + fro) * eps3)
+            pair = 0.5 * (dec.eigenvalues[bi] + dec.eigenvalues[bj])
+            solves[k] = (max(gap_tol, 50.0 * (1.0 + fro) * eps3), pair)
 
     # The landing point of the gap search sits somewhere on the line; when
-    # a third eigenvalue is nearby (a higher-order endpoint), walk along the
-    # line to the cluster-spread minimum to pin the point itself.
-    if walkers:
-        lanes = list(walkers)
-        wxs, wys = _spread_walk(model, plane, xs[lanes], ys[lanes], cell_size, 3)
-        for k, wx, wy in zip(lanes, wxs, wys):
-            wdec, _, wmin, wi, wj = _closest_pair(model, plane, wx, wy)
-            worder, wvalue, _ = _estimate_order(wdec.eigenvalues, wi, wj)
-            if (
-                worder >= max(found[k][3], 3)
-                and wmin < walkers[k]
-                and linalg.coalescence_measure(wdec, wi, wj) > OVERLAP_MIN
-            ):
-                found[k] = [wx, wy, wmin, worder, wvalue]
+    # a third eigenvalue is nearby (a higher-order endpoint), solve for the
+    # triple root from there.  A rejected lane keeps its landing point.
+    steps, rejects = 0, []
+    if solves:
+        lanes = list(solves)
+        pairs = [solves[k][1] for k in lanes]
+        wxs, wys, whys, steps = _pin_ep3(model, plane, xs[lanes], ys[lanes], pairs,
+                                         cell_size)
+        for k, wx, wy, why in zip(lanes, wxs, wys, whys):
+            if why is None:
+                wdec, _, wmin, wi, wj = _closest_pair(model, plane, wx, wy)
+                worder, wvalue, _ = _estimate_order(wdec.eigenvalues, wi, wj)
+                if worder < max(found[k][3], 3):
+                    why = "order"
+                elif wmin >= solves[k][0]:
+                    why = "gap"
+                elif linalg.coalescence_measure(wdec, wi, wj) <= OVERLAP_MIN:
+                    why = "overlap"
+                else:
+                    found[k] = [wx, wy, wmin, worder, wvalue]
+            if why is not None:
+                rejects.append({"location": [float(xs[k]), float(ys[k])], "reason": why})
+    if counters is not None:
+        counters["refine.ep3_iterations"] = steps
+        counters["refine.ep3_rejects"] = rejects
 
     return [
         None if f is None else EPCandidate(
@@ -369,6 +403,96 @@ def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "po
         )
         for f in found
     ]
+
+
+# Newton solve for third-order points: the iteration cap, the step (in
+# cells) at which a lane counts as converged and stops, the reach (in cells
+# from its start) past which a lane is rejected, and the central-difference
+# step of the coefficients (in cells).
+EP3_ITERS = 40
+EP3_STEP_TOL = 1e-10
+EP3_REACH = 3.0
+EP3_DIFF = 1e-3
+
+
+def _poly_values(c: np.ndarray, lam: np.ndarray, count: int) -> list:
+    """p, p', ... (``count`` values) at ``lam`` for the coefficients ``c``
+    on the last axis, highest power first, by Horner's rule per lane."""
+    out = []
+    for _ in range(count):
+        v = c[..., 0]
+        for k in range(1, c.shape[-1]):
+            v = v * lam + c[..., k]
+        out.append(v)
+        c = c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
+    return out
+
+
+def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
+    """Triple roots of the characteristic polynomial near each start.
+
+    Solves p(lambda) = p'(lambda) = p''(lambda) = 0 in (lambda, x, y) by
+    Newton's method (Mailybaev, Numer. Linear Algebra Appl. 13, 2006), one
+    lane per start (x0, y0, lam0).  d/dlambda is exact from the polynomial;
+    d/dx and d/dy are central differences of its coefficients.  Each step
+    is the least-squares (Gauss-Newton) solution of the six real equations
+    in the four real unknowns.  A lane stops once its step falls to
+    EP3_STEP_TOL of a cell, so it does the arithmetic of a lone solve.
+
+    Returns (x, y, reasons, iterations): ``reasons`` holds None for a
+    converged lane, "out of reach" for a lane that left EP3_REACH cells
+    around its start and "no convergence" for the rest (a non-finite or
+    capped iteration, or a failed least-squares solve).
+    """
+    cx, cy = cell_size
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    lam = np.array(lam0, dtype=complex)
+    live = np.ones(len(x), dtype=bool)
+    solved = np.zeros(len(x), dtype=bool)
+    hx, hy = EP3_DIFF * cx, EP3_DIFF * cy
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while live.any() and iterations < EP3_ITERS:
+            iterations += 1
+            k = np.flatnonzero(live)
+            xk, yk, lk = x[k], y[k], lam[k]
+            mats = model.matrix(**_cell_params(
+                model, plane,
+                np.stack([xk, xk + hx, xk - hx, xk, xk]),
+                np.stack([yk, yk, yk, yk + hy, yk - hy]),
+            ))
+            c = np.full(mats.shape[:-2] + (model.dim + 1,), np.nan, dtype=complex)
+            finite = np.isfinite(mats).all(axis=(-2, -1))
+            c[finite] = linalg.char_poly(mats[finite])
+            p = _poly_values(c[0], lk, 4)
+            dx = _poly_values((c[1] - c[2]) / (2 * hx), lk, 3)
+            dy = _poly_values((c[3] - c[4]) / (2 * hy), lk, 3)
+            dlam = np.stack(p[1:], axis=-1)
+            # columns: Re lambda, Im lambda, x and y in cells
+            jac = np.stack([dlam, 1j * dlam, cx * np.stack(dx, axis=-1),
+                            cy * np.stack(dy, axis=-1)], axis=-1)
+            jac = np.concatenate([jac.real, jac.imag], axis=-2)
+            f = np.stack(p[:3], axis=-1)
+            rhs = np.concatenate([f.real, f.imag], axis=-1)
+            ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+            step = np.zeros((len(k), 4))
+            try:
+                step[ok] = -(np.linalg.pinv(jac[ok]) @ rhs[ok, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                ok[:] = False
+            lam[k] = lk + step[:, 0] + 1j * step[:, 1]
+            x[k] = xk + cx * step[:, 2]
+            y[k] = yk + cy * step[:, 3]
+            moved = np.maximum(np.abs(step[:, 2]), np.abs(step[:, 3]))
+            bad = ~(ok & np.isfinite(x[k]) & np.isfinite(y[k]) & np.isfinite(lam[k]))
+            done = ~bad & (moved <= EP3_STEP_TOL)
+            solved[k[done]] = True
+            live[k[bad | done]] = False
+        near = np.maximum(np.abs(x - x0) / cx, np.abs(y - y0) / cy) <= EP3_REACH
+    reasons = [None if s and n else "out of reach" if s else "no convergence"
+               for s, n in zip(solved, near)]
+    return x, y, reasons, iterations
 
 
 # Ratio threshold for cluster membership: an eigenvalue joins the cluster
@@ -416,64 +540,6 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
     return len(cluster), mean, near_miss
 
 
-def _cluster_spread(model, plane, x, y, order: int) -> np.ndarray:
-    """Diameter of the tightest ``order``-sized eigenvalue cluster, per lane."""
-    vals = linalg.eigvals_batch(model.matrix(**_cell_params(model, plane, x, y)))
-    return _spread(vals, order)
-
-
-def _spread(vals: np.ndarray, order: int) -> np.ndarray:
-    """Tightest ``order``-cluster diameter of the eigenvalues on the last axis."""
-    if vals.shape[-1] < order:
-        return np.full(vals.shape[:-1], np.inf)
-    dists = np.sort(np.abs(vals[..., None, :] - vals[..., :, None]), axis=-1)
-    return dists[..., order - 1].min(axis=-1)
-
-
-def _spread_walk(model, plane, x, y, cell_size, order: int):
-    """Slide along an exceptional line to the cluster-spread minimum.
-
-    The pair gap vanishes identically on the line, so the endpoint of the
-    line (where a further eigenvalue joins) is located by minimizing the
-    ``order``-cluster diameter along the curve.  The curve is followed by a
-    nested search: the outer golden section moves along one axis, the inner
-    one re-projects onto the line along the other.  Both axis assignments
-    are tried; whichever reaches the smaller spread wins (the line's local
-    orientation is unknown, and the indicator gradient is pure noise on the
-    line itself).  ``x`` and ``y`` hold one start per lane; each start walks
-    in two lanes, along x and along y, searched together.
-    """
-    dx, dy = cell_size
-    n = len(x)
-    x, y = np.tile(x, 2), np.tile(y, 2)
-    along_x = np.arange(2 * n) < n
-
-    def point(u, w):
-        """(x, y) from the coordinate along the walk and the one across it."""
-        return np.where(along_x, u, w), np.where(along_x, w, u)
-
-    def on_line(u):
-        w = _golden_min(
-            lambda w: _min_gap(model, plane, *point(u, w)),
-            np.where(along_x, y - 2 * dy, x - 2 * dx),
-            np.where(along_x, y + 2 * dy, x + 2 * dx),
-            80,
-        )
-        return point(u, w)
-
-    u_best = _golden_min(
-        lambda u: _cluster_spread(model, plane, *on_line(u), order),
-        np.where(along_x, x - 2 * dx, y - 2 * dy),
-        np.where(along_x, x + 2 * dx, y + 2 * dy),
-        36,
-    )
-    px, py = on_line(u_best)
-    spread = _cluster_spread(model, plane, px, py, order)
-    walks = list(zip(spread, px, py))
-    best = [min(walks[k], walks[n + k]) for k in range(n)]
-    return np.array([b[1] for b in best]), np.array([b[2] for b in best])
-
-
 # -- exceptional lines -------------------------------------------------------
 
 
@@ -491,7 +557,7 @@ def _edge_zeros(model, plane, p0, p1, f0, iters=60):
         return p0 + t[:, None] * (p1 - p0)
 
     def indicator(t):
-        return evaluate_cells(model, plane, *at(t).T)[3]
+        return _indicator_of(_eigvals(model, plane, *at(t).T))
 
     t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, iters)
 
@@ -571,7 +637,7 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
 
     # All seeds are refined together; the de-duplication then runs in seed
     # order, exactly as if each seed were refined after the previous one.
-    cands = _detect_eps(model, plane, seeds, cell) if seeds else []
+    cands = _detect_eps(model, plane, seeds, cell, counters=emap.counters) if seeds else []
     points = []
     seen = []
 

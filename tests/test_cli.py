@@ -24,6 +24,7 @@ from epkit.cli import (
 )
 from epkit.errors import ConfigError, EpkitError
 from epkit.output import csv_lines
+from epkit.spectra import EP3_ITERS
 
 
 MAP_CONFIG = """
@@ -161,6 +162,20 @@ def test_map_threads_byte_identical(tmp_path):
     }
     assert len(digests) == 1
     assert json.loads(_read(tmp_path / "t1" / "map.json"))["lines"]
+
+
+def test_map_manifest_counts_third_order_solves(tmp_path):
+    # The manifest reports the triple-root solve; the map artifacts do not.
+    cfg = PRESETS["fig4a"]()
+    cfg.plane.update(x_res=41, y_res=41)
+    manifest = run(cfg, out_dir=str(tmp_path))
+    counters = manifest["counters"]
+    assert set(counters) == {"refine.ep3_iterations", "refine.ep3_rejects"}
+    assert 0 < counters["refine.ep3_iterations"] <= EP3_ITERS
+    assert counters["refine.ep3_rejects"] == []
+    data = json.loads(_read(tmp_path / "map.json"))
+    assert set(data) == {"model", "plane", "lines", "points"}
+    assert [p["order"] for p in data["points"]] == [3, 3]
 
 
 def test_hermitian_map_has_empty_lines(tmp_path):
@@ -614,6 +629,35 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # encircle: t = 0 in validate and in the run, t = T and the sheet
     # tracking once per direction; the rydberg run makes no linalg.eig call
     assert calls.count("eig") == 6
+
+
+def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
+    # Validation probes the rate for the step budget and the run takes that
+    # probe; a preset skips validation, so its run probes for itself.  A
+    # config changed after validation is probed again.
+    from epkit import rydberg
+
+    calls = []
+    original = rydberg.step_rate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rydberg, "step_rate", counted)
+    cfg = parse_config(RYDBERG_PATH_CONFIG.replace("run.steps = 1000\n", ""))
+    assert len(calls) == 1
+    rate = run(cfg, out_dir=str(tmp_path / "a"))["counters"]["integrate_bloch.rate"]
+    assert len(calls) == 1
+    assert rate == original(*calls[0])
+    cfg.params["W"] = -10.0
+    run(cfg, out_dir=str(tmp_path / "b"))
+    assert len(calls) == 2
+    preset = PRESETS["fig5"]()
+    preset.plane = {}
+    preset.path["period"] = preset.run["T"] = 100.0
+    run(preset, out_dir=str(tmp_path / "c"))
+    assert len(calls) == 3
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):

@@ -218,6 +218,17 @@ def test_char_poly_small_at_eigenvalues():
             assert abs(np.polyval(c, lam)) <= bound
 
 
+def test_char_poly_stack_matches_lone_calls():
+    # A stacked matrix gets exactly the coefficients of a lone call.
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 4, 8):
+        m = random_complex(rng, 3, 5, dim, dim)
+        c = linalg.char_poly(m)
+        assert c.shape == (3, 5, dim + 1)
+        alone = np.array([[linalg.char_poly(m[i, j]) for j in range(5)] for i in range(3)])
+        assert np.array_equal(c, alone)
+
+
 # -- coalescence ------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Plane scans, exceptional-line tracing and point detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from epkit.spectra import (
     _edge_zeros,
     detect_ep,
     quasi_steady_index,
+    refine_gap_minimum,
     scan_grid,
     trace_lines,
 )
@@ -159,8 +162,55 @@ def test_detect_order3_detuned_endpoint():
     r, dx, jy = triple_point_oracle(
         "detuned_liouvillian", {"Gamma": 1.0}, (-0.6, 0.096, 0.136)
     )
-    assert abs(cand.location[0] - dx) < 3e-3
-    assert abs(cand.location[1] - jy) < 1.5e-3
+    assert abs(cand.location[0] - dx) < 1e-9
+    assert abs(cand.location[1] - jy) < 1e-9
+
+
+def test_detect_near_miss_keeps_landing_point():
+    # On the exceptional line ~10 cells from the detuned third-order point a
+    # third eigenvalue is close enough to start the triple-root solve, which
+    # lands outside its 3-cell reach: the lane keeps the gap search's
+    # landing point, as an order-2 candidate, and warns about nothing.
+    model = get_model("detuned_liouvillian")
+    plane = PlaneSpec(
+        x=AxisSpec("delta", -0.15, 0.15, 61),
+        y=AxisSpec("J", 0.02, 0.16, 61),
+        fixed={"Gamma": 1.0},
+    )
+    cell = (0.001, 0.001)
+    counters = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (cand,) = _detect_eps(model, plane, [(0.0872, 0.132)], cell, counters=counters)
+    x, y = refine_gap_minimum(model, plane, [0.0872], [0.132], *cell)
+    assert cand is not None and cand.order == 2
+    assert cand.location == (x[0], y[0])
+    assert counters["refine.ep3_rejects"] == [
+        {"location": [x[0], y[0]], "reason": "out of reach"}
+    ]
+    assert counters["refine.ep3_iterations"] > 0
+
+
+def test_detect_failed_solve_is_a_rejection(monkeypatch):
+    # A least-squares failure in the triple-root solve rejects the lane
+    # instead of raising: the order-3 candidate stays at its landing point.
+    plane = PlaneSpec(
+        x=AxisSpec("delta", 0.05, 0.15, 6),
+        y=AxisSpec("J", 0.12, 0.15, 6),
+        fixed={"Gamma": 1.0},
+    )
+    seed, cell = (0.096, 0.136), (0.003, 0.0015)
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", fail)
+    counters = {}
+    (cand,) = _detect_eps(get_model("detuned_liouvillian"), plane, [seed], cell,
+                          counters=counters)
+    assert cand is not None and cand.order == 3
+    assert [r["reason"] for r in counters["refine.ep3_rejects"]] == ["no convergence"]
+    assert cand.location == tuple(counters["refine.ep3_rejects"][0]["location"])
 
 
 # -- trace_lines --------------------------------------------------------------
@@ -210,8 +260,8 @@ def test_trace_detuned_third_order_points(detuned_map):
     r, dx, jy = triple_point_oracle(
         "detuned_liouvillian", {"Gamma": 1.0}, (-0.6, 0.096, 0.136)
     )
-    assert abs(locs[0][0] + dx) < 5e-3 and abs(locs[0][1] - jy) < 3e-3
-    assert abs(locs[1][0] - dx) < 5e-3 and abs(locs[1][1] - jy) < 3e-3
+    assert abs(locs[0][0] + dx) < 1e-9 and abs(locs[0][1] - jy) < 1e-9
+    assert abs(locs[1][0] - dx) < 1e-9 and abs(locs[1][1] - jy) < 1e-9
     for p in pts:
         assert p.order == 3
         assert abs(p.eigenvalue - r) < 1e-5
@@ -240,8 +290,8 @@ def test_trace_coldatom_lines_end_at_third_order_points(coldatom_map):
         yname="coupling",
     )
     locs = sorted(p.location for p in m.points)
-    assert abs(locs[1][0] - dx) < 5e-4 and abs(locs[1][1] - jy) < 5e-4
-    assert abs(locs[0][0] + dx) < 5e-4 and abs(locs[0][1] - jy) < 5e-4
+    assert abs(locs[1][0] - dx) < 1e-9 and abs(locs[1][1] - jy) < 1e-9
+    assert abs(locs[0][0] + dx) < 1e-9 and abs(locs[0][1] - jy) < 1e-9
 
 
 def test_edge_refinement_lanes_independent(coldatom_map):
@@ -265,7 +315,7 @@ def test_edge_refinement_lanes_independent(coldatom_map):
 
 def test_detect_lanes_independent(coldatom_map):
     # Seeds detected together give the candidates of seeds detected one by
-    # one, walked third-order points included.
+    # one, solved third-order points included.
     m = coldatom_map
     cell = (m.xs[1] - m.xs[0], m.ys[1] - m.ys[0])
     seeds = [tuple(line[k]) for line in m.lines for k in (0, -1)]
