@@ -478,7 +478,10 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
             ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             step = np.zeros((len(k), 4))
             try:
-                step[ok] = -(np.linalg.pinv(jac[ok]) @ rhs[ok, :, None])[..., 0]
+                # a complex SVD: the eigenvector diagnostics already load its
+                # LAPACK routine, and a real one pages in ~0.9 MB more
+                pinv = np.linalg.pinv(jac[ok].astype(complex)).real
+                step[ok] = -(pinv @ rhs[ok, :, None])[..., 0]
             except np.linalg.LinAlgError:
                 ok[:] = False
             lam[k] = lk + step[:, 0] + 1j * step[:, 1]

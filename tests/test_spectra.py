@@ -201,7 +201,7 @@ def test_detect_failed_solve_is_a_rejection(monkeypatch):
     )
     seed, cell = (0.096, 0.136), (0.003, 0.0015)
 
-    def fail(a, *args, **kwargs):
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "pinv", fail)
