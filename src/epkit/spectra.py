@@ -440,9 +440,9 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
     EP3_STEP_TOL of a cell, so it does the arithmetic of a lone solve.
 
     Returns (x, y, reasons, iterations): ``reasons`` holds None for a
-    converged lane, "out of reach" for a lane that left EP3_REACH cells
-    around its start and "no convergence" for the rest (a non-finite or
-    capped iteration, or a failed least-squares solve).
+    converged lane, "out of reach" for one that converged more than
+    EP3_REACH cells from its start and "no convergence" for the rest (a
+    non-finite or capped iteration, or a failed least-squares solve).
     """
     cx, cy = cell_size
     x = np.array(x0, dtype=float)
