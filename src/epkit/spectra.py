@@ -335,15 +335,16 @@ def detect_ep(
     locate it tighter than about the seeding cell.
     """
     model = get_model(model_name)
-    return _detect_eps(model, plane, [cell_xy], cell_size, iters, kind)[0]
+    cands, _ = _detect_eps(model, plane, [cell_xy], cell_size, iters, kind)
+    return cands[0]
 
 
-def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point",
-                counters: dict | None = None):
+def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point"):
     """``detect_ep`` for many seeds at once, one lane per seed.
 
-    ``counters``, when given, receives the Newton iterations of the
-    third-order solve and every rejected solve lane with its reason.
+    Returns the candidates, one per seed, and the counters of the
+    third-order solve: its Newton iterations and every rejected solve lane
+    with its reason.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     xs, ys = refine_gap_minimum(
@@ -389,11 +390,9 @@ def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "po
                     found[k] = [wx, wy, wmin, worder, wvalue]
             if why is not None:
                 rejects.append({"location": [float(xs[k]), float(ys[k])], "reason": why})
-    if counters is not None:
-        counters["refine.ep3_iterations"] = steps
-        counters["refine.ep3_rejects"] = rejects
+    counters = {"refine.ep3_iterations": steps, "refine.ep3_rejects": rejects}
 
-    return [
+    cands = [
         None if f is None else EPCandidate(
             location=(float(f[0]), float(f[1])),
             order=int(f[3]),
@@ -403,14 +402,17 @@ def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "po
         )
         for f in found
     ]
+    return cands, counters
 
 
 # Newton solve for third-order points: the iteration cap, the step (in
-# cells) at which a lane counts as converged and stops, the reach (in cells
-# from its start) past which a lane is rejected, and the central-difference
-# step of the coefficients (in cells).
+# cells) at which a lane counts as converged and stops, the multiple of
+# Horner's rounding bound within which p, p' and p'' count as converged
+# too, the reach (in cells from its start) past which a lane is rejected,
+# and the central-difference step of the coefficients (in cells).
 EP3_ITERS = 40
 EP3_STEP_TOL = 1e-10
+EP3_ROUNDING = 2.0
 EP3_REACH = 3.0
 EP3_DIFF = 1e-3
 
@@ -437,7 +439,13 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
     d/dx and d/dy are central differences of its coefficients.  Each step
     is the least-squares (Gauss-Newton) solution of the six real equations
     in the four real unknowns.  A lane stops once its step falls to
-    EP3_STEP_TOL of a cell, so it does the arithmetic of a lone solve.
+    EP3_STEP_TOL of a cell, or once p, p' and p'' all lie within the
+    rounding error of their evaluation: Horner's rule on a degree-n
+    polynomial errs by up to about n eps sum |c_k| |lambda|^k, and twice
+    that (EP3_ROUNDING) allows for complex arithmetic.  Past that level every further step is
+    rounding noise, which on a zoomed plane can exceed EP3_STEP_TOL of a
+    cell.  The stopping test is per lane, so a lane does the arithmetic of
+    a lone solve.
 
     Returns (x, y, reasons, iterations): ``reasons`` holds None for a
     converged lane, "out of reach" for one that converged more than
@@ -451,6 +459,7 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
     live = np.ones(len(x), dtype=bool)
     solved = np.zeros(len(x), dtype=bool)
     hx, hy = EP3_DIFF * cx, EP3_DIFF * cy
+    rounding = EP3_ROUNDING * model.dim * float(np.finfo(float).eps)
     iterations = 0
     with np.errstate(all="ignore"):
         while live.any() and iterations < EP3_ITERS:
@@ -474,12 +483,16 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
                             cy * np.stack(dy, axis=-1)], axis=-1)
             jac = np.concatenate([jac.real, jac.imag], axis=-2)
             f = np.stack(p[:3], axis=-1)
+            level = rounding * np.stack(_poly_values(np.abs(c[0]), np.abs(lk), 3), axis=-1)
+            settled = (np.abs(f) <= level).all(axis=-1)
             rhs = np.concatenate([f.real, f.imag], axis=-1)
             ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             step = np.zeros((len(k), 4))
             try:
-                # a complex SVD: the eigenvector diagnostics already load its
-                # LAPACK routine, and a real one pages in ~0.9 MB more
+                # Complex arithmetic on purpose: the eigenvector checks have
+                # paged in LAPACK's complex SVD already, and a real pseudo-
+                # inverse raised the fig4a peak RSS by ~0.1 MB (BENCH_13.json,
+                # "pinv_rss").  The imaginary part is rounding noise.
                 pinv = np.linalg.pinv(jac[ok].astype(complex)).real
                 step[ok] = -(pinv @ rhs[ok, :, None])[..., 0]
             except np.linalg.LinAlgError:
@@ -489,7 +502,7 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
             y[k] = yk + cy * step[:, 3]
             moved = np.maximum(np.abs(step[:, 2]), np.abs(step[:, 3]))
             bad = ~(ok & np.isfinite(x[k]) & np.isfinite(y[k]) & np.isfinite(lam[k]))
-            done = ~bad & (moved <= EP3_STEP_TOL)
+            done = ~bad & ((moved <= EP3_STEP_TOL) | settled)
             solved[k[done]] = True
             live[k[bad | done]] = False
         near = np.maximum(np.abs(x - x0) / cx, np.abs(y - y0) / cy) <= EP3_REACH
@@ -640,7 +653,7 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
 
     # All seeds are refined together; the de-duplication then runs in seed
     # order, exactly as if each seed were refined after the previous one.
-    cands = _detect_eps(model, plane, seeds, cell, counters=emap.counters) if seeds else []
+    cands, emap.counters = _detect_eps(model, plane, seeds, cell) if seeds else ([], {})
     points = []
     seen = []
 

@@ -166,6 +166,27 @@ def test_detect_order3_detuned_endpoint():
     assert abs(cand.location[1] - jy) < 1e-9
 
 
+def test_detect_order3_on_a_zoomed_plane():
+    # With cells of 5e-7 the rounding noise of the solve moves the point by
+    # more than EP3_STEP_TOL of a cell; the solve still ends on the triple
+    # root, once p, p' and p'' reach their rounding level.
+    r, dx, jy = triple_point_oracle(
+        "detuned_liouvillian", {"Gamma": 1.0}, (-0.6, 0.096, 0.136)
+    )
+    w = 1e-5
+    plane = PlaneSpec(
+        x=AxisSpec("delta", dx - w, dx + w, 41),
+        y=AxisSpec("J", jy - w, jy + w, 41),
+        fixed={"Gamma": 1.0},
+    )
+    cell = 2 * w / 40
+    cand = detect_ep("detuned_liouvillian", plane, (dx - 2 * cell, jy - 0.7 * cell),
+                     (cell, cell))
+    assert cand is not None and cand.order == 3
+    assert abs(cand.location[0] - dx) < 1e-9
+    assert abs(cand.location[1] - jy) < 1e-9
+
+
 def test_detect_near_miss_keeps_landing_point():
     # On the exceptional line ~10 cells from the detuned third-order point a
     # third eigenvalue is close enough to start the triple-root solve, which
@@ -178,10 +199,9 @@ def test_detect_near_miss_keeps_landing_point():
         fixed={"Gamma": 1.0},
     )
     cell = (0.001, 0.001)
-    counters = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (cand,) = _detect_eps(model, plane, [(0.0872, 0.132)], cell, counters=counters)
+        (cand,), counters = _detect_eps(model, plane, [(0.0872, 0.132)], cell)
     x, y = refine_gap_minimum(model, plane, [0.0872], [0.132], *cell)
     assert cand is not None and cand.order == 2
     assert cand.location == (x[0], y[0])
@@ -205,9 +225,7 @@ def test_detect_failed_solve_is_a_rejection(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "pinv", fail)
-    counters = {}
-    (cand,) = _detect_eps(get_model("detuned_liouvillian"), plane, [seed], cell,
-                          counters=counters)
+    (cand,), counters = _detect_eps(get_model("detuned_liouvillian"), plane, [seed], cell)
     assert cand is not None and cand.order == 3
     assert [r["reason"] for r in counters["refine.ep3_rejects"]] == ["no convergence"]
     assert cand.location == tuple(counters["refine.ep3_rejects"][0]["location"])
@@ -323,7 +341,7 @@ def test_detect_lanes_independent(coldatom_map):
     for p in m.points:
         near = np.argmin(np.hypot(*(verts - np.array(p.location)).T))
         seeds.append(tuple(verts[near]))
-    together = _detect_eps(get_model(m.model), COLDATOM_PLANE, seeds, cell)
+    together, _ = _detect_eps(get_model(m.model), COLDATOM_PLANE, seeds, cell)
     alone = [detect_ep(m.model, COLDATOM_PLANE, s, cell) for s in seeds]
     assert together == alone
     assert sum(c is not None and c.order == 3 for c in together) >= 2
@@ -335,9 +353,12 @@ def test_trace_hermitian_sweep_empty():
         y=AxisSpec("Omega", -0.5, 0.5, 16),
         fixed={"Gamma": 0.0},
     )
-    m = trace_lines(scan_grid(plane, "encircle"))
+    scan = scan_grid(plane, "encircle")
+    scan.counters = {"refine.ep3_iterations": 6}  # left by an earlier pass
+    m = trace_lines(scan)
     assert m.lines == []
     assert m.points == []
+    assert m.counters == {}
 
 
 def test_ray_slope_of_basic_liouvillian_locus():
