@@ -68,9 +68,6 @@ class ExperimentConfig:
     path: dict = field(default_factory=dict)
     run: dict = field(default_factory=dict)
     out_dir: str = "out"
-    # ((path, gamma, W), rate): the step rate that validation probed for a
-    # rydberg loop; a run of the same loop takes it instead of probing again
-    rate_probe: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,9 +196,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
                 if steps is None:
-                    rate = step_rate(path, gamma, W)
-                    cfg.rate_probe = ((path, gamma, W), rate)
-                    steps = default_steps(rate, T)
+                    steps = default_steps(step_rate(path, gamma, W), T)
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
@@ -433,11 +428,9 @@ def _run_rydberg(cfg, emit_text, emit_json):
         path = _build_path(cfg)
         T = cfg.run.get("T", path.period)
         root = cfg.run.get("initial_root", "low")
-        probed = cfg.rate_probe
         verdict = transfer_verdict(
             path, gamma, W, T, root, steps=cfg.run.get("steps"),
             check_steps=bool(cfg.run.get("check_steps", False)),
-            rate=probed[1] if probed and probed[0] == (path, gamma, W) else None,
         )
         for direction, res in verdict.runs.items():
             traj = TrajectoryRecord(

@@ -401,6 +401,7 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 # -- time integration -------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def step_rate(path: EncirclePath, gamma: float, W: float) -> float:
     """Rate that sets the default step count of a loop around ``path``.
 
@@ -408,7 +409,8 @@ def step_rate(path: EncirclePath, gamma: float, W: float) -> float:
     RECORD_GRID points of the loop, one batched solve, and at least gamma.
     Both directions trace the same points.  The flow at -Omega is the flow
     at Omega with rho21 negated, so a loop through Omega < 0 is probed at
-    |Omega|.
+    |Omega|.  The last probe is memoized, so that the validation of a
+    config and its run share one probe.
     """
     xs, ys = path.point(path.period * (np.arange(RECORD_GRID) / RECORD_GRID))
     probe = RydbergParams(np.abs(xs), ys, gamma, W)
@@ -587,20 +589,16 @@ def transfer_verdict(
     initial_root: str = "low",
     steps: int | None = None,
     check_steps: bool = False,
-    rate: float | None = None,
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings.
 
-    A default step count comes from one rate probe for both directions;
-    ``rate``, the ``step_rate`` of this loop when already probed, spares it.
+    A default step count comes from one rate probe for both directions.
     """
     _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
+    rate = None
     if steps is None:
-        if rate is None:
-            rate = step_rate(replace(path, period=T), gamma, W)
+        rate = step_rate(replace(path, period=T), gamma, W)
         steps = default_steps(rate, T)
-    else:
-        rate = None
 
     runs = {}
     landings = {}

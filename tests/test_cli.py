@@ -632,32 +632,35 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
 
 
 def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
-    # Validation probes the rate for the step budget and the run takes that
-    # probe; a preset skips validation, so its run probes for itself.  A
-    # config changed after validation is probed again.
+    # Validation probes the rate for the step budget and the run shares
+    # that probe; a preset skips validation, so its run probes for itself.
+    # A config changed after validation is probed again.
     from epkit import rydberg
 
-    calls = []
-    original = rydberg.step_rate
+    probes = []
+    original = rydberg.steady_states_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(p):
+        if np.broadcast(p.Omega, p.Delta).size == rydberg.RECORD_GRID:
+            probes.append(p)
+        return original(p)
 
-    monkeypatch.setattr(rydberg, "step_rate", counted)
+    monkeypatch.setattr(rydberg, "steady_states_batch", spy)
+    rydberg.step_rate.cache_clear()
     cfg = parse_config(RYDBERG_PATH_CONFIG.replace("run.steps = 1000\n", ""))
-    assert len(calls) == 1
+    assert len(probes) == 1
     rate = run(cfg, out_dir=str(tmp_path / "a"))["counters"]["integrate_bloch.rate"]
-    assert len(calls) == 1
-    assert rate == original(*calls[0])
+    assert len(probes) == 1
+    lam = np.abs(original(probes[0]).jacobian_eigenvalues)
+    assert rate == max(1.0, lam[np.isfinite(lam)].max())
     cfg.params["W"] = -10.0
     run(cfg, out_dir=str(tmp_path / "b"))
-    assert len(calls) == 2
+    assert len(probes) == 2
     preset = PRESETS["fig5"]()
     preset.plane = {}
     preset.path["period"] = preset.run["T"] = 100.0
     run(preset, out_dir=str(tmp_path / "c"))
-    assert len(calls) == 3
+    assert len(probes) == 3
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):

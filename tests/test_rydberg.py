@@ -492,6 +492,7 @@ def test_transfer_verdict_probes_the_rate_once(monkeypatch):
         return original(p)
 
     monkeypatch.setattr(rydberg, "steady_states_batch", spy)
+    step_rate.cache_clear()
     v = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
     assert sizes.count(RECORD_GRID) == 1 and set(sizes) == {1, RECORD_GRID}
     assert v.rate == step_rate(demo_path(100.0), GAMMA, W)
