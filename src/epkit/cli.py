@@ -54,8 +54,7 @@ _INT_KEYS = {("plane", "x_res"), ("plane", "y_res"), ("run", "steps"), ("run", "
 _BOOL_KEYS = {("run", "check_steps")}
 
 # Largest step count per loop direction, from run.steps or the default
-# rule: past it a loop cannot finish in reasonable time, and a mean-field
-# loop holds its drive at every half step in memory.
+# rule: past it a loop cannot finish in reasonable time.
 MAX_STEPS = 10**7
 
 

@@ -612,16 +612,8 @@ def default_steps(rate: float, T: float) -> int:
 
 
 def scan_periods(
-    drive: PathDrive,
-    periods,
-    initial_branch,
-    steps_per_period: float | None = None,
+    drive: PathDrive, periods, initial_branch
 ) -> list[tuple[float, ChiralityReport]]:
-    """Chirality classification over a list of loop periods."""
-    out = []
-    for T in periods:
-        steps = None
-        if steps_per_period is not None:
-            steps = max(100, int(T * steps_per_period))
-        out.append((float(T), classify_chirality(drive, T, initial_branch, steps=steps)))
-    return out
+    """Chirality classification over a list of loop periods, each at its
+    default step count."""
+    return [(float(T), classify_chirality(drive, T, initial_branch)) for T in periods]

@@ -421,8 +421,8 @@ def step_rate(path: EncirclePath, gamma: float, W: float) -> float:
 def default_steps(rate: float, T: float) -> int:
     """Step count keeping h rate at or below STEP_RATE, in whole record grids.
 
-    The count is a multiple of RECORD_GRID, so a default run (``record``
-    = RECORD_GRID + 1) records at the times k T / RECORD_GRID.
+    The count is a multiple of RECORD_GRID, so a default run records at
+    the times k T / RECORD_GRID.
     """
     return RECORD_GRID * max(1, math.ceil(T * rate / (STEP_RATE * RECORD_GRID)))
 
@@ -434,25 +434,19 @@ def integrate_bloch(
     T: float,
     steps: int,
     path: EncirclePath | None = None,
-    record: int = RECORD_GRID + 1,
 ):
     """Fixed-step RK4 on the mean-field equations, optionally path-driven.
 
-    Returns (times, rho22, rho21) arrays at the recorded samples, with the
-    time axis first; the record after s steps sits at T (s / steps).  The
-    state may be a scalar pair, which runs on Python floats, or arrays (an
-    ensemble), which run as numpy lanes with the members' shape on the
-    trailing axes; each member gets bit for bit the result of a lone call.
-    When a path is given it modulates (Omega(t), Delta(t)).
+    Returns (times, rho22, rho21) arrays at up to RECORD_GRID + 1 recorded
+    samples, with the time axis first; the record after s steps sits at
+    T (s / steps).  The state may be a scalar pair, which runs on Python
+    floats, or arrays (an ensemble), which run as numpy lanes with the
+    members' shape on the trailing axes; each member gets bit for bit the
+    result of a lone call.  When a path is given it modulates
+    (Omega(t), Delta(t)), evaluated one record interval at a time.
     """
     h = T / steps
-    rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
-    if path is not None:
-        xs, ys = path.point(np.arange(2 * steps + 1) * (0.5 * h))
-        om_all, de_all = np.asarray(xs, float), np.asarray(ys, float)
-    else:
-        om_all, de_all = np.full(2 * steps + 1, p.Omega), np.full(2 * steps + 1, p.Delta)
-
+    rec_idx = np.unique(np.linspace(0, steps, min(RECORD_GRID + 1, steps + 1)).round().astype(int))
     if np.ndim(rho22_0) == 0:
         n, r = float(rho22_0), complex(rho21_0)
         x, y = r.real, r.imag
@@ -466,9 +460,13 @@ def integrate_bloch(
     gamma, W, half_g = p.gamma, p.W, 0.5 * p.gamma
     h2, h6 = 0.5 * h, h / 6.0
     for j in range(1, len(rec_idx)):
-        # the drive at the half steps of this record interval, as floats
-        span = slice(2 * rec_idx[j - 1], 2 * rec_idx[j] + 1)
-        om, de = om_all[span].tolist(), de_all[span].tolist()
+        # the drive at the half steps k0 .. k1 of this record interval, as floats
+        k0, k1 = 2 * rec_idx[j - 1], 2 * rec_idx[j]
+        if path is None:
+            om, de = [float(p.Omega)] * (k1 - k0 + 1), [float(p.Delta)] * (k1 - k0 + 1)
+        else:
+            xs, ys = path.point(np.arange(k0, k1 + 1) * (0.5 * h))
+            om, de = np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist()
         drive = zip(om[0::2], om[1::2], om[2::2], de[0::2], de[1::2], de[2::2])
         for o1, o2, o3, d1, d2, d3 in drive:
             a1, b1, c1 = _rhs(n, x, y, o1, d1, gamma, W, half_g)

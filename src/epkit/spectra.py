@@ -93,7 +93,7 @@ class EPCandidate:
     order: int
     eigenvalue: complex
     residual: float  # min gap at the refined location
-    kind: str  # "point" or "on_line"
+    kind: str = "point"  # the only kind
 
 
 @dataclass
@@ -240,15 +240,7 @@ def _golden_min(f, lo, hi, iters: int) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def refine_gap_minimum(
-    model: ModelSpec,
-    plane: PlaneSpec,
-    x0,
-    y0,
-    dx: float,
-    dy: float,
-    iters: int = 80,
-):
+def refine_gap_minimum(model: ModelSpec, plane: PlaneSpec, x0, y0, dx: float, dy: float):
     """Line-search descent of the min-gap field around the seeds (x0, y0).
 
     The gap vanishes like the square root of the distance to an exceptional
@@ -269,8 +261,8 @@ def refine_gap_minimum(
     best_g, best_x, best_y = gap(x, y), x, y
     bx, by = dx, dy
     for _ in range(3):
-        x = _golden_min(lambda u: gap(u, y), x - bx, x + bx, iters)
-        y = _golden_min(lambda v: gap(x, v), y - by, y + by, iters)
+        x = _golden_min(lambda u: gap(u, y), x - bx, x + bx, 80)
+        y = _golden_min(lambda v: gap(x, v), y - by, y + by, 80)
         g = gap(x, y)
         better = g < best_g
         best_g = np.where(better, g, best_g)
@@ -295,7 +287,7 @@ def refine_gap_minimum(
         xl, yl = x[live], y[live]
         t = _golden_min(
             lambda s: gap(xl + s * ux, yl + s * uy),
-            np.full(live.size, -1.0), np.full(live.size, 1.0), iters,
+            np.full(live.size, -1.0), np.full(live.size, 1.0), 80,
         )
         cx, cy = xl + t * ux, yl + t * uy
         better = gap(cx, cy) < best_g[live]
@@ -305,25 +297,30 @@ def refine_gap_minimum(
 
 
 def _closest_pair(model: ModelSpec, plane: PlaneSpec, x, y):
-    """Decomposition at one point: (dec, ||L||_F, min pair gap, i, j)."""
+    """Coalescence check at the lane points (x, y), one stacked decomposition.
+
+    Returns, one row per lane: the eigenvalues, ||L||_F, the min pair gap,
+    the pair (i, j) and the eigenvector overlap of that pair.
+    """
     mats = model.matrix(**_cell_params(model, plane, x, y))
     dec = linalg.eig(mats)
-    gmin, bi, bj = min(
-        (abs(dec.eigenvalues[i] - dec.eigenvalues[j]), i, j)
-        for i in range(dec.dim)
-        for j in range(i + 1, dec.dim)
-    )
-    return dec, float(np.linalg.norm(mats)), gmin, bi, bj
+    i, j = np.triu_indices(dec.dim, 1)
+    diff = dec.eigenvalues[:, i] - dec.eigenvalues[:, j]
+    gaps = np.hypot(diff.real, diff.imag)  # rounds like the scalar abs()
+    k = np.argmin(gaps, axis=-1)  # ties: the first pair (i, j)
+    bi, bj = i[k], j[k]
+    return (dec.eigenvalues, np.linalg.norm(mats, axis=(-2, -1)), gaps.min(axis=-1),
+            bi, bj, linalg.coalescence_measure(dec, bi, bj))
 
 
-def detect_ep(
-    model_name: str,
-    plane: PlaneSpec,
-    cell_xy: tuple[float, float],
-    cell_size: tuple[float, float],
-    iters: int = 80,
-    kind: str = "point",
-):
+def _passes(check):
+    """Per-lane (gap, overlap) verdicts of a ``_closest_pair`` check."""
+    _, fro, gmin, _, _, overlap = check
+    return gmin < GAP_TOL_FACTOR * (1.0 + fro), overlap > OVERLAP_MIN
+
+
+def detect_ep(model_name: str, plane: PlaneSpec, cell_xy: tuple[float, float],
+              cell_size: tuple[float, float]):
     """Refine a grid neighborhood to an exceptional-point candidate.
 
     Returns None when the refined location does not satisfy the gap and
@@ -335,61 +332,65 @@ def detect_ep(
     locate it tighter than about the seeding cell.
     """
     model = get_model(model_name)
-    cands, _ = _detect_eps(model, plane, [cell_xy], cell_size, iters, kind)
+    cands, _ = _detect_eps(model, plane, [cell_xy], cell_size)
     return cands[0]
 
 
-def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "point"):
-    """``detect_ep`` for many seeds at once, one lane per seed.
-
-    Returns the candidates, one per seed, and the counters of the
-    third-order solve: its Newton iterations and every rejected solve lane
-    with its reason.
-    """
+def _detect_eps(model, plane, seeds, cell_size):
+    """``detect_ep`` for many seeds at once, one lane per seed: the gap
+    search, then ``_confirm_eps`` at its landing points."""
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    xs, ys = refine_gap_minimum(
-        model, plane, seeds[:, 0], seeds[:, 1], cell_size[0], cell_size[1], iters
-    )
-    found = [None] * len(seeds)  # [x, y, residual, order, eigenvalue]
-    solves = {}  # lane -> (gap gate of its solved point, starting eigenvalue)
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        dec, fro, gmin, bi, bj = _closest_pair(model, plane, x, y)
-        gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
-        if gmin >= gap_tol or linalg.coalescence_measure(dec, bi, bj) <= OVERLAP_MIN:
-            continue
-        order, value, near_miss = _estimate_order(dec.eigenvalues, bi, bj)
-        found[k] = [x, y, gmin, order, value]
-        if order >= 3 or near_miss:
-            # At an order-3 point the attainable pair gap is cube-root
-            # limited, so a solved point is gated on eps^(1/3) rather than
-            # the pair tolerance.
-            eps3 = float(np.finfo(float).eps) ** (1 / 3)
-            pair = 0.5 * (dec.eigenvalues[bi] + dec.eigenvalues[bj])
-            solves[k] = (max(gap_tol, 50.0 * (1.0 + fro) * eps3), pair)
+    xs, ys = refine_gap_minimum(model, plane, seeds[:, 0], seeds[:, 1], *cell_size)
+    return _confirm_eps(model, plane, xs, ys, _closest_pair(model, plane, xs, ys),
+                        cell_size)
 
-    # The landing point of the gap search sits somewhere on the line; when
-    # a third eigenvalue is nearby (a higher-order endpoint), solve for the
-    # triple root from there.  A rejected lane keeps its landing point.
-    steps, rejects = 0, []
-    if solves:
-        lanes = list(solves)
-        pairs = [solves[k][1] for k in lanes]
-        wxs, wys, whys, steps = _pin_ep3(model, plane, xs[lanes], ys[lanes], pairs,
-                                         cell_size)
-        for k, wx, wy, why in zip(lanes, wxs, wys, whys):
-            if why is None:
-                wdec, _, wmin, wi, wj = _closest_pair(model, plane, wx, wy)
-                worder, wvalue, _ = _estimate_order(wdec.eigenvalues, wi, wj)
-                if worder < max(found[k][3], 3):
-                    why = "order"
-                elif wmin >= solves[k][0]:
-                    why = "gap"
-                elif linalg.coalescence_measure(wdec, wi, wj) <= OVERLAP_MIN:
-                    why = "overlap"
-                else:
-                    found[k] = [wx, wy, wmin, worder, wvalue]
-            if why is not None:
-                rejects.append({"location": [float(xs[k]), float(ys[k])], "reason": why})
+
+def _confirm_eps(model, plane, xs, ys, check, cell_size):
+    """Candidates at points whose ``_closest_pair`` check is done.
+
+    ``check`` holds the rows of the check at the points (xs, ys).  A point
+    that fails the gap or overlap gate gives None; the others give a
+    candidate of the estimated order, and those with a third eigenvalue
+    near are pinned by ``_pin_ep3``.  Returns the candidates, one per
+    point, and the counters of the third-order solve: its Newton iterations
+    and every rejected solve lane, at its starting point, with its reason.
+    """
+    vals, fro, gmin, bi, bj, _ = check
+    gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
+    # At an order-3 point the attainable pair gap is cube-root limited, so a
+    # solved point is gated on eps^(1/3) rather than the pair tolerance.
+    eps3 = float(np.finfo(float).eps) ** (1 / 3)
+    found = [None] * len(xs)  # [x, y, residual, order, eigenvalue]
+    solves = {}  # lane -> (gap gate of its solved point, starting eigenvalue)
+    for k in np.flatnonzero(np.logical_and(*_passes(check))):
+        order, value, near_miss = _estimate_order(vals[k], bi[k], bj[k])
+        found[k] = [xs[k], ys[k], gmin[k], order, value]
+        if order >= 3 or near_miss:
+            pair = 0.5 * (vals[k, bi[k]] + vals[k, bj[k]])
+            solves[k] = (max(gap_tol[k], 50.0 * (1.0 + fro[k]) * eps3), pair)
+
+    # The point sits somewhere on the line; when a third eigenvalue is
+    # nearby (a higher-order endpoint), solve for the triple root from
+    # there.  A rejected lane keeps its point.
+    lanes = list(solves)
+    wxs, wys, whys, steps = _pin_ep3(model, plane, xs[lanes], ys[lanes],
+                                     [solves[k][1] for k in lanes], cell_size)
+    solved = [n for n, why in enumerate(whys) if why is None]
+    if solved:
+        wvals, _, wmin, wi, wj, wover = _closest_pair(model, plane, wxs[solved], wys[solved])
+    for m, n in enumerate(solved):
+        k = lanes[n]
+        worder, wvalue, _ = _estimate_order(wvals[m], wi[m], wj[m])
+        if worder < max(found[k][3], 3):
+            whys[n] = "order"
+        elif wmin[m] >= solves[k][0]:
+            whys[n] = "gap"
+        elif wover[m] <= OVERLAP_MIN:
+            whys[n] = "overlap"
+        else:
+            found[k] = [wxs[n], wys[n], wmin[m], worder, wvalue]
+    rejects = [{"location": [float(xs[k]), float(ys[k])], "reason": why}
+               for k, why in zip(lanes, whys) if why is not None]
     counters = {"refine.ep3_iterations": steps, "refine.ep3_rejects": rejects}
 
     cands = [
@@ -398,7 +399,6 @@ def _detect_eps(model, plane, seeds, cell_size, iters: int = 80, kind: str = "po
             order=int(f[3]),
             eigenvalue=complex(f[4]),
             residual=float(f[2]),
-            kind=kind,
         )
         for f in found
     ]
@@ -559,13 +559,13 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
 # -- exceptional lines -------------------------------------------------------
 
 
-def _edge_zeros(model, plane, p0, p1, f0, iters=60):
+def _edge_zeros(model, plane, p0, p1, f0):
     """Locate the coalescence on each segment p0[k]-p1[k], all at once.
 
-    Bisection on the indicator sign narrows to the rounding-noise band of
-    the gap product; a short golden-section polish of the gap itself then
-    picks the attainable minimum inside that band.  ``p0`` and ``p1`` are
-    (n, 2) endpoint arrays, ``f0`` the indicator at ``p0``.
+    Bisection on the indicator sign (60 steps) narrows to the rounding-noise
+    band of the gap product; a short golden-section polish of the gap itself
+    then picks the attainable minimum inside that band.  ``p0`` and ``p1``
+    are (n, 2) endpoint arrays, ``f0`` the indicator at ``p0``.
     """
     n = len(p0)
 
@@ -575,7 +575,7 @@ def _edge_zeros(model, plane, p0, p1, f0, iters=60):
     def indicator(t):
         return _indicator_of(_eigvals(model, plane, *at(t).T))
 
-    t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, iters)
+    t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, 60)
 
     def gap(t):
         return _min_gap(model, plane, *at(t).T)
@@ -589,72 +589,71 @@ def _edge_zeros(model, plane, p0, p1, f0, iters=60):
     return at(t0)
 
 
-def _vertex_passes(model, plane, x, y):
-    """Contract check at a refined vertex; also reports the 3-cluster spread."""
-    dec, fro, gmin, bi, bj = _closest_pair(model, plane, x, y)
-    ok = gmin < GAP_TOL_FACTOR * (1.0 + fro) and (
-        linalg.coalescence_measure(dec, bi, bj) > OVERLAP_MIN
-    )
-    return ok, float(_spread(dec.eigenvalues, 3))
-
-
-def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
+def trace_lines(emap: ExceptionalMap) -> ExceptionalMap:
     """Extract exceptional lines from the signed indicator field.
 
     Marching squares on the node grid produces segments per cell; segments
     sharing a grid edge are chained into polylines.  Every vertex is then
     refined by bisection along its grid edge, all edges in one batch, and
-    kept only if it satisfies the gap + coalescence contract.  Open
-    polyline endpoints are refined into higher-order candidates where a
-    third eigenvalue joins the cluster, all seeds in one batch.
+    kept only if it satisfies the gap + coalescence contract, all vertices
+    in one check.  Vertices where a third eigenvalue joins the cluster are
+    pinned as higher-order candidates, all seeds in one batch.  The map's
+    counters report the rejected vertices and the third-order solve.
     """
     model = get_model(emap.model)
     plane = emap.plane
     xs, ys = emap.xs, emap.ys
 
     def locate(p0, p1, f0, f1):
-        if refine:
-            return _edge_zeros(model, plane, p0, p1, f0)
-        t = np.clip(f0 / (f0 - f1), 0.0, 1.0)
-        return p0 + t[:, None] * (p1 - p0)
+        return _edge_zeros(model, plane, p0, p1, f0)
+
+    lines = contour.trace(xs, ys, emap.indicator, locate)
+    emap.lines, emap.points, emap.counters = [], [], {}
+    if not lines:
+        return emap
 
     # Vertex validation: drop vertices that fail the coalescence contract,
-    # splitting polylines where gaps appear.  The 3-cluster spread recorded
-    # per surviving vertex, as a third column, seeds the higher-order point
-    # search below.
+    # splitting polylines where gaps appear.  Each surviving vertex carries
+    # its row of the check, as a third column, to the point search below.
+    verts = np.vstack(lines)
+    check = _closest_pair(model, plane, verts[:, 0], verts[:, 1])
+    gap_ok, overlap_ok = _passes(check)
+    ok = gap_ok & overlap_ok
     kept = []
-    for line in contour.trace(xs, ys, emap.indicator, locate):
-        run = []
-        for pt in line:
-            ok, s3 = _vertex_passes(model, plane, *pt) if refine else (True, np.inf)
-            if ok:
-                run.append((pt[0], pt[1], s3))
-            else:
-                if len(run) >= 2:
-                    kept.append(np.array(run))
-                run = []
-        if len(run) >= 2:
-            kept.append(np.array(run))
+    for line in np.split(np.arange(len(verts)), np.cumsum([len(v) for v in lines])[:-1]):
+        for run in np.split(line, np.flatnonzero(~ok[line])):
+            run = run[ok[run]]  # each piece but the first starts at a failed vertex
+            if len(run) >= 2:
+                kept.append(np.column_stack([verts[run], run]))
     kept = contour.arrange(kept)
     emap.lines = [line[:, :2] for line in kept]
 
     # Higher-order candidates: a line runs THROUGH a higher-order point
     # (the contour does not stop there), so seeds are local minima of the
-    # 3-cluster spread along each line, plus open endpoints.
-    cell = (xs[1] - xs[0], ys[1] - ys[0])
+    # 3-cluster spread along each line, plus open endpoints.  A seed is a
+    # row of the vertex check, so it goes to the order estimate and the
+    # third-order solve as it is.
+    spread3 = _spread(check[0], 3)
     seeds = []
     for line in kept:
-        n, spread = len(line), line[:, 2]
+        rows = line[:, 2].astype(int)
+        n, spread = len(rows), spread3[rows]
         for k in range(n):
             if n >= 3 and spread[k] <= spread[max(0, k - 1) : k + 2].min():
-                seeds.append(tuple(line[k, :2]))
-        for end in (line[0], line[-1]):
-            seeds.append(tuple(end[:2]))
+                seeds.append(rows[k])
+        seeds.extend((rows[0], rows[-1]))
 
-    # All seeds are refined together; the de-duplication then runs in seed
-    # order, exactly as if each seed were refined after the previous one.
-    cands, emap.counters = _detect_eps(model, plane, seeds, cell) if seeds else ([], {})
-    points = []
+    # All seeds are pinned together; the de-duplication then runs in seed
+    # order, exactly as if each seed were pinned after the previous one.
+    seeds = np.array(seeds, dtype=int)
+    cell = (xs[1] - xs[0], ys[1] - ys[0])
+    cands, counters = _confirm_eps(model, plane, verts[seeds, 0], verts[seeds, 1],
+                                   tuple(a[seeds] for a in check), cell)
+    emap.counters = {
+        "refine.vertex_rejects": {"gap": int((~gap_ok).sum()),
+                                  "overlap": int((gap_ok & ~overlap_ok).sum())},
+        **counters,
+    }
     seen = []
 
     def near_seen(xy):
@@ -663,11 +662,10 @@ def trace_lines(emap: ExceptionalMap, refine: bool = True) -> ExceptionalMap:
         )
 
     for seed, cand in zip(seeds, cands):
-        if near_seen(seed):
+        if near_seen(verts[seed]):
             continue
         if cand is not None and cand.order >= 3 and not near_seen(cand.location):
-            points.append(cand)
+            emap.points.append(cand)
             seen.append(cand.location)
-    points.sort(key=lambda c: c.location)
-    emap.points = points
+    emap.points.sort(key=lambda c: c.location)
     return emap

@@ -165,12 +165,15 @@ def test_map_threads_byte_identical(tmp_path):
 
 
 def test_map_manifest_counts_third_order_solves(tmp_path):
-    # The manifest reports the triple-root solve; the map artifacts do not.
+    # The manifest reports the vertex check and the triple-root solve; the
+    # map artifacts do not.
     cfg = PRESETS["fig4a"]()
     cfg.plane.update(x_res=41, y_res=41)
     manifest = run(cfg, out_dir=str(tmp_path))
     counters = manifest["counters"]
-    assert set(counters) == {"refine.ep3_iterations", "refine.ep3_rejects"}
+    assert set(counters) == {"refine.vertex_rejects", "refine.ep3_iterations",
+                             "refine.ep3_rejects"}
+    assert set(counters["refine.vertex_rejects"]) == {"gap", "overlap"}
     assert 0 < counters["refine.ep3_iterations"] <= EP3_ITERS
     assert counters["refine.ep3_rejects"] == []
     data = json.loads(_read(tmp_path / "map.json"))

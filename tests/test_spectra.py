@@ -347,6 +347,52 @@ def test_detect_lanes_independent(coldatom_map):
     assert sum(c is not None and c.order == 3 for c in together) >= 2
 
 
+def test_trace_checks_vertices_in_one_batch(monkeypatch):
+    # The traced vertices are checked in one stacked decomposition and the
+    # solved third-order points in another; the line seeds go to the
+    # third-order solve as they are, without a second gap search.
+    from epkit import spectra
+
+    scan = scan_grid(COLDATOM_PLANE, "coldatom_liouvillian")
+    calls = []
+    original = linalg.eig
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("gap search on a line seed")
+
+    monkeypatch.setattr(linalg, "eig", counted)
+    monkeypatch.setattr(spectra, "refine_gap_minimum", no_search)
+    m = trace_lines(scan)
+    assert len(m.points) == 2
+    assert len(calls) <= 2
+    assert calls[0][0] >= sum(len(line) for line in m.lines)
+    assert m.counters["refine.vertex_rejects"] == {"gap": 0, "overlap": 0}
+
+
+@pytest.mark.parametrize("gate", ["gap", "overlap"])
+def test_trace_counts_rejected_vertices(monkeypatch, gate):
+    # With a gate no vertex can pass, every traced vertex is counted under
+    # the first gate it fails, and no line or point is left.
+    from epkit import spectra
+
+    scan = scan_grid(COLDATOM_PLANE, "coldatom_liouvillian")
+    traced = sum(len(line) for line in trace_lines(scan).lines)
+    if gate == "gap":
+        monkeypatch.setattr(spectra, "GAP_TOL_FACTOR", 0.0)
+    else:
+        monkeypatch.setattr(spectra, "OVERLAP_MIN", 2.0)
+    m = trace_lines(scan)
+    assert m.lines == [] and m.points == []
+    rejects = m.counters["refine.vertex_rejects"]
+    assert rejects[gate] >= traced > 20
+    assert sum(rejects.values()) == rejects[gate]
+    assert m.counters["refine.ep3_rejects"] == []
+
+
 def test_trace_hermitian_sweep_empty():
     plane = PlaneSpec(
         x=AxisSpec("J", 0.1, 1.0, 16),
