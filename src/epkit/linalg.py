@@ -176,6 +176,10 @@ def eig(m) -> SpectralDecomposition:
     if n > MAX_DIM:
         raise DimensionTooLarge(f"dim {n} exceeds the supported maximum {MAX_DIM}")
 
+    # Left vectors come from a second eigensolve of m^dag, not from the rows
+    # of the inverse of the right-vector matrix: at an exceptional point
+    # that matrix is singular (exactly so for a Jordan block), while the
+    # second solve still gives finite unit vectors within the residual bound.
     try:
         vals_r, vecs_r = eig_batch(a)
         vals_l, vecs_l = np.linalg.eig(a.conj().swapaxes(-1, -2))

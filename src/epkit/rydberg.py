@@ -286,8 +286,8 @@ def discriminant_grid(omegas, deltas, gamma, W):
 def _discriminant(Omega, Delta, gamma, W):
     """``discriminant`` from the raw values; broadcasts over arrays.
 
-    Python floats in give a Python float out, so scalar callers (the cusp
-    polish) run on plain-float arithmetic.
+    Python floats in give a Python float out, so ``discriminant`` of a
+    scalar point runs on plain-float arithmetic.
     """
     a, b, c, d = _cubic(Omega, Delta, gamma, W)
     return (
@@ -342,60 +342,33 @@ def _fold_zeros(gamma, W, p0, p1, f0, f1):
 
 
 def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
-    """Cusp = simultaneous double/triple root: disc = 0 and b^2 - 3ac = 0.
+    """The cusp on the plane, where the steady-state cubic has a triple root.
 
-    A bisection on the width of the three-root window over Omega brackets
-    the closing point, then a 2-D Newton polishes both conditions.
+    A triple root sits at n0 = -b/(3a) = 2 Delta/(3W).  It needs
+    b^2 = 3ac, that is Omega^2 = 2 Delta^2/3 - gamma^2/2, and d = -a n0^3,
+    which leaves (32/(27W)) Delta^3 - (2/3) Delta^2 + gamma^2/2 = 0.  In
+    v = Delta/W that is v^3 - (9/16) v^2 + (27/64) (gamma/W)^2 = 0, solved
+    by the eigenvalues of its companion matrix.  Omega^2 >= 0 needs a root
+    v > 0, which exists only when |W| >= 4 gamma.  At gamma = 1, W = -11
+    there are two cusps, (Omega, Delta) = (4.898, -6.061) and
+    (0.299, -0.940).  Returns the one on the plane (the one at larger Omega
+    if both are), or None when |W| < 4 gamma (W = 0 included) or when no
+    cusp lies on the plane.
     """
-    omegas = plane.x.values()
-    deltas = plane.y.values()
-
-    def window_width(om):
-        disc_row = discriminant_grid([om], deltas, gamma, W)[0]
-        pos = disc_row > 0
-        if not pos.any():
-            return 0.0
-        return float(deltas[pos].max() - deltas[pos].min()) + 1e-12
-
-    lo, hi = omegas[0], omegas[-1]
-    if window_width(lo) == 0.0:
-        lo, hi = hi, lo
-    if window_width(lo) == 0.0:
-        return None  # no bistable window anywhere on the plane
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if window_width(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    om0 = 0.5 * (lo + hi)
-    disc_row = discriminant_grid([om0], deltas, gamma, W)[0]
-    j = int(np.argmax(disc_row))
-    de0 = float(deltas[j])
-
-    def conditions(v):
-        om, de = v
-        p = RydbergParams(Omega=max(om, 1e-12), Delta=de, gamma=gamma, W=W)
-        a, b, c, d = cubic_coefficients(p)
-        return np.array([discriminant(p), b * b - 3.0 * a * c])
-
-    v = np.array([om0, de0])
-    for _ in range(80):
-        f = conditions(v)
-        jac = np.zeros((2, 2))
-        for k in range(2):
-            vp = v.copy()
-            h = 1e-8 * max(1.0, abs(v[k]))
-            vp[k] += h
-            jac[:, k] = (conditions(vp) - f) / h
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        v = v + step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    return float(v[0]), float(v[1])
+    if not 4.0 * gamma <= abs(W):
+        return None
+    companion = np.array([[[9.0 / 16.0, 0.0, -27.0 / 64.0 * (gamma / W) ** 2],
+                           [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], dtype=complex)
+    v = linalg.eigvals_batch(companion)[0]
+    # a real root comes back with |Im| at the rounding level, a double root
+    # (two cusps merging, at |W| = 4 gamma) as a pair with |Im| ~ sqrt(eps)
+    deltas = W * v.real[np.abs(v.imag) <= 1e-7 * np.abs(v)]
+    om2 = 2.0 * deltas * deltas / 3.0 - 0.5 * gamma * gamma
+    omegas = np.sqrt(np.maximum(om2, 0.0))
+    on_plane = ((om2 >= 0.0) & (plane.x.lo <= omegas) & (omegas <= plane.x.hi)
+                & (plane.y.lo <= deltas) & (deltas <= plane.y.hi))
+    cusps = sorted(zip(omegas[on_plane].tolist(), deltas[on_plane].tolist()))
+    return cusps[-1] if cusps else None
 
 
 # -- time integration -------------------------------------------------------------

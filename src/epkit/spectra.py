@@ -10,9 +10,11 @@ product of all squared eigenvalue gaps.  For generators that preserve
 Hermiticity the spectrum is closed under conjugation, the product is real,
 and it changes sign exactly where a conjugate pair collides on the real
 axis, i.e. on a second-order exceptional line.  That sign change is what
-makes marching-squares contouring and bisection refinement robust; the raw
-gap field is non-negative and would only graze zero.  Eigenvector overlap
-is used as a confirmation filter on refined vertices, never for contouring.
+makes marching-squares contouring robust; the raw gap field is
+non-negative and would only graze zero.  One Newton solver (``_pin_ep``)
+pins line vertices as double roots of the characteristic polynomial and
+third-order points as triple roots.  Eigenvector overlap is used as a
+confirmation filter on refined vertices, never for contouring.
 
 Threaded scans split the grid into fixed row blocks; results are written
 into index-keyed arrays, so the output is byte-identical for any worker
@@ -205,23 +207,20 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 
 # -- refinement ---------------------------------------------------------------
 #
-# Every search below runs on lanes: one lane per grid edge or per seed.
-# All lanes of a search take the same number of steps, so one step is one
-# batched eigensolve on the stacked lane points, and per-lane branches are
-# np.where selections.  A lane does exactly the arithmetic of a lone search
-# and LAPACK solves every stacked matrix on its own, so a lane's result does
-# not depend on the other lanes of its batch.
-
-
-def _min_gap(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
-    return _spread(_eigvals(model, plane, x, y), 2)
+# Every search and solve below runs on lanes: one lane per grid edge or per
+# seed.  All lanes of a search take the same number of steps, so one step is
+# one batched eigensolve on the stacked lane points, and per-lane branches
+# are np.where selections; a Newton solve stops each lane on its own test.
+# A lane does exactly the arithmetic of a lone search and LAPACK solves
+# every stacked matrix on its own, so a lane's result does not depend on
+# the other lanes of its batch.
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo, hi, iters: int) -> np.ndarray:
-    """Golden-section minimizer on the lane brackets [lo, hi].
+def _golden_min(f, lo, hi) -> np.ndarray:
+    """Golden-section minimizer on the lane brackets [lo, hi], 80 steps.
 
     ``f`` maps an array of abscissae, one per lane, to the lane values.
     Returns the midpoint argmin of every lane.
@@ -230,7 +229,7 @@ def _golden_min(f, lo, hi, iters: int) -> np.ndarray:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):
         left = fc < fd  # keep [a, d], else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
@@ -254,15 +253,15 @@ def refine_gap_minimum(model: ModelSpec, plane: PlaneSpec, x0, y0, dx: float, dy
     """
 
     def gap(u, v):
-        return _min_gap(model, plane, u, v)
+        return _spread(_eigvals(model, plane, u, v), 2)
 
     x = np.array(x0, dtype=float).reshape(-1)
     y = np.array(y0, dtype=float).reshape(-1)
     best_g, best_x, best_y = gap(x, y), x, y
     bx, by = dx, dy
     for _ in range(3):
-        x = _golden_min(lambda u: gap(u, y), x - bx, x + bx, 80)
-        y = _golden_min(lambda v: gap(x, v), y - by, y + by, 80)
+        x = _golden_min(lambda u: gap(u, y), x - bx, x + bx)
+        y = _golden_min(lambda v: gap(x, v), y - by, y + by)
         g = gap(x, y)
         better = g < best_g
         best_g = np.where(better, g, best_g)
@@ -287,7 +286,7 @@ def refine_gap_minimum(model: ModelSpec, plane: PlaneSpec, x0, y0, dx: float, dy
         xl, yl = x[live], y[live]
         t = _golden_min(
             lambda s: gap(xl + s * ux, yl + s * uy),
-            np.full(live.size, -1.0), np.full(live.size, 1.0), 80,
+            np.full(live.size, -1.0), np.full(live.size, 1.0),
         )
         cx, cy = xl + t * ux, yl + t * uy
         better = gap(cx, cy) < best_g[live]
@@ -327,7 +326,7 @@ def detect_ep(model_name: str, plane: PlaneSpec, cell_xy: tuple[float, float],
     coalescence criteria.  The order is the size of the eigenvalue cluster
     at the refined location, counted inside a window that widens with the
     cluster multiplicity (see below).  An order >= 3 point is pinned as the
-    triple root of the characteristic polynomial (``_pin_ep3``), to the
+    triple root of the characteristic polynomial (``_pin_ep``), to the
     float resolution of that solve; the eigenvalue cluster alone cannot
     locate it tighter than about the seeding cell.
     """
@@ -351,9 +350,10 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
     ``check`` holds the rows of the check at the points (xs, ys).  A point
     that fails the gap or overlap gate gives None; the others give a
     candidate of the estimated order, and those with a third eigenvalue
-    near are pinned by ``_pin_ep3``.  Returns the candidates, one per
-    point, and the counters of the third-order solve: its Newton iterations
-    and every rejected solve lane, at its starting point, with its reason.
+    near are pinned as triple roots by ``_pin_ep``.  Returns the
+    candidates, one per point, and the counters of the third-order solve:
+    its Newton iterations and every rejected solve lane, at its starting
+    point, with its reason.
     """
     vals, fro, gmin, bi, bj, _ = check
     gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
@@ -373,8 +373,13 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
     # nearby (a higher-order endpoint), solve for the triple root from
     # there.  A rejected lane keeps its point.
     lanes = list(solves)
-    wxs, wys, whys, steps = _pin_ep3(model, plane, xs[lanes], ys[lanes],
-                                     [solves[k][1] for k in lanes], cell_size)
+    start = np.column_stack([xs[lanes], ys[lanes]])
+    coords, converged, steps = _pin_ep(model, plane, 3, start,
+                                       [solves[k][1] for k in lanes], np.diag(cell_size))
+    wxs, wys = (start + coords * cell_size).T
+    near = np.abs(coords).max(axis=-1) <= EP3_REACH
+    whys = [None if s and r else "out of reach" if s else "no convergence"
+            for s, r in zip(converged, near)]
     solved = [n for n, why in enumerate(whys) if why is None]
     if solved:
         wvals, _, wmin, wi, wj, wover = _closest_pair(model, plane, wxs[solved], wys[solved])
@@ -405,16 +410,16 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
     return cands, counters
 
 
-# Newton solve for third-order points: the iteration cap, the step (in
-# cells) at which a lane counts as converged and stops, the multiple of
-# Horner's rounding bound within which p, p' and p'' count as converged
-# too, the reach (in cells from its start) past which a lane is rejected,
-# and the central-difference step of the coefficients (in cells).
-EP3_ITERS = 40
-EP3_STEP_TOL = 1e-10
-EP3_ROUNDING = 2.0
+# Newton solve for exceptional points: the iteration cap, the step (in
+# direction lengths) at which a lane stops, the multiple of Horner's
+# rounding bound within which p, p', ... count as converged too, and the
+# central-difference step (in direction lengths).  A third-order solve is
+# rejected past EP3_REACH cells from its start.
+EP_ITERS = 40
+EP_STEP_TOL = 1e-10
+EP_ROUNDING = 2.0
+EP_DIFF = 1e-3
 EP3_REACH = 3.0
-EP3_DIFF = 1e-3
 
 
 def _poly_values(c: np.ndarray, lam: np.ndarray, count: int) -> list:
@@ -430,61 +435,72 @@ def _poly_values(c: np.ndarray, lam: np.ndarray, count: int) -> list:
     return out
 
 
-def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
-    """Triple roots of the characteristic polynomial near each start.
+def _char_coeffs(model, plane, points) -> np.ndarray:
+    """Characteristic polynomials at the (n, 2) ``points``; nan rows where
+    the matrix is not finite."""
+    mats = model.matrix(**_cell_params(model, plane, points[:, 0], points[:, 1]))
+    bad = ~np.isfinite(mats).all(axis=(-2, -1))
+    mats[bad] = 0.0
+    c = linalg.char_poly(mats)
+    c[bad] = np.nan
+    return c
 
-    Solves p(lambda) = p'(lambda) = p''(lambda) = 0 in (lambda, x, y) by
-    Newton's method (Mailybaev, Numer. Linear Algebra Appl. 13, 2006), one
-    lane per start (x0, y0, lam0).  d/dlambda is exact from the polynomial;
-    d/dx and d/dy are central differences of its coefficients.  Each step
-    is the least-squares (Gauss-Newton) solution of the six real equations
-    in the four real unknowns.  A lane stops once its step falls to
-    EP3_STEP_TOL of a cell, or once p, p' and p'' all lie within the
-    rounding error of their evaluation: Horner's rule on a degree-n
-    polynomial errs by up to about n eps sum |c_k| |lambda|^k, and twice
-    that (EP3_ROUNDING) allows for complex arithmetic.  Past that level every further step is
-    rounding noise, which on a zoomed plane can exceed EP3_STEP_TOL of a
-    cell.  The stopping test is per lane, so a lane does the arithmetic of
-    a lone solve.
 
-    Returns (x, y, reasons, iterations): ``reasons`` holds None for a
-    converged lane, "out of reach" for one that converged more than
-    EP3_REACH cells from its start and "no convergence" for the rest (a
-    non-finite or capped iteration, or a failed least-squares solve).
+def _pin_ep(model, plane, order, start, lam0, dirs):
+    """Roots of multiplicity ``order`` of the characteristic polynomial.
+
+    Solves p(lambda) = ... = p^(order-1)(lambda) = 0 by Newton's method
+    (Mailybaev, Numer. Linear Algebra Appl. 13, 2006) in lambda, from
+    ``lam0``, and in the coordinates c_j of the point start + sum_j c_j
+    dirs_j, one lane per start (n, 2); ``dirs`` is (m, 2) or per lane
+    (n, m, 2).  d/dlambda is exact, d/dc_j are central differences of the
+    coefficients, and each step is the least-squares (Gauss-Newton) step of
+    the real and imaginary parts.  A lane stops once its step falls to
+    EP_STEP_TOL, or once p, ..., p^(order-1) lie within the rounding error
+    of Horner's rule, n eps sum |c_k| |lambda|^k for degree n, times
+    EP_ROUNDING for complex arithmetic: past it every step is rounding
+    noise, which on a zoomed plane exceeds EP_STEP_TOL of a cell.  The
+    test is per lane, so a lane does the arithmetic of a lone solve.
+
+    Returns (coords, converged, iterations); a lane has not converged when
+    its iteration went non-finite, hit EP_ITERS or its least-squares solve
+    failed.
     """
-    cx, cy = cell_size
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
+    start = np.asarray(start, dtype=float)
+    n = len(start)
+    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), (n,) + np.shape(dirs)[-2:])
+    m = dirs.shape[1]
+    coords = np.zeros((n, m))
     lam = np.array(lam0, dtype=complex)
-    live = np.ones(len(x), dtype=bool)
-    solved = np.zeros(len(x), dtype=bool)
-    hx, hy = EP3_DIFF * cx, EP3_DIFF * cy
-    rounding = EP3_ROUNDING * model.dim * float(np.finfo(float).eps)
+    live = np.ones(n, dtype=bool)
+    solved = np.zeros(n, dtype=bool)
+    rounding = EP_ROUNDING * model.dim * float(np.finfo(float).eps)
     iterations = 0
     with np.errstate(all="ignore"):
-        while live.any() and iterations < EP3_ITERS:
+        while live.any() and iterations < EP_ITERS:
             iterations += 1
             k = np.flatnonzero(live)
-            xk, yk, lk = x[k], y[k], lam[k]
-            mats = model.matrix(**_cell_params(
-                model, plane,
-                np.stack([xk, xk + hx, xk - hx, xk, xk]),
-                np.stack([yk, yk, yk, yk + hy, yk - hy]),
-            ))
-            c = np.full(mats.shape[:-2] + (model.dim + 1,), np.nan, dtype=complex)
-            finite = np.isfinite(mats).all(axis=(-2, -1))
-            c[finite] = linalg.char_poly(mats[finite])
-            p = _poly_values(c[0], lk, 4)
-            dx = _poly_values((c[1] - c[2]) / (2 * hx), lk, 3)
-            dy = _poly_values((c[3] - c[4]) / (2 * hy), lk, 3)
-            dlam = np.stack(p[1:], axis=-1)
-            # columns: Re lambda, Im lambda, x and y in cells
-            jac = np.stack([dlam, 1j * dlam, cx * np.stack(dx, axis=-1),
-                            cy * np.stack(dy, axis=-1)], axis=-1)
+            lk, dk = lam[k], dirs[k]
+            at = start[k] + (coords[k, :, None] * dk).sum(axis=1)
+            c = _char_coeffs(model, plane, at)
+            p = _poly_values(c, lk, order + 1)
+            # Rows p, p', p'' and columns lambda, i lambda, c_1, c_2, unused
+            # ones zero (which leaves the minimum-norm step as it is): one
+            # 6 x 4 real shape, as LAPACK's SVD runs other code for others
+            # (4 x 3 edge systems paged in 64 kB more of it on fig4a).
+            jac = np.zeros((len(k), 3, 4), dtype=complex)
+            f = np.zeros((len(k), 3), dtype=complex)
+            f[:, :order] = np.stack(p[:order], axis=-1)
+            jac[:, :order, 0] = np.stack(p[1:], axis=-1)
+            jac[:, :, 1] = 1j * jac[:, :, 0]
+            for j in range(m):
+                h = EP_DIFF * dk[:, j]
+                dc = (_char_coeffs(model, plane, at + h)
+                      - _char_coeffs(model, plane, at - h)) / (2 * EP_DIFF)
+                jac[:, :order, 2 + j] = np.stack(_poly_values(dc, lk, order), axis=-1)
             jac = np.concatenate([jac.real, jac.imag], axis=-2)
-            f = np.stack(p[:3], axis=-1)
-            level = rounding * np.stack(_poly_values(np.abs(c[0]), np.abs(lk), 3), axis=-1)
-            settled = (np.abs(f) <= level).all(axis=-1)
+            level = rounding * np.stack(_poly_values(np.abs(c), np.abs(lk), order), axis=-1)
+            settled = (np.abs(f[:, :order]) <= level).all(axis=-1)
             rhs = np.concatenate([f.real, f.imag], axis=-1)
             ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             step = np.zeros((len(k), 4))
@@ -498,17 +514,13 @@ def _pin_ep3(model, plane, x0, y0, lam0, cell_size):
             except np.linalg.LinAlgError:
                 ok[:] = False
             lam[k] = lk + step[:, 0] + 1j * step[:, 1]
-            x[k] = xk + cx * step[:, 2]
-            y[k] = yk + cy * step[:, 3]
-            moved = np.maximum(np.abs(step[:, 2]), np.abs(step[:, 3]))
-            bad = ~(ok & np.isfinite(x[k]) & np.isfinite(y[k]) & np.isfinite(lam[k]))
-            done = ~bad & ((moved <= EP3_STEP_TOL) | settled)
+            coords[k] += step[:, 2:2 + m]
+            moved = np.abs(step[:, 2:2 + m]).max(axis=-1)
+            bad = ~(ok & np.isfinite(coords[k]).all(axis=-1) & np.isfinite(lam[k]))
+            done = ~bad & ((moved <= EP_STEP_TOL) | settled)
             solved[k[done]] = True
             live[k[bad | done]] = False
-        near = np.maximum(np.abs(x - x0) / cx, np.abs(y - y0) / cy) <= EP3_REACH
-    reasons = [None if s and n else "out of reach" if s else "no convergence"
-               for s, n in zip(solved, near)]
-    return x, y, reasons, iterations
+    return coords, solved, iterations
 
 
 # Ratio threshold for cluster membership: an eigenvalue joins the cluster
@@ -562,31 +574,35 @@ def _estimate_order(values: np.ndarray, bi: int, bj: int):
 def _edge_zeros(model, plane, p0, p1, f0):
     """Locate the coalescence on each segment p0[k]-p1[k], all at once.
 
-    Bisection on the indicator sign (60 steps) narrows to the rounding-noise
-    band of the gap product; a short golden-section polish of the gap itself
-    then picks the attainable minimum inside that band.  ``p0`` and ``p1``
-    are (n, 2) endpoint arrays, ``f0`` the indicator at ``p0``.
+    A short bisection on the indicator sign narrows each edge to the
+    crossing, whose closest eigenvalue pair starts ``_pin_ep`` for the
+    double root along the edge.  The root is clipped to the edge (one on a
+    grid node may solve just outside it); a lane that does not converge
+    keeps its bisection point.  ``p0`` and ``p1`` are (n, 2) endpoint
+    arrays, ``f0`` the indicator at ``p0``.  Returns the (n, 2) points and
+    the Newton iterations.
     """
     n = len(p0)
+    edge = p1 - p0
 
     def at(t):
-        return p0 + t[:, None] * (p1 - p0)
+        return p0 + t[:, None] * edge
 
     def indicator(t):
         return _indicator_of(_eigvals(model, plane, *at(t).T))
 
-    t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, 60)
-
-    def gap(t):
-        return _min_gap(model, plane, *at(t).T)
-
-    # Near-tangent crossings leave a wide band where the indicator sign is
-    # rounding noise, so the gap polish needs a generous bracket around the
-    # bisection landing point.
-    lo, hi = np.maximum(0.0, t0 - 0.02), np.minimum(1.0, t0 + 0.02)
-    t_best = _golden_min(gap, lo, hi, 90)
-    t0 = np.where(gap(t_best) < gap(t0), t_best, t0)
-    return at(t0)
+    # 12 halvings start the solve within 1/8192 of an edge of the crossing,
+    # where the closest pair is the colliding one; from the edge midpoints,
+    # two edges of the cold-atom test map solve for another pair.
+    t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, 12)
+    vals = _eigvals(model, plane, *at(t0).T)
+    i, j = np.triu_indices(model.dim, 1)
+    diff = vals[:, i] - vals[:, j]
+    k = np.argmin(np.hypot(diff.real, diff.imag), axis=-1)
+    lam0 = 0.5 * (vals[np.arange(n), i[k]] + vals[np.arange(n), j[k]])
+    coords, converged, steps = _pin_ep(model, plane, 2, at(t0), lam0, edge[:, None, :])
+    t = np.where(converged, np.clip(t0 + coords[:, 0], 0.0, 1.0), t0)
+    return at(t), steps
 
 
 def trace_lines(emap: ExceptionalMap) -> ExceptionalMap:
@@ -594,18 +610,23 @@ def trace_lines(emap: ExceptionalMap) -> ExceptionalMap:
 
     Marching squares on the node grid produces segments per cell; segments
     sharing a grid edge are chained into polylines.  Every vertex is then
-    refined by bisection along its grid edge, all edges in one batch, and
-    kept only if it satisfies the gap + coalescence contract, all vertices
-    in one check.  Vertices where a third eigenvalue joins the cluster are
-    pinned as higher-order candidates, all seeds in one batch.  The map's
-    counters report the rejected vertices and the third-order solve.
+    solved for as a double root along its grid edge (``_edge_zeros``), all
+    edges in one batch, and kept only if it satisfies the gap +
+    coalescence contract, all vertices in one check.  Vertices where a
+    third eigenvalue joins the cluster are pinned as higher-order
+    candidates, all seeds in one batch.  The map's counters report the
+    edge solve, the rejected vertices and the third-order solve.
     """
     model = get_model(emap.model)
     plane = emap.plane
     xs, ys = emap.xs, emap.ys
 
+    edge_steps = []
+
     def locate(p0, p1, f0, f1):
-        return _edge_zeros(model, plane, p0, p1, f0)
+        points, steps = _edge_zeros(model, plane, p0, p1, f0)
+        edge_steps.append(steps)
+        return points
 
     lines = contour.trace(xs, ys, emap.indicator, locate)
     emap.lines, emap.points, emap.counters = [], [], {}
@@ -652,6 +673,7 @@ def trace_lines(emap: ExceptionalMap) -> ExceptionalMap:
     emap.counters = {
         "refine.vertex_rejects": {"gap": int((~gap_ok).sum()),
                                   "overlap": int((gap_ok & ~overlap_ok).sum())},
+        "refine.edge_iterations": edge_steps[0],
         **counters,
     }
     seen = []

@@ -24,7 +24,7 @@ from epkit.cli import (
 )
 from epkit.errors import ConfigError, EpkitError
 from epkit.output import csv_lines
-from epkit.spectra import EP3_ITERS
+from epkit.spectra import EP_ITERS
 
 
 MAP_CONFIG = """
@@ -165,16 +165,17 @@ def test_map_threads_byte_identical(tmp_path):
 
 
 def test_map_manifest_counts_third_order_solves(tmp_path):
-    # The manifest reports the vertex check and the triple-root solve; the
-    # map artifacts do not.
+    # The manifest reports the edge solve, the vertex check and the
+    # triple-root solve; the map artifacts do not.
     cfg = PRESETS["fig4a"]()
     cfg.plane.update(x_res=41, y_res=41)
     manifest = run(cfg, out_dir=str(tmp_path))
     counters = manifest["counters"]
-    assert set(counters) == {"refine.vertex_rejects", "refine.ep3_iterations",
-                             "refine.ep3_rejects"}
+    assert set(counters) == {"refine.edge_iterations", "refine.vertex_rejects",
+                             "refine.ep3_iterations", "refine.ep3_rejects"}
+    assert 0 < counters["refine.edge_iterations"] <= EP_ITERS
     assert set(counters["refine.vertex_rejects"]) == {"gap", "overlap"}
-    assert 0 < counters["refine.ep3_iterations"] <= EP3_ITERS
+    assert 0 < counters["refine.ep3_iterations"] <= EP_ITERS
     assert counters["refine.ep3_rejects"] == []
     data = json.loads(_read(tmp_path / "map.json"))
     assert set(data) == {"model", "plane", "lines", "points"}

@@ -114,6 +114,25 @@ def test_eig_liouvillian_defective_pair():
     assert d.ep_condition > 1e6
 
 
+@pytest.mark.parametrize("m", [
+    *(lam * np.eye(k) + np.eye(k, k=1) for k in (2, 3, 4) for lam in (0.0, 1.0 - 0.5j)),
+    pt_hamiltonian(PTParams(J=0.5, Gamma=1.0)),
+], ids=["jordan2", "jordan2_shifted", "jordan3", "jordan3_shifted", "jordan4",
+        "jordan4_shifted", "pt_at_ep"])
+def test_eig_left_vectors_at_exact_exceptional_points(m):
+    # The right-vector matrix is singular here, so its inverse has no rows to
+    # give; the left vectors of the second eigensolve stay finite, unit norm
+    # and within the residual bound of a non-defective pair.
+    d = linalg.eig(m)
+    assert d.defective.all()
+    assert np.isfinite(d.left).all()
+    assert np.allclose(np.linalg.norm(d.left, axis=0), 1.0)
+    tol = 1e-9 * (1.0 + np.linalg.norm(m))
+    for i in range(len(m)):
+        w = d.left[:, i]
+        assert np.linalg.norm(m.conj().T @ w - d.eigenvalues[i].conjugate() * w) <= tol
+
+
 def test_eig_rejects_large_and_nonfinite():
     with pytest.raises(DimensionTooLarge):
         linalg.eig(np.eye(17))

@@ -309,6 +309,40 @@ def test_cusp_closes_the_window(fold_map):
     assert abs(discriminant(RydbergParams(Omega=om_c, Delta=de_c, gamma=GAMMA, W=W))) < 1e-6
 
 
+@pytest.mark.parametrize("gamma, W_, axes, cusp", [
+    (GAMMA, W, ((1.2, 6.0), (-9.0, -1.0)), (4.8981588243, -6.0611830365)),
+    (GAMMA, W, ((0.0, 6.0), (-9.0, 0.0)), (4.8981588243, -6.0611830365)),  # both: larger Omega
+    (GAMMA, W, ((0.0, 1.0), (-2.0, 0.0)), (0.29936, -0.94044)),
+    (GAMMA, 4.0, ((0.0, 2.0), (0.0, 2.0)), (1.0, 1.5)),  # |W| = 4 gamma: the two merge
+    (4e-259, 1.0, ((0.0, 1.0), (0.0, 1.0)), (0.45928, 0.5625)),  # (gamma/W)^2 underflows
+])
+def test_cusp_is_a_triple_root(gamma, W_, axes, cusp):
+    # The cusp is the closed-form triple root of the steady-state cubic, at
+    # n0 = -b/(3a), and the one on the plane.
+    (x0, x1), (y0, y1) = axes
+    plane = PlaneSpec(x=AxisSpec("Omega", x0, x1, 5), y=AxisSpec("Delta", y0, y1, 5))
+    got = rydberg._locate_cusp(plane, gamma, W_)
+    assert math.dist(got, cusp) < 1e-5
+    a, b, c, d = cubic_coefficients(RydbergParams(*got, gamma=gamma, W=W_))
+    n0 = -b / (3.0 * a)
+    # a double root of the cusp cubic (|W| = 4 gamma) is only sqrt(eps) exact
+    tol = (1e-12 if W_ != 4.0 * gamma else 1e-7) * (1.0 + abs(c))
+    assert abs(((a * n0 + b) * n0 + c) * n0 + d) <= tol
+    assert abs((3.0 * a * n0 + 2.0 * b) * n0 + c) <= tol
+
+
+@pytest.mark.parametrize("axes, W_", [
+    (((1.2, 4.0), (-9.0, -1.0)), W),  # the cusp lies past the plane
+    (((0.5, 4.0), (-4.0, 4.0)), 0.0),  # no interaction, no cusp
+    (((0.5, 4.0), (-4.0, 4.0)), 3.9),  # |W| < 4 gamma: no cusp anywhere
+    (((1.2, 6.0), (1.0, 9.0)), W),  # a cusp needs Delta / W > 0
+])
+def test_no_cusp_off_the_plane(axes, W_):
+    (x0, x1), (y0, y1) = axes
+    plane = PlaneSpec(x=AxisSpec("Omega", x0, x1, 5), y=AxisSpec("Delta", y0, y1, 5))
+    assert rydberg._locate_cusp(plane, GAMMA, W_) is None
+
+
 def test_fold_vertices_are_double_roots(fold_map):
     for line in fold_map.lines:
         for v in line[:: max(1, len(line) // 8)]:

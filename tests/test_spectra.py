@@ -168,7 +168,7 @@ def test_detect_order3_detuned_endpoint():
 
 def test_detect_order3_on_a_zoomed_plane():
     # With cells of 5e-7 the rounding noise of the solve moves the point by
-    # more than EP3_STEP_TOL of a cell; the solve still ends on the triple
+    # more than EP_STEP_TOL of a cell; the solve still ends on the triple
     # root, once p, p' and p'' reach their rounding level.
     r, dx, jy = triple_point_oracle(
         "detuned_liouvillian", {"Gamma": 1.0}, (-0.6, 0.096, 0.136)
@@ -319,9 +319,9 @@ def test_edge_refinement_lanes_independent(coldatom_map):
     model = get_model(m.model)
     keys = sorted({k for seg in _segments(m.indicator) for k in seg})
     p0, p1, f0, _ = _edge_endpoints(m.xs, m.ys, m.indicator, keys)
-    batch = _edge_zeros(model, COLDATOM_PLANE, p0, p1, f0)
+    batch, _ = _edge_zeros(model, COLDATOM_PLANE, p0, p1, f0)
     alone = np.vstack([
-        _edge_zeros(model, COLDATOM_PLANE, p0[k : k + 1], p1[k : k + 1], f0[k : k + 1])
+        _edge_zeros(model, COLDATOM_PLANE, p0[k : k + 1], p1[k : k + 1], f0[k : k + 1])[0]
         for k in range(len(keys))
     ])
     assert len(keys) > 20
@@ -329,6 +329,19 @@ def test_edge_refinement_lanes_independent(coldatom_map):
     rows = {tuple(v) for v in alone}
     for line in m.lines:
         assert all(tuple(v) in rows for v in line)
+
+
+def test_edge_vertices_stay_on_their_edges():
+    # The exceptional ray Gamma = 8 J of this plane runs through grid nodes,
+    # where the double root solves to just outside its edge (by ~1e-14 of
+    # it); the solved point is clipped back onto the edge.
+    plane = PlaneSpec(x=AxisSpec("J", 0.1, 0.2, 11), y=AxisSpec("Gamma", 0.8, 1.6, 11))
+    m = scan_grid(plane, "basic_liouvillian")
+    keys = sorted({k for seg in _segments(m.indicator) for k in seg})
+    p0, p1, f0, _ = _edge_endpoints(m.xs, m.ys, m.indicator, keys)
+    verts, _ = _edge_zeros(get_model("basic_liouvillian"), plane, p0, p1, f0)
+    assert len(keys) == 20
+    assert ((np.minimum(p0, p1) <= verts) & (verts <= np.maximum(p0, p1))).all()
 
 
 def test_detect_lanes_independent(coldatom_map):
@@ -350,7 +363,8 @@ def test_detect_lanes_independent(coldatom_map):
 def test_trace_checks_vertices_in_one_batch(monkeypatch):
     # The traced vertices are checked in one stacked decomposition and the
     # solved third-order points in another; the line seeds go to the
-    # third-order solve as they are, without a second gap search.
+    # third-order solve as they are, without a second gap search, and the
+    # edge crossings are solved as double roots, without a gap search.
     from epkit import spectra
 
     scan = scan_grid(COLDATOM_PLANE, "coldatom_liouvillian")
@@ -362,10 +376,11 @@ def test_trace_checks_vertices_in_one_batch(monkeypatch):
         return original(m)
 
     def no_search(*args, **kwargs):
-        raise AssertionError("gap search on a line seed")
+        raise AssertionError("gap search on the map path")
 
     monkeypatch.setattr(linalg, "eig", counted)
     monkeypatch.setattr(spectra, "refine_gap_minimum", no_search)
+    monkeypatch.setattr(spectra, "_golden_min", no_search)
     m = trace_lines(scan)
     assert len(m.points) == 2
     assert len(calls) <= 2
