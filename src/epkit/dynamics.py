@@ -25,12 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import (
-    GaugeDiscontinuity,
-    ProjectionUndefined,
-    SampleTooCoarse,
-    StepTooCoarse,
-)
+from .errors import ProjectionUndefined, SampleTooCoarse, StepTooCoarse
 from .models import PathDrive, pick_index
 from .spectra import quasi_steady_index
 
@@ -404,35 +399,6 @@ def project_trajectory(traj: TrajectoryRecord, drive: PathDrive) -> TrajectoryRe
     traj.populations = np.where(np.abs(denom) > 1e-14, raw / denom, 0.0)
     traj.sheet_index = np.argmax(np.abs(traj.populations), axis=-1)
     return traj
-
-
-# -- couplings -----------------------------------------------------------------
-
-
-def nonadiabatic_couplings(drive: PathDrive, t: float, dt: float) -> np.ndarray:
-    """Coupling matrix K[n, m] = <chi_n(t)| d/dt |psi_m(t)> by central FD.
-
-    The frames at t - dt, t, t + dt are branch-matched and phase-aligned
-    (positive overlap with the center frame) before differencing, and the
-    left eigenvectors are rescaled so <chi_n|psi_n> = 1.
-    """
-    dec = linalg.eig(drive.matrices(np.array([t - dt, t, t + dt])))
-    center = dec.right[1]
-    perms = _match_values(dec.eigenvalues[1], dec.eigenvalues[[0, 2]])
-    frames = np.take_along_axis(dec.right[[0, 2]], perms[:, None, :], axis=-1)
-    # phase alignment against the center frame
-    ov = np.einsum("ij,kij->kj", center.conj(), frames)
-    if (np.abs(ov) < 0.1).any():
-        j = int(np.argmax((np.abs(ov) < 0.1).any(axis=0)))
-        raise GaugeDiscontinuity(f"branch {j} changes too fast across dt={dt}")
-    frames = frames * (ov.conj() / np.abs(ov))[:, None, :]
-    dpsi = (frames[1] - frames[0]) / (2.0 * dt)
-    denom = np.einsum("ij,ij->j", dec.left[1].conj(), center)
-    if (np.abs(denom) < 1e-14).any():
-        j = int(np.argmax(np.abs(denom) < 1e-14))
-        raise GaugeDiscontinuity(f"biorthogonal norm vanishes for branch {j}")
-    chi = dec.left[1] / denom.conj()
-    return chi.conj().T @ dpsi
 
 
 # -- fidelities and chirality ----------------------------------------------------

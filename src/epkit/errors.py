@@ -37,10 +37,6 @@ class ProjectionUndefined(EpkitError):
     """All branch overlaps vanish; the spectral projection is undefined."""
 
 
-class GaugeDiscontinuity(EpkitError):
-    """Eigenvector phase jump too large after gauge fixing."""
-
-
 class NoIntersections(EpkitError):
     """A path never crosses the fold lines; the crossing test is undefined."""
 

@@ -62,20 +62,26 @@ class SpectralDecomposition:
             satisfies m^dag @ left[:, i] = conj(eigenvalues[i]) * left[:, i].
         defective: shape (dim,) bools, True for members of a coalescing
             eigenvalue cluster.
-        ep_condition: inverse of the minimal singular value of ``right``,
-            capped at EP_CONDITION_CAP.  Large values signal proximity to an
-            exceptional point.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     defective: np.ndarray
-    ep_condition: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    @property
+    def ep_condition(self):
+        """Inverse of the minimal singular value of ``right``, capped at
+        EP_CONDITION_CAP; large values signal proximity to an exceptional
+        point.  One value per matrix, computed (by an SVD) when read."""
+        smin = np.linalg.svd(self.right, compute_uv=False)[..., -1]
+        with np.errstate(divide="ignore"):
+            cond = np.minimum(1.0 / smin, EP_CONDITION_CAP)
+        return cond if cond.ndim else float(cond)
 
 
 def _require_finite(m: np.ndarray, what: str = "matrix") -> None:
@@ -203,16 +209,11 @@ def eig(m) -> SpectralDecomposition:
     pairs = np.triu((np.hypot(gap.real, gap.imag) < tol)
                     & (np.hypot(gram.real, gram.imag) > 1.0 - COALESCENCE_TOL), k=1)
 
-    smin = np.linalg.svd(vecs_r, compute_uv=False)[..., -1]
-    with np.errstate(divide="ignore"):
-        ep_condition = np.minimum(1.0 / smin, EP_CONDITION_CAP)
-
     return SpectralDecomposition(
         eigenvalues=vals_r,
         right=vecs_r,
         left=vecs_l,
         defective=pairs.any(axis=-1) | pairs.any(axis=-2),
-        ep_condition=ep_condition if a.ndim > 2 else float(ep_condition),
     )
 
 

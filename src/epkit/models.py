@@ -200,12 +200,6 @@ def encircle_model(J, Omega, Gamma) -> np.ndarray:
     return out
 
 
-def encircle_hamiltonian(path: EncirclePath, Gamma: float, t) -> np.ndarray:
-    """Instantaneous Hamiltonian J(t)*sx - (Omega(t) + i Gamma/2)*sz."""
-    J, Omega = path.point(t)
-    return encircle_model(J, Omega, Gamma)
-
-
 def coldatom_heff(p: ColdAtomParams) -> np.ndarray:
     """(delta/2)*sz - coupling*sx - i(Gamma/4)(1 - sz)."""
     return (

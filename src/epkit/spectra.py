@@ -12,9 +12,10 @@ and it changes sign exactly where a conjugate pair collides on the real
 axis, i.e. on a second-order exceptional line.  That sign change is what
 makes marching-squares contouring robust; the raw gap field is
 non-negative and would only graze zero.  One Newton solver (``_pin_ep``)
-pins line vertices as double roots of the characteristic polynomial and
-third-order points as triple roots.  Eigenvector overlap is used as a
-confirmation filter on refined vertices, never for contouring.
+does all refinement: it pins line vertices along their grid edges and
+``detect_ep`` seeds along both axes as double roots of the characteristic
+polynomial, and third-order points as triple roots.  Eigenvector overlap is
+used as a confirmation filter on refined points, never for contouring.
 
 Threaded scans split the grid into fixed row blocks; results are written
 into index-keyed arrays, so the output is byte-identical for any worker
@@ -216,85 +217,6 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 # the other lanes of its batch.
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo, hi) -> np.ndarray:
-    """Golden-section minimizer on the lane brackets [lo, hi], 80 steps.
-
-    ``f`` maps an array of abscissae, one per lane, to the lane values.
-    Returns the midpoint argmin of every lane.
-    """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        left = fc < fd  # keep [a, d], else keep [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return 0.5 * (a + b)
-
-
-def refine_gap_minimum(model: ModelSpec, plane: PlaneSpec, x0, y0, dx: float, dy: float):
-    """Line-search descent of the min-gap field around the seeds (x0, y0).
-
-    The gap vanishes like the square root of the distance to an exceptional
-    line, so each line search must run essentially to float resolution
-    (0.618^80 of the bracket) to land on the zero set; shallow searches
-    stall at gap levels orders of magnitude above the attainable floor.
-    Coordinate sweeps catch valleys crossing either axis; a final search
-    along the local gap gradient handles valleys nearly parallel to an
-    axis.  ``x0`` and ``y0`` hold one seed per lane; returns the best point
-    evaluated in each lane as two arrays.
-    """
-
-    def gap(u, v):
-        return _spread(_eigvals(model, plane, u, v), 2)
-
-    x = np.array(x0, dtype=float).reshape(-1)
-    y = np.array(y0, dtype=float).reshape(-1)
-    best_g, best_x, best_y = gap(x, y), x, y
-    bx, by = dx, dy
-    for _ in range(3):
-        x = _golden_min(lambda u: gap(u, y), x - bx, x + bx)
-        y = _golden_min(lambda v: gap(x, v), y - by, y + by)
-        g = gap(x, y)
-        better = g < best_g
-        best_g = np.where(better, g, best_g)
-        best_x = np.where(better, x, best_x)
-        best_y = np.where(better, y, best_y)
-        bx *= 0.3
-        by *= 0.3
-
-    # Gradient-direction pass from the incumbent; the four difference probes
-    # of all lanes share one evaluation.
-    x, y = best_x, best_y
-    hx, hy = 1e-6 * dx, 1e-6 * dy
-    probes = gap(np.concatenate([x + hx, x - hx, x, x]),
-                 np.concatenate([y, y, y + hy, y - hy])).reshape(4, -1)
-    gx = (probes[0] - probes[1]) / (2 * hx)
-    gy = (probes[2] - probes[3]) / (2 * hy)
-    norm = np.array(list(map(math.hypot, gx * dx, gy * dy)))
-    live = np.flatnonzero(norm > 0)
-    if live.size:
-        ux = gx[live] * dx * dx / norm[live]
-        uy = gy[live] * dy * dy / norm[live]
-        xl, yl = x[live], y[live]
-        t = _golden_min(
-            lambda s: gap(xl + s * ux, yl + s * uy),
-            np.full(live.size, -1.0), np.full(live.size, 1.0),
-        )
-        cx, cy = xl + t * ux, yl + t * uy
-        better = gap(cx, cy) < best_g[live]
-        best_x[live] = np.where(better, cx, xl)
-        best_y[live] = np.where(better, cy, yl)
-    return best_x, best_y
-
-
 def _closest_pair(model: ModelSpec, plane: PlaneSpec, x, y):
     """Coalescence check at the lane points (x, y), one stacked decomposition.
 
@@ -312,6 +234,16 @@ def _closest_pair(model: ModelSpec, plane: PlaneSpec, x, y):
             bi, bj, linalg.coalescence_measure(dec, bi, bj))
 
 
+def _pair_mean(vals: np.ndarray) -> np.ndarray:
+    """Mean of the closest eigenvalue pair in each row of ``vals``: the
+    starting eigenvalue of a double-root solve."""
+    i, j = np.triu_indices(vals.shape[-1], 1)
+    diff = vals[:, i] - vals[:, j]
+    k = np.argmin(np.hypot(diff.real, diff.imag), axis=-1)
+    rows = np.arange(len(vals))
+    return 0.5 * (vals[rows, i[k]] + vals[rows, j[k]])
+
+
 def _passes(check):
     """Per-lane (gap, overlap) verdicts of a ``_closest_pair`` check."""
     _, fro, gmin, _, _, overlap = check
@@ -322,13 +254,14 @@ def detect_ep(model_name: str, plane: PlaneSpec, cell_xy: tuple[float, float],
               cell_size: tuple[float, float]):
     """Refine a grid neighborhood to an exceptional-point candidate.
 
-    Returns None when the refined location does not satisfy the gap and
-    coalescence criteria.  The order is the size of the eigenvalue cluster
-    at the refined location, counted inside a window that widens with the
-    cluster multiplicity (see below).  An order >= 3 point is pinned as the
-    triple root of the characteristic polynomial (``_pin_ep``), to the
-    float resolution of that solve; the eigenvalue cluster alone cannot
-    locate it tighter than about the seeding cell.
+    The seed is solved for a double root of the characteristic polynomial
+    along both axes (``_pin_ep``); the minimum-norm Newton steps land on the
+    nearest point of the exceptional line.  A solve that fails or ends more
+    than EP_REACH cells away leaves the seed where it is.  Where a third
+    eigenvalue is near, that point is then solved for a triple root, and
+    the candidate has the order of the cluster there when the solved point
+    passes the order, gap and coalescence gates; otherwise it is order 2.
+    Returns None when neither the point nor a solved one passes the gates.
     """
     model = get_model(model_name)
     cands, _ = _detect_eps(model, plane, [cell_xy], cell_size)
@@ -336,10 +269,13 @@ def detect_ep(model_name: str, plane: PlaneSpec, cell_xy: tuple[float, float],
 
 
 def _detect_eps(model, plane, seeds, cell_size):
-    """``detect_ep`` for many seeds at once, one lane per seed: the gap
-    search, then ``_confirm_eps`` at its landing points."""
+    """``detect_ep`` for many seeds at once, one lane per seed: the
+    double-root solve, then ``_confirm_eps`` at its points."""
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    xs, ys = refine_gap_minimum(model, plane, seeds[:, 0], seeds[:, 1], *cell_size)
+    lam0 = _pair_mean(_eigvals(model, plane, seeds[:, 0], seeds[:, 1]))
+    coords, converged, _ = _pin_ep(model, plane, 2, seeds, lam0, np.diag(cell_size))
+    near = converged & (np.abs(coords).max(axis=-1) <= EP_REACH)
+    xs, ys = np.where(near[:, None], seeds + coords * cell_size, seeds).T
     return _confirm_eps(model, plane, xs, ys, _closest_pair(model, plane, xs, ys),
                         cell_size)
 
@@ -348,36 +284,41 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
     """Candidates at points whose ``_closest_pair`` check is done.
 
     ``check`` holds the rows of the check at the points (xs, ys).  A point
-    that fails the gap or overlap gate gives None; the others give a
-    candidate of the estimated order, and those with a third eigenvalue
-    near are pinned as triple roots by ``_pin_ep``.  Returns the
-    candidates, one per point, and the counters of the third-order solve:
-    its Newton iterations and every rejected solve lane, at its starting
-    point, with its reason.
+    that passes the gap and overlap gates gives an order-2 candidate.  A
+    point with a third eigenvalue near, and one whose eigenvalues form an
+    order >= 3 cluster whatever its gates say, is solved for a triple root
+    by ``_pin_ep``; a solved point that passes the order, gap and overlap
+    gates gives a candidate of its estimated order instead.  Returns the
+    candidates, one per point (None for no candidate), and the counters of
+    the third-order solve: its Newton iterations and every rejected solve
+    lane, at its starting point, with its reason.
     """
     vals, fro, gmin, bi, bj, _ = check
     gap_tol = GAP_TOL_FACTOR * (1.0 + fro)
+    passed = np.logical_and(*_passes(check))
+    pairs = _pair_mean(vals)
     # At an order-3 point the attainable pair gap is cube-root limited, so a
     # solved point is gated on eps^(1/3) rather than the pair tolerance.
     eps3 = float(np.finfo(float).eps) ** (1 / 3)
     found = [None] * len(xs)  # [x, y, residual, order, eigenvalue]
-    solves = {}  # lane -> (gap gate of its solved point, starting eigenvalue)
-    for k in np.flatnonzero(np.logical_and(*_passes(check))):
-        order, value, near_miss = _estimate_order(vals[k], bi[k], bj[k])
-        found[k] = [xs[k], ys[k], gmin[k], order, value]
-        if order >= 3 or near_miss:
-            pair = 0.5 * (vals[k, bi[k]] + vals[k, bj[k]])
-            solves[k] = (max(gap_tol[k], 50.0 * (1.0 + fro[k]) * eps3), pair)
+    solves = {}  # lane -> (least order, gap gate) of its solved point
+    for k in range(len(xs)):
+        order, _, near_miss = _estimate_order(vals[k], bi[k], bj[k])
+        if passed[k]:
+            found[k] = [xs[k], ys[k], gmin[k], 2, pairs[k]]
+        if order >= 3 or (passed[k] and near_miss):
+            solves[k] = (max(order, 3), max(gap_tol[k], 50.0 * (1.0 + fro[k]) * eps3))
 
     # The point sits somewhere on the line; when a third eigenvalue is
     # nearby (a higher-order endpoint), solve for the triple root from
-    # there.  A rejected lane keeps its point.
+    # there.  A rejected lane keeps its point, as an order-2 candidate if
+    # it passed the pair gates.
     lanes = list(solves)
     start = np.column_stack([xs[lanes], ys[lanes]])
     coords, converged, steps = _pin_ep(model, plane, 3, start,
-                                       [solves[k][1] for k in lanes], np.diag(cell_size))
+                                       pairs[lanes], np.diag(cell_size))
     wxs, wys = (start + coords * cell_size).T
-    near = np.abs(coords).max(axis=-1) <= EP3_REACH
+    near = np.abs(coords).max(axis=-1) <= EP_REACH
     whys = [None if s and r else "out of reach" if s else "no convergence"
             for s, r in zip(converged, near)]
     solved = [n for n, why in enumerate(whys) if why is None]
@@ -386,9 +327,9 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
     for m, n in enumerate(solved):
         k = lanes[n]
         worder, wvalue, _ = _estimate_order(wvals[m], wi[m], wj[m])
-        if worder < max(found[k][3], 3):
+        if worder < solves[k][0]:
             whys[n] = "order"
-        elif wmin[m] >= solves[k][0]:
+        elif wmin[m] >= solves[k][1]:
             whys[n] = "gap"
         elif wover[m] <= OVERLAP_MIN:
             whys[n] = "overlap"
@@ -413,13 +354,13 @@ def _confirm_eps(model, plane, xs, ys, check, cell_size):
 # Newton solve for exceptional points: the iteration cap, the step (in
 # direction lengths) at which a lane stops, the multiple of Horner's
 # rounding bound within which p, p', ... count as converged too, and the
-# central-difference step (in direction lengths).  A third-order solve is
-# rejected past EP3_REACH cells from its start.
+# central-difference step (in direction lengths).  A solve that ends past
+# EP_REACH cells from its start is not used.
 EP_ITERS = 40
 EP_STEP_TOL = 1e-10
 EP_ROUNDING = 2.0
 EP_DIFF = 1e-3
-EP3_REACH = 3.0
+EP_REACH = 3.0
 
 
 def _poly_values(c: np.ndarray, lam: np.ndarray, count: int) -> list:
@@ -505,10 +446,10 @@ def _pin_ep(model, plane, order, start, lam0, dirs):
             ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             step = np.zeros((len(k), 4))
             try:
-                # Complex arithmetic on purpose: the eigenvector checks have
-                # paged in LAPACK's complex SVD already, and a real pseudo-
-                # inverse raised the fig4a peak RSS by ~0.1 MB (BENCH_13.json,
-                # "pinv_rss").  The imaginary part is rounding noise.
+                # Complex arithmetic on purpose: a real pseudo-inverse, which
+                # pages in LAPACK's real SVD as well, raised the fig4a peak
+                # RSS by ~0.1 MB (BENCH_13.json, "pinv_rss").  The imaginary
+                # part is rounding noise.
                 pinv = np.linalg.pinv(jac[ok].astype(complex)).real
                 step[ok] = -(pinv @ rhs[ok, :, None])[..., 0]
             except np.linalg.LinAlgError:
@@ -595,11 +536,7 @@ def _edge_zeros(model, plane, p0, p1, f0):
     # where the closest pair is the colliding one; from the edge midpoints,
     # two edges of the cold-atom test map solve for another pair.
     t0 = contour.bisect(indicator, np.zeros(n), np.ones(n), f0, 12)
-    vals = _eigvals(model, plane, *at(t0).T)
-    i, j = np.triu_indices(model.dim, 1)
-    diff = vals[:, i] - vals[:, j]
-    k = np.argmin(np.hypot(diff.real, diff.imag), axis=-1)
-    lam0 = 0.5 * (vals[np.arange(n), i[k]] + vals[np.arange(n), j[k]])
+    lam0 = _pair_mean(_eigvals(model, plane, *at(t0).T))
     coords, converged, steps = _pin_ep(model, plane, 2, at(t0), lam0, edge[:, None, :])
     t = np.where(converged, np.clip(t0 + coords[:, 0], 0.0, 1.0), t0)
     return at(t), steps

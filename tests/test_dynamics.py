@@ -16,7 +16,6 @@ from epkit.dynamics import (
     initial_state_on_branch,
     integrate_liouvillian,
     integrate_schrodinger,
-    nonadiabatic_couplings,
     project_trajectory,
     resolve_branch,
     state_branch_fidelity,
@@ -433,12 +432,6 @@ def test_track_rejects_coarse_sampling():
 # -- nonadiabatic couplings --------------------------------------------------------
 
 
-def test_couplings_vanish_for_static_model():
-    drive = ring_drive(r=0.0, center=(0.9, 0.3))
-    k = nonadiabatic_couplings(drive, 5.0, 1e-4)
-    assert np.max(np.abs(k)) < 1e-8
-
-
 def test_coupling_ode_reproduces_full_populations():
     # Integrate the two-level coefficient equations in the smoothly tracked
     # biorthogonal frame and compare population fractions with the full
@@ -492,20 +485,6 @@ def test_coupling_ode_reproduces_full_populations():
     p_full = np.abs(cf) ** 2
     p_full /= p_full.sum()
     assert np.max(np.abs(p_ode - p_full)) < 1e-4
-
-
-def test_coupling_grows_toward_ep():
-    # the peak coupling magnitude grows as the loop passes closer to the
-    # degeneracy (offset-center family with shrinking closest approach)
-    peaks = []
-    for y0 in (0.4, 0.25, 0.15):
-        drive = ring_drive(r=0.1, center=(0.5, y0))
-        mags = []
-        for t in np.linspace(1.0, 99.0, 40):
-            k = nonadiabatic_couplings(drive, t, 1e-5)
-            mags.append(np.max(np.abs(k - np.diag(np.diag(k)))))
-        peaks.append(max(mags))
-    assert peaks[0] < peaks[1] < peaks[2]
 
 
 # -- fidelity helpers ---------------------------------------------------------------

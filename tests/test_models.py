@@ -21,7 +21,6 @@ from epkit.models import (
     coldatom_heff,
     coldatom_liouvillian,
     detuned_liouvillian,
-    encircle_hamiltonian,
     encircle_model,
     get_model,
     perturbed_ep_splitting,
@@ -103,7 +102,7 @@ def test_pt_symmetry_entrywise():
 
 def test_encircle_start_point():
     path = EncirclePath(center=(0.5, 0.0), radius=0.1, period=100.0)
-    h = encircle_hamiltonian(path, Gamma=1.0, t=0.0)
+    h = encircle_model(*path.point(0.0), 1.0)
     expected = 0.6 * SIGMA_X - (0.0 + 0.5j) * SIGMA_Z
     assert np.max(np.abs(h - expected)) < 1e-15
 
@@ -113,7 +112,7 @@ def test_encircle_eigenvalues_match_square_root_form():
     Gamma, r, T = 1.0, 0.1, 100.0
     path = EncirclePath(center=(Gamma / 2, 0.0), radius=r, period=T)
     for t in np.linspace(0.0, T, 23):
-        vals = linalg.eig(encircle_hamiltonian(path, Gamma, t)).eigenvalues
+        vals = linalg.eig(encircle_model(*path.point(t), Gamma)).eigenvalues
         w = 2 * np.pi / T
         e = np.sqrt(r**2 + Gamma * r * np.exp(1j * w * t))
         match_sets(vals, [e, -e], 1e-10)
@@ -121,7 +120,7 @@ def test_encircle_eigenvalues_match_square_root_form():
 
 def test_encircle_zero_radius_is_defective():
     path = EncirclePath(center=(0.5, 0.0), radius=0.0, period=10.0)
-    d = linalg.eig(encircle_hamiltonian(path, Gamma=1.0, t=3.0))
+    d = linalg.eig(encircle_model(*path.point(3.0), 1.0))
     assert d.defective.all()
 
 
@@ -341,4 +340,4 @@ def test_path_drive_matrices():
     ms = drive.matrices(ts)
     assert ms.shape == (7, 2, 2)
     for k, t in enumerate(ts):
-        assert np.max(np.abs(ms[k] - encircle_hamiltonian(path, 1.0, t))) < 1e-14
+        assert np.max(np.abs(ms[k] - encircle_model(*path.point(t), 1.0))) < 1e-14

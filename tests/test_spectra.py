@@ -10,6 +10,7 @@ from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import ResolutionTooLarge, UnknownModel
 from epkit.models import get_model
 from epkit.spectra import (
+    EP_REACH,
     GAP_TOL_FACTOR,
     OVERLAP_MIN,
     AxisSpec,
@@ -17,9 +18,11 @@ from epkit.spectra import (
     PlaneSpec,
     _detect_eps,
     _edge_zeros,
+    _eigvals,
+    _pair_mean,
+    _pin_ep,
     detect_ep,
     quasi_steady_index,
-    refine_gap_minimum,
     scan_grid,
     trace_lines,
 )
@@ -190,45 +193,101 @@ def test_detect_order3_on_a_zoomed_plane():
 def test_detect_near_miss_keeps_landing_point():
     # On the exceptional line ~10 cells from the detuned third-order point a
     # third eigenvalue is close enough to start the triple-root solve, which
-    # lands outside its 3-cell reach: the lane keeps the gap search's
-    # landing point, as an order-2 candidate, and warns about nothing.
+    # lands outside its 3-cell reach: the lane keeps the point of its
+    # double-root solve, as an order-2 candidate, and warns about nothing.
     model = get_model("detuned_liouvillian")
     plane = PlaneSpec(
         x=AxisSpec("delta", -0.15, 0.15, 61),
         y=AxisSpec("J", 0.02, 0.16, 61),
         fixed={"Gamma": 1.0},
     )
-    cell = (0.001, 0.001)
+    seed, cell = np.array([[0.0872, 0.132]]), (0.001, 0.001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (cand,), counters = _detect_eps(model, plane, [(0.0872, 0.132)], cell)
-    x, y = refine_gap_minimum(model, plane, [0.0872], [0.132], *cell)
+        (cand,), counters = _detect_eps(model, plane, seed, cell)
+    lam0 = _pair_mean(_eigvals(model, plane, seed[:, 0], seed[:, 1]))
+    coords, converged, _ = _pin_ep(model, plane, 2, seed, lam0, np.diag(cell))
+    x, y = (seed + coords * cell)[0]
+    assert converged[0] and np.abs(coords).max() <= EP_REACH
     assert cand is not None and cand.order == 2
-    assert cand.location == (x[0], y[0])
+    assert cand.location == (x, y)
     assert counters["refine.ep3_rejects"] == [
-        {"location": [x[0], y[0]], "reason": "out of reach"}
+        {"location": [x, y], "reason": "out of reach"}
     ]
     assert counters["refine.ep3_iterations"] > 0
 
 
 def test_detect_failed_solve_is_a_rejection(monkeypatch):
     # A least-squares failure in the triple-root solve rejects the lane
-    # instead of raising: the order-3 candidate stays at its landing point.
+    # instead of raising: the candidate stays at the point of its
+    # double-root solve, as an order-2 one.
+    from epkit import spectra
+
     plane = PlaneSpec(
         x=AxisSpec("delta", 0.05, 0.15, 6),
         y=AxisSpec("J", 0.12, 0.15, 6),
         fixed={"Gamma": 1.0},
     )
     seed, cell = (0.096, 0.136), (0.003, 0.0015)
+    pin = spectra._pin_ep
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "pinv", fail)
+    def pin_failing_order3(model, plane, order, *args):
+        if order == 3:
+            monkeypatch.setattr(np.linalg, "pinv", fail)
+        return pin(model, plane, order, *args)
+
+    monkeypatch.setattr(spectra, "_pin_ep", pin_failing_order3)
     (cand,), counters = _detect_eps(get_model("detuned_liouvillian"), plane, [seed], cell)
-    assert cand is not None and cand.order == 3
+    assert cand is not None and cand.order == 2
     assert [r["reason"] for r in counters["refine.ep3_rejects"]] == ["no convergence"]
     assert cand.location == tuple(counters["refine.ep3_rejects"][0]["location"])
+
+
+TRIPLE_POINT_SEEDS = [(0.3, 0.2), (-1.0, 0.5), (2.0, -1.5)]  # in cells from the point
+
+
+def _zoomed_plane(width):
+    """41 x 41 detuned plane ``width`` wide, centred on the third-order point."""
+    r, dx, jy = triple_point_oracle(
+        "detuned_liouvillian", {"Gamma": 1.0}, (-0.6, 0.096, 0.136)
+    )
+    w = width / 2
+    plane = PlaneSpec(
+        x=AxisSpec("delta", dx - w, dx + w, 41),
+        y=AxisSpec("J", jy - w, jy + w, 41),
+        fixed={"Gamma": 1.0},
+    )
+    return plane, (dx, jy), width / 40
+
+
+@pytest.mark.parametrize("width", [2e-2, 2e-3, 2e-4, 2e-5])
+def test_detect_order3_near_the_point_at_every_zoom(width):
+    # Seeds within two cells of the third-order point solve to it at every
+    # zoom, also where the pair gap at the line's exact double roots is
+    # cube-root limited and above the pair tolerance.
+    plane, (dx, jy), cell = _zoomed_plane(width)
+    for sx, sy in TRIPLE_POINT_SEEDS:
+        cand = detect_ep("detuned_liouvillian", plane, (dx + sx * cell, jy + sy * cell),
+                         (cell, cell))
+        assert cand is not None and cand.order == 3
+        assert abs(cand.location[0] - dx) < 1e-9
+        assert abs(cand.location[1] - jy) < 1e-9
+
+
+@pytest.mark.parametrize("width", [2e-2, 2e-3])
+def test_trace_reports_only_certified_third_order_points(width):
+    # Line ends whose triple-root solve is rejected stay order 2, so every
+    # order-3 point of a zoomed map is the third-order point itself.
+    plane, (dx, jy), _ = _zoomed_plane(width)
+    m = trace_lines(scan_grid(plane, "detuned_liouvillian"))
+    assert m.lines
+    for p in m.points:
+        assert p.order == 3
+        assert abs(p.location[0] - dx) < 1e-9
+        assert abs(p.location[1] - jy) < 1e-9
 
 
 # -- trace_lines --------------------------------------------------------------
@@ -363,10 +422,7 @@ def test_detect_lanes_independent(coldatom_map):
 def test_trace_checks_vertices_in_one_batch(monkeypatch):
     # The traced vertices are checked in one stacked decomposition and the
     # solved third-order points in another; the line seeds go to the
-    # third-order solve as they are, without a second gap search, and the
-    # edge crossings are solved as double roots, without a gap search.
-    from epkit import spectra
-
+    # third-order solve as they are.
     scan = scan_grid(COLDATOM_PLANE, "coldatom_liouvillian")
     calls = []
     original = linalg.eig
@@ -375,12 +431,7 @@ def test_trace_checks_vertices_in_one_batch(monkeypatch):
         calls.append(np.shape(m))
         return original(m)
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("gap search on the map path")
-
     monkeypatch.setattr(linalg, "eig", counted)
-    monkeypatch.setattr(spectra, "refine_gap_minimum", no_search)
-    monkeypatch.setattr(spectra, "_golden_min", no_search)
     m = trace_lines(scan)
     assert len(m.points) == 2
     assert len(calls) <= 2
