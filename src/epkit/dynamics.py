@@ -150,7 +150,8 @@ def _integrate(drive: PathDrive, x0: np.ndarray, T: float, steps: int):
             sq = np.vdot(x, x).real
             if not 1e-200 < sq < 1e200:
                 top = float(np.abs(x).max())
-                if not 0.0 < top < math.inf:
+                # dividing by a subnormal top overflows: the state is lost
+                if not np.finfo(float).tiny <= top < math.inf:
                     raise StepTooCoarse(
                         f"the state vanished within {steps} steps; take more steps"
                     )

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small matrices (dim <= 16).
+"""Dense linear algebra for small complex or real matrices (dim <= 16).
 
 Provides the full right/left eigendecomposition with biorthogonal pairing,
 coalescence diagnostics for locating non-diagonalizable (exceptional) points,
@@ -18,6 +18,10 @@ Conventions
   breaks ties).  ``assign`` is the one assignment solver.
 * ``eig`` takes one matrix or a stack; a stacked matrix gets exactly the
   result of a lone call, as LAPACK solves every stacked matrix on its own.
+* ``eig_batch`` and ``eigvals_batch`` keep a ``float`` stack real, so LAPACK
+  runs its real solver (dgeev) and returns exact conjugate pairs, which the
+  tie rule orders by ascending imaginary part; every other input is solved
+  as complex.  Both return complex arrays.
 * ``expm_batch_scaled`` and ``chain_batch`` return a matrix M as a pair
   (E, k) with M = 2**k E and the largest |Re| or |Im| of E in [0.5, 1):
   products of many exponentials neither overflow nor underflow, and the
@@ -60,18 +64,30 @@ class SpectralDecomposition:
         right: shape (dim, dim), right eigenvectors as columns.
         left: shape (dim, dim), left eigenvectors as columns; left[:, i]
             satisfies m^dag @ left[:, i] = conj(eigenvalues[i]) * left[:, i].
-        defective: shape (dim,) bools, True for members of a coalescing
-            eigenvalue cluster.
+        frobenius: ||m||_F, the scale of the ``defective`` tolerance.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    defective: np.ndarray
+    frobenius: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    @property
+    def defective(self) -> np.ndarray:
+        """Shape (dim,) bools, True for members of a coalescing eigenvalue
+        cluster: a pair with close eigenvalues and near-parallel right
+        vectors.  Computed when read."""
+        vals, vecs = self.eigenvalues, self.right
+        tol = EIG_CLUSTER_TOL * (1.0 + self.frobenius)[..., None, None]
+        gap = vals[..., :, None] - vals[..., None, :]
+        gram = vecs.conj().swapaxes(-1, -2) @ vecs
+        pairs = np.triu((np.hypot(gap.real, gap.imag) < tol)
+                        & (np.hypot(gram.real, gram.imag) > 1.0 - COALESCENCE_TOL), k=1)
+        return pairs.any(axis=-1) | pairs.any(axis=-2)
 
     @property
     def ep_condition(self):
@@ -201,19 +217,11 @@ def eig(m) -> SpectralDecomposition:
     # assign maps each left vector to a right one; its inverse orders them
     perm = np.argsort(assign((1.0 - overlap) + 1e-6 * dist), axis=-1)
     vecs_l = fix_phase(np.take_along_axis(vecs_l, perm[..., None, :], axis=-1))
-
-    # defective: a pair with close eigenvalues and near-parallel vectors
-    tol = EIG_CLUSTER_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))[..., None, None]
-    gap = vals_r[..., :, None] - vals_r[..., None, :]
-    gram = vecs_r.conj().swapaxes(-1, -2) @ vecs_r
-    pairs = np.triu((np.hypot(gap.real, gap.imag) < tol)
-                    & (np.hypot(gram.real, gram.imag) > 1.0 - COALESCENCE_TOL), k=1)
-
     return SpectralDecomposition(
         eigenvalues=vals_r,
         right=vecs_r,
         left=vecs_l,
-        defective=pairs.any(axis=-1) | pairs.any(axis=-2),
+        frobenius=np.linalg.norm(a, axis=(-2, -1)),
     )
 
 
@@ -299,15 +307,21 @@ def biorthogonal_matrix(d: SpectralDecomposition) -> np.ndarray:
     return b / diag[:, None]
 
 
+def _lapack_stack(mats) -> np.ndarray:
+    """A ``float`` stack as it is (real LAPACK), anything else as complex."""
+    a = np.asarray(mats)
+    return a if a.dtype == np.float64 else np.asarray(a, dtype=complex)
+
+
 def eig_batch(mats: np.ndarray):
     """Eigenvalues and right eigenvectors for a stacked array of matrices.
 
-    Returns (values, vectors) with values sorted in the canonical order per
-    matrix.  This is the bulk path used by the parameter-plane scanners; no
-    left vectors or defect diagnostics are computed here.
+    Returns complex (values, vectors) with values sorted in the canonical
+    order per matrix.  This is the bulk path used by the parameter-plane
+    scanners; no left vectors or defect diagnostics are computed here.
     """
-    mats = np.asarray(mats, dtype=complex)
-    vals, vecs = np.linalg.eig(mats)
+    vals, vecs = np.linalg.eig(_lapack_stack(mats))
+    vals, vecs = vals.astype(complex, copy=False), vecs.astype(complex, copy=False)
     order = canonical_order(vals)
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
@@ -320,7 +334,7 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
     The values of ``eig_batch`` without its eigenvectors, which LAPACK then
     skips computing.
     """
-    vals = np.linalg.eigvals(np.asarray(mats, dtype=complex))
+    vals = np.linalg.eigvals(_lapack_stack(mats)).astype(complex, copy=False)
     return np.take_along_axis(vals, canonical_order(vals), axis=-1)
 
 

@@ -16,6 +16,9 @@ All generators used by the scanners and integrators live here:
 Vectorization is row-major throughout: rho -> (r11, r12, r21, r22).  The
 column-stacking alternative would transpose the coherence blocks of every
 superoperator; the row-major choice is normative for all serialized output.
+Every Liouvillian here preserves Hermiticity, so each also has a real form
+in the Pauli basis (``BLOCH``, ``ModelSpec.bloch_matrix``), derived from the
+same definition, for eigenvalue scans that may run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +41,15 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # the sign/row layout of every Liouvillian below.
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 PROJ_2 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+# Rows conj(vec_row(s))/sqrt(2) for s = 1, sx, sy, sz: the unitary onto the
+# orthonormal Pauli basis, where a Hermitian density matrix has real
+# components (its Bloch vector and trace).  A generator that preserves
+# Hermiticity is therefore real there: BLOCH L BLOCH^dag is its
+# Bloch-equation form, with the spectrum of L closed under conjugation.
+BLOCH = np.array([
+    s.reshape(-1).conj() for s in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -290,7 +302,8 @@ class ModelSpec:
     ``build`` takes scalar or broadcastable array values for every parameter
     in ``params`` and returns a (..., dim, dim) array.  ``kind`` is
     "hamiltonian" or "liouvillian"; it decides which equation of motion the
-    integrators apply and how trajectories are read out.
+    integrators apply and how trajectories are read out.  A Liouvillian also
+    has ``bloch_build``, its real Bloch form (see ``bloch_matrix``).
     """
 
     name: str
@@ -299,8 +312,9 @@ class ModelSpec:
     params: tuple[str, ...]
     defaults: dict = field(default_factory=dict)
     build: Callable = None
+    bloch_build: Callable = None
 
-    def matrix(self, **values) -> np.ndarray:
+    def _merged(self, values: dict) -> dict:
         unknown = set(values) - set(self.params)
         if unknown:
             raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
@@ -309,48 +323,76 @@ class ModelSpec:
         missing = [p for p in self.params if p not in merged]
         if missing:
             raise ValueError(f"missing parameters for {self.name}: {missing}")
-        return self.build(**merged)
+        return merged
+
+    def matrix(self, **values) -> np.ndarray:
+        return self.build(**self._merged(values))
+
+    @property
+    def bloch_matrix(self):
+        """``matrix`` in the real Bloch form BLOCH L BLOCH^dag, as a callable
+        that returns a ``float`` stack with the same spectrum; None for the
+        Hamiltonian models, which have no real form."""
+        if self.bloch_build is None:
+            return None
+        return lambda **values: self.bloch_build(**self._merged(values))
 
 
-def _linear_batch(scalar_build: Callable, params: tuple[str, ...], dim: int):
+def _affine(base: np.ndarray, basis: dict, dtype):
+    """base + sum_p p * basis_p over broadcast parameter arrays; scalar
+    values take the same path and give a single matrix."""
+
+    def build(**values):
+        arrays = {p: np.asarray(values[p], dtype=float) for p in basis}
+        shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
+        out = np.zeros(shape + base.shape, dtype=dtype)
+        out += base
+        for p, a in arrays.items():
+            out += a[..., None, None] * basis[p]
+        return out
+
+    return build
+
+
+def _to_bloch(m: np.ndarray) -> np.ndarray:
+    """BLOCH m BLOCH^dag, real to rounding for a Hermiticity-preserving m."""
+    b = BLOCH @ m @ BLOCH.conj().T
+    if np.abs(b.imag).max() > 1e-14 * (1.0 + np.abs(b).max()):
+        raise ValueError("generator does not preserve Hermiticity")
+    return b.real
+
+
+def _linear_batch(scalar_build: Callable, params: tuple[str, ...], kind: str):
     """Lift a scalar builder that is linear in every parameter to arrays.
 
     All catalog generators are linear in their parameters, so the stacked
     matrix is  base + sum_p p * basis_p  with basis matrices extracted from
-    the scalar builder once.  Scalar values take the same path and give a
-    single (dim, dim) matrix.
+    the scalar builder once.  Returns that builder and, for a Liouvillian,
+    the builder of its real Bloch form from the same base and basis mapped
+    through BLOCH (None for a Hamiltonian).
     """
     zeros = {p: 0.0 for p in params}
     base = scalar_build(**zeros)
-    basis = {}
-    for p in params:
-        probe = dict(zeros)
-        probe[p] = 1.0
-        basis[p] = scalar_build(**probe) - base
-
-    def build(**values):
-        arrays = {p: np.asarray(values[p], dtype=float) for p in params}
-        shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
-        out = np.zeros(shape + (dim, dim), dtype=complex)
-        out += base
-        for p in params:
-            out += arrays[p][..., None, None] * basis[p]
-        return out
-
-    return build
+    basis = {p: scalar_build(**{**zeros, p: 1.0}) - base for p in params}
+    build = _affine(base, basis, complex)
+    if kind != "liouvillian":
+        return build, None
+    return build, _affine(_to_bloch(base), {p: _to_bloch(b) for p, b in basis.items()}, float)
 
 
 MODELS: dict[str, ModelSpec] = {}
 
 
 def _register(name, dim, kind, params, scalar, defaults=None):
+    build, bloch_build = _linear_batch(scalar, params, kind)
     MODELS[name] = ModelSpec(
         name=name,
         dim=dim,
         kind=kind,
         params=params,
         defaults=defaults or {},
-        build=_linear_batch(scalar, params, dim),
+        build=build,
+        bloch_build=bloch_build,
     )
 
 

@@ -245,7 +245,7 @@ def _unit_interval_roots(coeffs):
     Returns (k, 3), each row ascending and padded with inf.  A leading
     coefficient that is zero, or so small that the companion would overflow
     (its dropped roots lie beyond 1e100), lowers the degree; each degree
-    has its own eigensolve.
+    has its own eigensolve, in real arithmetic.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = coeffs[:, None, :] / coeffs[:, :3, None]  # c_j / c_i
@@ -257,7 +257,7 @@ def _unit_interval_roots(coeffs):
     for deg in sorted(set(degree.tolist()) - {0}):
         rows = np.flatnonzero(degree == deg)
         cs = coeffs[rows, 3 - deg :]
-        companion = np.zeros((len(rows), deg, deg), dtype=complex)
+        companion = np.zeros((len(rows), deg, deg))
         companion[:, 1:, :-1] = np.eye(deg - 1)
         companion[:, 0, :] = -cs[:, 1:] / cs[:, :1]
         linalg._require_finite(companion)

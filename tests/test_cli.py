@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from epkit.cli import (
     serialize_config,
 )
 from epkit.errors import ConfigError, EpkitError
-from epkit.output import csv_lines
+from epkit.output import CSV_BLOCK_ROWS, csv_blocks, csv_lines, write_text
 from epkit.spectra import EP_ITERS
 
 
@@ -732,6 +733,55 @@ def test_csv_lines_formats_columns():
         "x\n0.66666666666666663\n1.0000000000000001e+300\n"
     )
     assert float(csv_lines(["x"], [[math.pi]]).splitlines()[1]) == math.pi
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_streamed_csv_equals_joined_text(tmp_path, rows):
+    # a streamed write gives the bytes and the SHA-256 of the joined text
+    rng = np.random.default_rng(rows)
+    header = ["k", "x", "y"]
+    columns = [np.arange(rows), rng.normal(size=rows), rng.normal(size=rows) * 1e-300]
+    text = csv_lines(header, columns)
+    blocks = list(csv_blocks(header, columns))
+    assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
+    assert "".join(blocks) == text and text.count("\n") == rows + 1
+    digest = write_text(tmp_path / "a.csv", csv_blocks(header, columns))
+    data = (tmp_path / "a.csv").read_bytes()
+    assert data == text.encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest() == write_text(tmp_path / "b.csv", text)
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+
+def test_failed_stream_leaves_no_file(tmp_path):
+    # a block iterator that raises part way leaves neither the artifact nor
+    # its temporary file
+    def blocks():
+        yield "x\n"
+        yield "1\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        write_text(tmp_path / "a.csv", blocks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_vanished_state_fails_typed_without_warning(tmp_path, capsys):
+    # At radius 0 the generator is constant and diagonal; each one-step
+    # block, scaled to its largest entry, maps the start state to a vector
+    # whose largest component is subnormal (2.75e-309), and dividing by it
+    # overflowed.  That is a lost state, not a RuntimeWarning.
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "experiment.command = encircle\nexperiment.model = encircle\n"
+        "param.Gamma = 2.75\npath.center_x = 0.0\npath.center_y = 0.0\n"
+        "path.radius = 0.0\npath.period = 25811.0\nrun.T = 25811.0\n"
+        "run.steps = 100\nrun.check_steps = true\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["encircle", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "state vanished" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

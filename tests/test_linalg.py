@@ -313,6 +313,32 @@ def test_eig_batch_matches_scalar_order():
             assert np.linalg.norm(r) < 1e-9 * (1 + np.linalg.norm(mats[k]))
 
 
+def test_eig_batch_real_stack_gives_exact_conjugate_pairs():
+    # a float stack runs the real solver: complex results, in which every
+    # non-real eigenvalue sits next to its exact conjugate, -Im first, and
+    # so do the eigenvectors
+    rng = np.random.default_rng(29)
+    mats = rng.normal(size=(300, 4, 4))
+    vals, vecs = linalg.eig_batch(mats)
+    assert vals.dtype == complex and vecs.dtype == complex
+    assert np.array_equal(linalg.eigvals_batch(mats), vals)
+    pairs = 0
+    for k in range(len(mats)):
+        assert np.array_equal(linalg.canonical_order(vals[k]), np.arange(4))
+        for i in np.flatnonzero(vals[k].imag < 0):
+            assert vals[k, i + 1] == vals[k, i].conjugate()
+            assert np.array_equal(vecs[k, :, i + 1], vecs[k, :, i].conj())
+            pairs += 1
+        assert (vals[k].imag > 0).sum() == (vals[k].imag < 0).sum()
+        r = mats[k] @ vecs[k] - vecs[k] * vals[k]
+        assert np.abs(r).max() < 1e-12 * (1 + np.linalg.norm(mats[k]))
+    assert pairs > 100
+    # the same matrices as complex input run the complex solver, whose
+    # rounding may order the members of a pair either way
+    cvals = linalg.eigvals_batch(mats.astype(complex))
+    assert np.abs(cvals[:, :, None] - vals[:, None, :]).min(axis=-1).max() < 1e-12
+
+
 def test_eig_stacked_equals_per_matrix():
     # A stack (..., n, n) gives every matrix exactly its lone result,
     # defective and near-EP members included.

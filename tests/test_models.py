@@ -1,11 +1,14 @@
 """Generator catalog: matrix layouts, closed-form spectra, symmetries."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from epkit import linalg
 from epkit.errors import DimensionMismatch
 from epkit.models import (
+    BLOCH,
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
@@ -330,6 +333,37 @@ def test_catalog_batch_matches_scalar():
             public = PUBLIC_BUILDERS[name](**point)
             assert np.max(np.abs(single - public)) < 1e-14, name
             assert np.max(np.abs(batch[k] - public)) < 1e-14, name
+
+
+def _same_multiset(a, b):
+    """Largest deviation between the eigenvalue rows of a and b (..., n)
+    under the best matching of each row; n is at most 4."""
+    n = a.shape[-1]
+    return np.minimum.reduce([np.abs(a[..., list(p)] - b).max(axis=-1)
+                              for p in itertools.permutations(range(n))])
+
+
+def test_bloch_form_is_real_with_the_same_spectrum():
+    # Every catalog Liouvillian preserves Hermiticity, so its Bloch form is
+    # real, and a unitary similarity of the row-major matrix.
+    rng = np.random.default_rng(19)
+    for name, spec in MODELS.items():
+        if spec.kind == "hamiltonian":
+            assert spec.bloch_matrix is None, name
+            continue
+        vals = {p: rng.uniform(0.0, 1.5, size=200) for p in spec.params}
+        row_major, bloch = spec.matrix(**vals), spec.bloch_matrix(**vals)
+        assert bloch.dtype == np.float64 and bloch.shape == row_major.shape, name
+        fro = np.linalg.norm(row_major, axis=(-2, -1))
+        assert np.allclose(np.linalg.norm(bloch, axis=(-2, -1)), fro, rtol=1e-14, atol=0), name
+        assert np.abs(BLOCH @ row_major @ BLOCH.conj().T - bloch).max() < 1e-14 * (1 + fro.max())
+        dev = _same_multiset(linalg.eigvals_batch(row_major), linalg.eigvals_batch(bloch))
+        assert (dev <= 1e-14 * (1.0 + fro)).all(), name
+        # defaults and parameter checks are those of ``matrix``
+        point = {p: float(v[0]) for p, v in vals.items()}
+        assert np.array_equal(spec.bloch_matrix(**point), bloch[0])
+        with pytest.raises(ValueError):
+            spec.bloch_matrix(bogus=1.0, **point)
 
 
 def test_path_drive_matrices():

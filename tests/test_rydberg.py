@@ -192,7 +192,7 @@ def _reference_steady_states(p):
     if len(cs) <= 1:
         return [], 0
     deg = len(cs) - 1
-    companion = np.eye(deg, k=-1, dtype=complex)
+    companion = np.eye(deg, k=-1)
     companion[0, :] = [-c / cs[0] for c in cs[1:]]
     roots = sorted(
         min(max(float(r.real), 0.0), 1.0)

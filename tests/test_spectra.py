@@ -1,11 +1,14 @@
 """Plane scans, exceptional-line tracing and point detection."""
 
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from epkit import linalg
+from epkit.cli import PRESETS, _build_plane
 from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import ResolutionTooLarge, UnknownModel
 from epkit.models import get_model
@@ -16,12 +19,14 @@ from epkit.spectra import (
     AxisSpec,
     EPCandidate,
     PlaneSpec,
+    _cell_params,
     _detect_eps,
     _edge_zeros,
     _eigvals,
     _pair_mean,
     _pin_ep,
     detect_ep,
+    evaluate_cells,
     quasi_steady_index,
     scan_grid,
     trace_lines,
@@ -114,6 +119,33 @@ def test_scan_deterministic_across_threads():
     assert np.array_equal(a.min_gap, b.min_gap)
     assert np.array_equal(a.max_overlap, b.max_overlap)
     assert np.array_equal(a.indicator, b.indicator)
+
+
+def _real_and_complex_planes():
+    fig4a = PRESETS["fig4a"]()
+    criterion_9 = PlaneSpec(x=AxisSpec("delta", -0.5, 0.5, 200),
+                            y=AxisSpec("J", 0.02, 0.5, 200), fixed={"Gamma": 1.0})
+    return {"fig4a": (fig4a.model, _build_plane(fig4a)),
+            "criterion_9": ("detuned_liouvillian", criterion_9)}
+
+
+@pytest.mark.parametrize("case", ["fig4a", "criterion_9"])
+def test_real_scan_matches_complex_scan(case):
+    # The scan runs on the real Bloch form; the row-major complex form of
+    # the same generator gives the same summaries to rounding.
+    name, plane = _real_and_complex_planes()[case]
+    model = get_model(name)
+    emap = scan_grid(plane, name)
+    xs, ys = emap.xs[:, None], emap.ys[None, :]
+    row_major = dataclasses.replace(model, bloch_build=None)
+    vals, _, overlap, indicator = evaluate_cells(row_major, plane, xs, ys)
+    assert vals.shape == emap.eigenvalues.shape
+    assert np.array_equal(np.sign(emap.indicator), np.sign(indicator))
+    fro = np.linalg.norm(model.matrix(**_cell_params(model, plane, xs, ys)), axis=(-2, -1))
+    dev = np.minimum.reduce([np.abs(vals[..., list(p)] - emap.eigenvalues).max(axis=-1)
+                             for p in itertools.permutations(range(model.dim))])
+    assert (dev <= 1e-14 * (1.0 + fro)).all()
+    assert np.abs(emap.max_overlap - overlap).max() <= 1e-12
 
 
 # -- detect_ep ----------------------------------------------------------------
