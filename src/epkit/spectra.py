@@ -23,12 +23,15 @@ used as a confirmation filter on refined points, never for contouring.
 
 Threaded scans split the grid into fixed row blocks; results are written
 into index-keyed arrays, so the output is byte-identical for any worker
-count.
+count.  Each worker starts on the next usable CPU in turn, so the workers
+spread over the cores even where the kernel does not balance load.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -194,7 +197,9 @@ def scan_grid(plane: PlaneSpec, model_name: str, threads: int = 1) -> Exceptiona
         for i0 in blocks:
             do_block(i0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        with ThreadPoolExecutor(max_workers=threads, initializer=_spread_worker,
+                                initargs=(itertools.count(), cpus)) as pool:
             list(pool.map(do_block, blocks))
 
     return ExceptionalMap(
@@ -207,6 +212,23 @@ def scan_grid(plane: PlaneSpec, model_name: str, threads: int = 1) -> Exceptiona
         max_overlap=max_overlap,
         indicator=indicator,
     )
+
+
+def _spread_worker(counter, cpus) -> None:
+    """Start a scan worker on the next usable CPU, round-robin, and free it.
+
+    A new thread starts on the CPU of the thread that created it, and in a
+    cpuset without load balancing (cpuset.sched_load_balance = 0) it stays
+    there: every worker then shares one core.  Moving each worker once and
+    then restoring the full mask spreads them there and leaves the kernel
+    free to balance them wherever it does.  Placement is best effort.
+    """
+    if len(cpus) > 1:
+        try:
+            os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
 def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -119,6 +120,33 @@ def test_scan_deterministic_across_threads():
     assert np.array_equal(a.min_gap, b.min_gap)
     assert np.array_equal(a.max_overlap, b.max_overlap)
     assert np.array_equal(a.indicator, b.indicator)
+
+
+def test_scan_workers_start_spread_over_the_cpus(monkeypatch):
+    # Each worker is moved once to the next usable CPU and then given the
+    # full mask back; the scan is unchanged.
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, mask: calls.append((pid, sorted(mask))), raising=False)
+    plane = PlaneSpec(x=AxisSpec("delta", -0.5, 0.5, 48), y=AxisSpec("J", 0.05, 0.5, 9),
+                      fixed={"Gamma": 1.0})
+    threaded = scan_grid(plane, "detuned_liouvillian", threads=4)
+    workers = len(calls) // 2
+    assert 1 <= workers <= 4 and len(calls) == 2 * workers
+    assert [c for c in calls if len(c[1]) == 3] == [(0, [0, 1, 2])] * workers
+    singles = sorted(mask[0] for _, mask in calls if len(mask) == 1)
+    assert singles == sorted(k % 3 for k in range(workers))
+    assert np.array_equal(threaded.eigenvalues,
+                          scan_grid(plane, "detuned_liouvillian", threads=1).eigenvalues)
+    assert len(calls) == 2 * workers  # a serial scan moves nothing
+
+    def refused(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    assert np.array_equal(scan_grid(plane, "detuned_liouvillian", threads=4).eigenvalues,
+                          threaded.eigenvalues)
 
 
 def _real_and_complex_planes():
