@@ -190,10 +190,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import default_steps, resolve_root, step_rate
+                from .rydberg import default_steps, path_fold_crossings, resolve_root, step_rate
 
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
+                # with a plane, the run checks the transfer conditions at
+                # the loop's fold crossings
+                if cfg.plane and not path_fold_crossings(path, gamma, W):
+                    raise ValueError("the loop never crosses a fold line")
                 if steps is None:
                     steps = default_steps(step_rate(path, gamma, W), T)
         except ValueError as exc:

@@ -281,17 +281,9 @@ def _augmenting_paths(c: np.ndarray) -> np.ndarray:
     return cols
 
 
-def coalescence_measure(d: SpectralDecomposition, i, j):
-    """|<right_i|right_j>| for unit-norm eigenvectors; 1 means coalescence.
-
-    A stacked decomposition takes index arrays, one pair per matrix, and
-    returns an array; each matrix gets bit for bit the value of a lone call.
-    """
-    ri, rj = (np.take_along_axis(d.right, np.asarray(k)[..., None, None], axis=-1)[..., 0]
-              for k in (i, j))
-    dot = (ri.conj() * rj).sum(axis=-1)
-    size = np.hypot(dot.real, dot.imag)
-    return size if size.ndim else float(size)
+def coalescence_measure(d: SpectralDecomposition, i: int, j: int) -> float:
+    """|<right_i|right_j>| for unit-norm eigenvectors; 1 means coalescence."""
+    return float(abs(np.vdot(d.right[:, i], d.right[:, j])))
 
 
 def biorthogonal_matrix(d: SpectralDecomposition) -> np.ndarray:

@@ -18,7 +18,8 @@ column-stacking alternative would transpose the coherence blocks of every
 superoperator; the row-major choice is normative for all serialized output.
 Every Liouvillian here preserves Hermiticity, so each also has a real form
 in the Pauli basis (``BLOCH``, ``ModelSpec.bloch_matrix``), derived from the
-same definition, for eigenvalue scans that may run in real arithmetic.
+same definition; every eigenvalue solve of a map runs on it, in real
+arithmetic.  The integrators and sheet tracking use the row-major form.
 """
 
 from __future__ import annotations

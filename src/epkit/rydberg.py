@@ -358,10 +358,10 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
     if not 4.0 * gamma <= abs(W):
         return None
     companion = np.array([[[9.0 / 16.0, 0.0, -27.0 / 64.0 * (gamma / W) ** 2],
-                           [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], dtype=complex)
+                           [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
     v = linalg.eigvals_batch(companion)[0]
-    # a real root comes back with |Im| at the rounding level, a double root
-    # (two cusps merging, at |W| = 4 gamma) as a pair with |Im| ~ sqrt(eps)
+    # a real root comes back real, a double root (two cusps merging, at
+    # |W| = 4 gamma) as a conjugate pair with |Im| ~ sqrt(eps)
     deltas = W * v.real[np.abs(v.imag) <= 1e-7 * np.abs(v)]
     om2 = 2.0 * deltas * deltas / 3.0 - 0.5 * gamma * gamma
     omegas = np.sqrt(np.maximum(om2, 0.0))
@@ -621,8 +621,10 @@ def check_conditions(
 
     (i) the start point must lie in the bistable (three-root) region;
     (ii) the two loop/fold crossings nearest to the start must sit on
-    opposite sides of the cusp along the fold locus, measured by the
-    signed arc-length coordinate of the nearest fold vertex.
+    opposite sides of the cusp, that is on different fold branches.  On a
+    fold the cubic is a (n - r)^2 (n - s), and 2 b^3 - 9 a b c + 27 a^2 d
+    = 2 a^3 (r - s)^3 with a = W^2 > 0: its sign tells the branch where the
+    upper two roots merge (r > s) from the one where the lower two do.
     """
     gamma, W = fmap.gamma, fmap.W
     om0, de0 = path.point(0.0)
@@ -632,44 +634,15 @@ def check_conditions(
     crossings = path_fold_crossings(path, gamma, W)
     if not crossings:
         raise NoIntersections("path never crosses a fold line")
-    if fmap.cusp is None:
-        raise NoIntersections("no cusp located on the fold map")
 
     # order crossings by distance from the start along the path (both ways
     # around the loop)
     T = path.period
-    def loop_distance(t):
-        return min(t, T - t)
-
-    ordered = sorted(crossings, key=loop_distance)
-    nearest = ordered[:2]
-    sides = [_fold_side(path.point(t), fmap) for t in nearest]
-    straddle = len(nearest) == 2 and sides[0] * sides[1] < 0
+    nearest = sorted(crossings, key=lambda t: min(t, T - t))[:2]
+    a, b, c, d = _cubic(*path.point(np.array(nearest)), gamma, W)
+    side = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
+    straddle = len(nearest) == 2 and side[0] * side[1] < 0
     return TransferConditions(
         initial_in_bistable=bool(in_bistable),
         nearest_crossings_straddle_cusp=bool(straddle),
     )
-
-
-def _fold_side(xy, fmap: FoldMap) -> float:
-    """Signed arc-length coordinate (relative to the cusp) of the nearest
-    fold vertex; the sign distinguishes the two fold branches."""
-    cx, cy = fmap.cusp
-    best = (np.inf, 0.0)
-    # scale coordinates by the plane spans so the nearest-vertex metric is
-    # not dominated by one axis
-    sx = fmap.plane.x.hi - fmap.plane.x.lo
-    sy = fmap.plane.y.hi - fmap.plane.y.lo
-    for line in fmap.lines:
-        d2 = ((line[:, 0] - xy[0]) / sx) ** 2 + ((line[:, 1] - xy[1]) / sy) ** 2
-        k = int(np.argmin(d2))
-        if d2[k] < best[0]:
-            # signed coordinate: arc length from the vertex nearest the cusp
-            dc = ((line[:, 0] - cx) / sx) ** 2 + ((line[:, 1] - cy) / sy) ** 2
-            kc = int(np.argmin(dc))
-            seg = np.hypot(
-                np.diff(line[:, 0]) / sx, np.diff(line[:, 1]) / sy
-            )
-            arc = np.concatenate([[0.0], np.cumsum(seg)])
-            best = (d2[k], arc[k] - arc[kc])
-    return best[1]

@@ -3,11 +3,12 @@
 A scan evaluates a catalog model over a rectangular grid, eigendecomposes
 every cell in bulk, and stores per-cell summaries: the full spectrum, the
 minimal pairwise eigenvalue gap, the maximal pairwise right-eigenvector
-overlap, and a signed coalescence indicator.  A Liouvillian is scanned in
-its real Bloch form (``ModelSpec.bloch_matrix``), on LAPACK's real solver:
-the similarity keeps the eigenvalues, and the unitary keeps the overlaps,
-so no vector returns to the row-major basis.  Refinement runs on the
-complex row-major form.
+overlap, and a signed coalescence indicator.  Every matrix of a map, in the
+scan and in the refinement, comes from ``_matrices``: a Liouvillian in its
+real Bloch form (``ModelSpec.bloch_matrix``), solved by LAPACK's real
+solver.  The similarity keeps the eigenvalues and the characteristic
+polynomial, and the unitary keeps the overlaps, so no vector returns to the
+row-major basis.
 
 The indicator is the real part of prod_{i<j} (lambda_i - lambda_j)^2, the
 product of all squared eigenvalue gaps.  For generators that preserve
@@ -58,11 +59,6 @@ CHUNK_ROWS = 8
 # lines is 1e-8 .. 4e-8 relative.
 GAP_TOL_FACTOR = 5e-8
 OVERLAP_MIN = 1.0 - 1e-5
-# Order estimation counts eigenvalues inside a window that widens with the
-# multiplicity being tested (cube root of the pair window for a third
-# member), since square-root vs cube-root noise scaling makes any fixed
-# window order-dependent.
-ORDER_TOL_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,15 @@ def _cell_params(model: ModelSpec, plane: PlaneSpec, x, y) -> dict:
     return values
 
 
+def _matrices(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
+    """The model's matrices at broadcastable coordinates: the real Bloch
+    form of a Liouvillian, the complex matrix of a Hamiltonian."""
+    return (model.bloch_matrix or model.matrix)(**_cell_params(model, plane, x, y))
+
+
 def evaluate_cells(model: ModelSpec, plane: PlaneSpec, x, y):
-    """Spectra and summaries for broadcastable coordinate arrays, from the
-    real Bloch form of the model when it has one."""
-    build = model.bloch_matrix or model.matrix
-    vals, vecs = linalg.eig_batch(build(**_cell_params(model, plane, x, y)))
+    """Spectra and summaries for broadcastable coordinate arrays."""
+    vals, vecs = linalg.eig_batch(_matrices(model, plane, x, y))
     gram = np.abs(np.einsum("...ij,...ik->...jk", vecs.conj(), vecs))
     gram[..., np.eye(model.dim, dtype=bool)] = 0.0
     max_overlap = gram.max(axis=(-2, -1))
@@ -148,7 +148,7 @@ def evaluate_cells(model: ModelSpec, plane: PlaneSpec, x, y):
 
 def _eigvals(model: ModelSpec, plane: PlaneSpec, x, y) -> np.ndarray:
     """Spectra alone, for the searches that need no eigenvectors."""
-    return linalg.eigvals_batch(model.matrix(**_cell_params(model, plane, x, y)))
+    return linalg.eigvals_batch(_matrices(model, plane, x, y))
 
 
 def _spread(vals: np.ndarray, order: int) -> np.ndarray:
@@ -249,30 +249,36 @@ def quasi_steady_index(d: linalg.SpectralDecomposition) -> int:
 
 
 def _closest_pair(model: ModelSpec, plane: PlaneSpec, x, y):
-    """Coalescence check at the lane points (x, y), one stacked decomposition.
+    """Coalescence check at the lane points (x, y), one stacked eigensolve.
 
     Returns, one row per lane: the eigenvalues, ||L||_F, the min pair gap,
-    the pair (i, j) and the eigenvector overlap of that pair.
+    the pair (i, j) and the overlap |<r_i|r_j>| of its unit right vectors.
     """
-    mats = model.matrix(**_cell_params(model, plane, x, y))
-    dec = linalg.eig(mats)
-    i, j = np.triu_indices(dec.dim, 1)
-    diff = dec.eigenvalues[:, i] - dec.eigenvalues[:, j]
+    mats = _matrices(model, plane, x, y)
+    vals, vecs = linalg.eig_batch(mats)
+    gap, i, j = _closest(vals)
+    rows = np.arange(len(vals))
+    dot = (vecs[rows, :, i].conj() * vecs[rows, :, j]).sum(axis=-1)
+    return (vals, np.linalg.norm(mats, axis=(-2, -1)), gap, i, j,
+            np.hypot(dot.real, dot.imag))
+
+
+def _closest(vals: np.ndarray):
+    """Gap of the closest eigenvalue pair in each row of ``vals``, and the
+    pair (i, j), i < j; ties go to the first pair."""
+    i, j = np.triu_indices(vals.shape[-1], 1)
+    diff = vals[:, i] - vals[:, j]
     gaps = np.hypot(diff.real, diff.imag)  # rounds like the scalar abs()
-    k = np.argmin(gaps, axis=-1)  # ties: the first pair (i, j)
-    bi, bj = i[k], j[k]
-    return (dec.eigenvalues, np.linalg.norm(mats, axis=(-2, -1)), gaps.min(axis=-1),
-            bi, bj, linalg.coalescence_measure(dec, bi, bj))
+    k = np.argmin(gaps, axis=-1)
+    return gaps[np.arange(len(vals)), k], i[k], j[k]
 
 
 def _pair_mean(vals: np.ndarray) -> np.ndarray:
     """Mean of the closest eigenvalue pair in each row of ``vals``: the
     starting eigenvalue of a double-root solve."""
-    i, j = np.triu_indices(vals.shape[-1], 1)
-    diff = vals[:, i] - vals[:, j]
-    k = np.argmin(np.hypot(diff.real, diff.imag), axis=-1)
+    _, i, j = _closest(vals)
     rows = np.arange(len(vals))
-    return 0.5 * (vals[rows, i[k]] + vals[rows, j[k]])
+    return 0.5 * (vals[rows, i] + vals[rows, j])
 
 
 def _passes(check):
@@ -410,7 +416,7 @@ def _poly_values(c: np.ndarray, lam: np.ndarray, count: int) -> list:
 def _char_coeffs(model, plane, points) -> np.ndarray:
     """Characteristic polynomials at the (n, 2) ``points``; nan rows where
     the matrix is not finite."""
-    mats = model.matrix(**_cell_params(model, plane, points[:, 0], points[:, 1]))
+    mats = _matrices(model, plane, points[:, 0], points[:, 1])
     bad = ~np.isfinite(mats).all(axis=(-2, -1))
     mats[bad] = 0.0
     c = linalg.char_poly(mats)
@@ -477,11 +483,7 @@ def _pin_ep(model, plane, order, start, lam0, dirs):
             ok = np.isfinite(jac).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             step = np.zeros((len(k), 4))
             try:
-                # Complex arithmetic on purpose: a real pseudo-inverse, which
-                # pages in LAPACK's real SVD as well, raised the fig4a peak
-                # RSS by ~0.1 MB (BENCH_13.json, "pinv_rss").  The imaginary
-                # part is rounding noise.
-                pinv = np.linalg.pinv(jac[ok].astype(complex)).real
+                pinv = np.linalg.pinv(jac[ok])
                 step[ok] = -(pinv @ rhs[ok, :, None])[..., 0]
             except np.linalg.LinAlgError:
                 ok[:] = False

@@ -337,6 +337,16 @@ def test_cli_bad_plane_fails_validation(tmp_path, capsys, case):
     assert not out.exists()
 
 
+FIG5_PLANE = """plane.x_name = Omega
+plane.x_min = 1.2
+plane.x_max = 6.0
+plane.x_res = 161
+plane.y_name = Delta
+plane.y_min = -9.0
+plane.y_max = -1.0
+plane.y_res = 161
+"""
+
 ENCIRCLE_CONFIG = """
 experiment.command = encircle
 experiment.model = encircle
@@ -391,6 +401,10 @@ BAD_RUNS = {
     "rydberg_huge_T": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 1e15")
     .replace("run.steps = 1000\n", ""),
     "rydberg_huge_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", f"run.steps = {10**12}"),
+    # with a plane the run checks the transfer conditions at the loop's
+    # fold crossings, and this loop crosses no fold
+    "rydberg_no_fold_crossing": RYDBERG_PATH_CONFIG.replace("3.85", "1.3")
+    .replace("-5.6", "-8.0").replace("1.477", "0.1") + FIG5_PLANE,
 }
 
 
@@ -605,6 +619,21 @@ def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "diverged" in err and "Traceback" not in err
     assert not (out / "transfer.json").exists()
+
+
+def test_cli_rydberg_cusp_off_the_plane(tmp_path):
+    # The transfer conditions come from the loop and the cubic alone: a
+    # plane that holds no cusp gives the conditions of the full plane.
+    conditions = {}
+    for x_max in ("6.0", "4.0"):
+        cfgfile = tmp_path / f"exp{x_max}.cfg"
+        cfgfile.write_text(RYDBERG_PATH_CONFIG + FIG5_PLANE.replace("6.0", x_max)
+                           .replace("161", "41"))
+        out = tmp_path / f"out{x_max}"
+        assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 0
+        conditions[x_max] = json.loads(_read(out / "transfer.json"))["conditions"]
+    assert json.loads(_read(out / "folds.json"))["cusp"] is None
+    assert conditions["4.0"] == conditions["6.0"]
 
 
 def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):

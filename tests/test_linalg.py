@@ -275,28 +275,6 @@ def test_coalescence_analytic_value():
     assert abs(linalg.coalescence_measure(d, 0, 1) - 0.5) < 1e-12
 
 
-def test_coalescence_measure_stack_matches_lone_calls():
-    # A stacked decomposition with one index pair per matrix gives each
-    # matrix bit for bit the measure of a lone call, exceptional points too.
-    rng = np.random.default_rng(11)
-    m = random_complex(rng, 2, 3, 4, 4)
-    # near-coalescing pairs, last in the canonical order
-    m[0, 0] = np.diag([1.0, 1.0, 2.0, 3.0]) + np.diag([1e-9, 0.0, 0.0], 1)
-    m[1, 2] = np.diag([0.0, 0.0, 5.0, 6.0]).astype(complex)
-    m[1, 2, :2, :2] = pt_hamiltonian(PTParams(J=0.5 * (1 + 1e-9), Gamma=1.0))
-    i = rng.integers(0, 4, size=(2, 3))
-    j = (i + rng.integers(1, 4, size=(2, 3))) % 4
-    i[0, 0], j[0, 0] = 2, 3
-    i[1, 2], j[1, 2] = 2, 3
-    got = linalg.coalescence_measure(linalg.eig(m), i, j)
-    assert got.shape == (2, 3)
-    alone = np.array([[
-        linalg.coalescence_measure(linalg.eig(m[a, b]), int(i[a, b]), int(j[a, b]))
-        for b in range(3)] for a in range(2)])
-    assert np.array_equal(got, alone)
-    assert got[0, 0] > 1.0 - 1e-6 and got[1, 2] > 1.0 - 1e-6
-
-
 # -- batch path --------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Mean-field steady states, folds, cusp, hysteresis and encircling."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -686,6 +687,44 @@ def test_conditions_for_demo_path(fold_map):
     cond = check_conditions(demo_path(), fold_map, "low")
     assert cond.initial_in_bistable
     assert cond.nearest_crossings_straddle_cusp
+
+
+@pytest.mark.parametrize("res", [41, 81, 121, 161, 241])
+def test_conditions_do_not_depend_on_the_plane_resolution(res):
+    # Near the cusp the bistable wedge is thinner than a grid cell and the
+    # traced fold lines end short of it.  A loop whose two nearest crossings
+    # lie on different fold branches, one of them in that region, straddles
+    # the cusp on every plane, and so does the demonstration loop.
+    plane = PlaneSpec(
+        x=AxisSpec("Omega", 1.2, 6.0, res), y=AxisSpec("Delta", -9.0, -1.0, res)
+    )
+    fmap = bistability_map(plane, gamma=GAMMA, W=W)
+    near_cusp = EncirclePath(
+        center=(4.0, -5.5), radius=0.7, period=100.0, phase0=0.0, plane="Omega-Delta"
+    )
+    for path in (near_cusp, demo_path()):
+        assert check_conditions(path, fmap, "low").nearest_crossings_straddle_cusp
+
+
+def test_conditions_match_the_merging_roots(fold_map):
+    # On a fold two of the three roots merge: the upper two on one branch,
+    # the lower two on the other.  The nearest crossings straddle the cusp
+    # exactly when they merge different pairs.
+    checked = 0
+    for cx, cy, r in itertools.product((4.0, 4.5, 5.0, 5.5), (-7.0, -6.4, -5.8, -5.2),
+                                       (0.3, 0.7, 1.0)):
+        path = EncirclePath(center=(cx, cy), radius=r, period=100.0, plane="Omega-Delta")
+        ts = path_fold_crossings(path, GAMMA, W)
+        if len(ts) < 2:
+            continue
+        upper = []
+        for t in sorted(ts, key=lambda t: min(t, 100.0 - t))[:2]:
+            n = np.sort(np.roots(_cubic(*path.point(t), GAMMA, W)).real)
+            upper.append(n[2] - n[1] < n[1] - n[0])
+        cond = check_conditions(path, fold_map, "low")
+        assert cond.nearest_crossings_straddle_cusp == (upper[0] != upper[1])
+        checked += 1
+    assert checked > 20
 
 
 def test_conditions_outside_bistable(fold_map):

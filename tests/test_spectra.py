@@ -480,23 +480,54 @@ def test_detect_lanes_independent(coldatom_map):
 
 
 def test_trace_checks_vertices_in_one_batch(monkeypatch):
-    # The traced vertices are checked in one stacked decomposition and the
+    # The traced vertices are checked in one stacked eigensolve and the
     # solved third-order points in another; the line seeds go to the
     # third-order solve as they are.
     scan = scan_grid(COLDATOM_PLANE, "coldatom_liouvillian")
     calls = []
-    original = linalg.eig
+    original = linalg.eig_batch
 
     def counted(m):
         calls.append(np.shape(m))
         return original(m)
 
-    monkeypatch.setattr(linalg, "eig", counted)
+    monkeypatch.setattr(linalg, "eig_batch", counted)
     m = trace_lines(scan)
     assert len(m.points) == 2
     assert len(calls) <= 2
     assert calls[0][0] >= sum(len(line) for line in m.lines)
     assert m.counters["refine.vertex_rejects"] == {"gap": 0, "overlap": 0}
+
+
+@pytest.mark.parametrize("model_name, plane, seed, cell", [
+    ("coldatom_liouvillian", COLDATOM_PLANE, (-0.00214, 0.0088), (0.00025, 0.00024)),
+    ("detuned_liouvillian",
+     PlaneSpec(x=AxisSpec("delta", 0.05, 0.15, 21), y=AxisSpec("J", 0.1, 0.16, 21),
+               fixed={"Gamma": 1.0}),
+     (0.096, 0.136), (0.005, 0.003)),
+])
+def test_map_solves_liouvillians_in_real_form(monkeypatch, model_name, plane, seed, cell):
+    # Scan, tracing and detection solve every Liouvillian in its real Bloch
+    # form, with right vectors only: each stacked eigensolve and
+    # characteristic polynomial gets a float64 stack, and the
+    # left-vector eigendecomposition is never called.
+    dtypes = []
+
+    def recorded(name):
+        original = getattr(linalg, name)
+
+        def record(m, *args, **kwargs):
+            dtypes.append((name, np.asarray(m).dtype))
+            return original(m, *args, **kwargs)
+        return record
+
+    for name in ("eig_batch", "eigvals_batch", "char_poly", "eig"):
+        monkeypatch.setattr(linalg, name, recorded(name))
+    m = trace_lines(scan_grid(plane, model_name))
+    cand = detect_ep(model_name, plane, seed, cell)
+    assert m.lines and cand is not None and cand.order == 3
+    assert {name for name, _ in dtypes} == {"eig_batch", "eigvals_batch", "char_poly"}
+    assert all(dtype == np.float64 for _, dtype in dtypes)
 
 
 @pytest.mark.parametrize("gate", ["gap", "overlap"])
