@@ -195,7 +195,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
                 # with a plane, the run checks the transfer conditions at
-                # the loop's fold crossings
+                # the loop's fold crossings before integrating
                 if cfg.plane and not path_fold_crossings(path, gamma, W):
                     raise ValueError("the loop never crosses a fold line")
                 if steps is None:
@@ -302,7 +302,7 @@ def _build_path(cfg: ExperimentConfig) -> EncirclePath:
     return EncirclePath(
         center=(p["center_x"], p["center_y"]),
         radius=p["radius"],
-        period=p.get("period", cfg.run.get("T", 1.0)),
+        period=p["period"],
         phase0=p.get("phase0", 0.0),
         plane=p.get("plane", "J-Omega"),
         convention=p.get("convention", "cos-sin"),
@@ -398,11 +398,10 @@ def _run_encircle(cfg, emit_text, emit_json):
     from .dynamics import classify_chirality, project_trajectory
 
     drive, drives = _build_drives(cfg)
-    T = cfg.run.get("T", drive.path.period)
     check = bool(cfg.run.get("check_steps", False))
     report = classify_chirality(
-        drive, T, cfg.run.get("initial_branch", "upper"), steps=cfg.run.get("steps"),
-        check_steps=check,
+        drive, drive.path.period, cfg.run.get("initial_branch", "upper"),
+        steps=cfg.run.get("steps"), check_steps=check,
     )
     for direction, d in drives.items():
         traj = project_trajectory(report.runs[direction], d)
@@ -414,10 +413,13 @@ def _run_encircle(cfg, emit_text, emit_json):
 def _run_rydberg(cfg, emit_text, emit_json):
     from .rydberg import (RydbergParams, bistability_map, check_conditions,
                           steady_states_batch, transfer_verdict)
-    from .dynamics import TrajectoryRecord
 
     gamma, W = cfg.params["gamma"], cfg.params["W"]
-    fmap, counters = None, {}
+    path = _build_path(cfg) if cfg.path else None
+    # the conditions need only the loop: a loop that crosses no fold line
+    # fails here, before the scan and the integrations
+    cond = check_conditions(path, gamma, W) if cfg.plane and path is not None else None
+    counters = {}
     if cfg.plane:
         plane = _build_plane(cfg)
         fmap = bistability_map(plane, gamma=gamma, W=W)
@@ -427,23 +429,12 @@ def _run_rydberg(cfg, emit_text, emit_json):
         del steady  # not held through the loop integration below
         emit_json("folds.json", output.fold_json(fmap))
 
-    if cfg.path:
-        path = _build_path(cfg)
-        T = cfg.run.get("T", path.period)
-        root = cfg.run.get("initial_root", "low")
+    if path is not None:
         verdict = transfer_verdict(
-            path, gamma, W, T, root, steps=cfg.run.get("steps"),
-            check_steps=bool(cfg.run.get("check_steps", False)),
+            path, gamma, W, path.period, cfg.run.get("initial_root", "low"),
+            steps=cfg.run.get("steps"), check_steps=bool(cfg.run.get("check_steps", False)),
         )
-        for direction, res in verdict.runs.items():
-            traj = TrajectoryRecord(
-                times=res.times,
-                states=np.stack([res.rho22.astype(complex), res.rho21], axis=1),
-                norm=np.hypot(np.abs(res.rho22), np.abs(res.rho21)),
-                log_norm=np.zeros(len(res.times)),
-                kind="meanfield",
-                sheet_index=res.rho22,  # the excited population stands in
-            )
+        for direction, traj in verdict.runs.items():
             emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
         counters = _step_counters("integrate_bloch", cfg, verdict)
         payload = {
@@ -452,8 +443,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
             "ccw": {"final_population": verdict.final_ccw, "landed": verdict.landed_ccw},
             "cw": {"final_population": verdict.final_cw, "landed": verdict.landed_cw},
         }
-        if fmap is not None:
-            cond = check_conditions(path, fmap, root)
+        if cond is not None:
             payload["conditions"] = {
                 "initial_in_bistable": cond.initial_in_bistable,
                 "nearest_crossings_straddle_cusp": cond.nearest_crossings_straddle_cusp,

@@ -64,14 +64,17 @@ class TrajectoryRecord:
 
     states holds unit-normalized snapshots; norm[i] = exp(log_norm[i]) is
     the true state norm (0.0 after underflow, by design).  projected,
-    sheet_index and populations are filled by project_trajectory.
+    sheet_index and populations are filled by project_trajectory.  A
+    "meanfield" run (``rydberg.transfer_verdict``) holds the states
+    (rho22, rho21) as integrated, their hypot as norm, log_norm 0 and
+    rho22 as sheet_index.
     """
 
     times: np.ndarray
     states: np.ndarray  # (n, dim), unit rows
     norm: np.ndarray
     log_norm: np.ndarray
-    kind: str  # "schrodinger" | "liouvillian"
+    kind: str  # "schrodinger" | "liouvillian" | "meanfield"
     projected: np.ndarray | None = None  # weighted spectral projection
     sheet_index: np.ndarray | None = None  # mean-field runs: the population
     populations: np.ndarray | None = None  # biorthogonal coefficients (n, dim)

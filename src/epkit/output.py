@@ -115,7 +115,7 @@ def map_json(emap) -> dict:
                 "order": c.order,
                 "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
                 "residual": c.residual,
-                "kind": c.kind,
+                "kind": "point",
             }
             for c in emap.points
         ],

@@ -468,67 +468,6 @@ def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
     return p0, stable, pick_index(spec, named, len(stable), "root")
 
 
-@dataclass
-class EncircleResult:
-    times: np.ndarray
-    rho22: np.ndarray
-    rho21: np.ndarray
-    initial_root: SteadyState
-    final_root: SteadyState
-    switched: bool
-    steps: int | None = None  # integration steps of the run
-    drift: float | None = None  # step-doubling change of the final population
-
-
-def encircle_steady(
-    path: EncirclePath,
-    gamma: float,
-    W: float,
-    T: float,
-    direction: str = "ccw",
-    initial_root: str = "low",
-    steps: int | None = None,
-    check_steps: bool = False,
-) -> EncircleResult:
-    """Drive (Omega, Delta) around the loop starting from a stable root.
-
-    The verdict ``switched`` is True when the final population is closest
-    to the other stable branch at the returning parameter point.
-    """
-    path = replace(path, direction=direction, period=T)
-    p0, stable, index = resolve_root(path, gamma, W, initial_root)
-    start = stable[index]
-
-    if steps is None:
-        steps = default_steps(step_rate(path, gamma, W), T)
-    times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
-    drift = None
-    if check_steps:
-        _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=path)
-        # The final population, not every record: the records inside a fold
-        # jump still move by up to ~1e-4 on doubling (the cw demonstration
-        # loop at T = 500 to 5000), the final population by at most ~1e-9.
-        drift = abs(float(n2[-1]) - float(n[-1]))
-        # written so that a diverged (nan) run fails the check too
-        if not drift <= 1e-6:
-            raise StepTooCoarse("encircling run not converged in step doubling")
-    if not (np.isfinite(n).all() and np.isfinite(r).all()):
-        raise StepTooCoarse(f"encircling run diverged at {steps} steps")
-
-    final_n = float(n[-1])
-    nearest = min(stable, key=lambda s: abs(s.n - final_n))
-    return EncircleResult(
-        times=times,
-        rho22=n,
-        rho21=r,
-        initial_root=start,
-        final_root=nearest,
-        switched=abs(nearest.n - start.n) > 1e-6,
-        steps=steps,
-        drift=drift,
-    )
-
-
 @dataclass(frozen=True)
 class TransferVerdict:
     """Direction-resolved branch landings and the chirality verdict.
@@ -538,8 +477,11 @@ class TransferVerdict:
     missed every branch (fast, non-adiabatic driving).
     verdict is "chiral" when exactly one direction switched branch while
     the other returned; otherwise "none".  runs holds the judged run of
-    each direction, keyed "ccw"/"cw"; rate is the rate that set their
-    default step count (None when the steps were given).
+    each direction, keyed "ccw"/"cw": a ``dynamics.TrajectoryRecord`` of
+    kind "meanfield" whose states are (rho22, rho21), with rho22 as its
+    sheet_index and the run's steps and step-doubling drift.  rate is the
+    rate that set their default step count (None when the steps were
+    given).
     """
 
     landed_ccw: int | None
@@ -563,22 +505,52 @@ def transfer_verdict(
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings.
 
-    A default step count comes from one rate probe for both directions.
+    Both directions start from the same stable root at the path start and
+    run one period T.  A default step count comes from one rate probe for
+    both.  Under ``check_steps`` each direction runs again at twice the
+    steps, and a final population that moves by more than 1e-6 raises
+    StepTooCoarse, as does a run that diverges.
     """
-    _, stable, idx0 = resolve_root(path, gamma, W, initial_root)
+    # imported here: `validate` imports this module and needs no dynamics
+    from .dynamics import TrajectoryRecord
+
+    path = replace(path, period=T)
+    p0, stable, idx0 = resolve_root(path, gamma, W, initial_root)
+    start = stable[idx0]
     rate = None
     if steps is None:
-        rate = step_rate(replace(path, period=T), gamma, W)
+        rate = step_rate(path, gamma, W)
         steps = default_steps(rate, T)
 
     runs = {}
     landings = {}
     finals = {}
     for direction in ("ccw", "cw"):
-        res = runs[direction] = encircle_steady(
-            path, gamma, W, T, direction, initial_root, steps, check_steps
+        loop = replace(path, direction=direction)
+        times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=loop)
+        drift = None
+        if check_steps:
+            _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=loop)
+            # The final population, not every record: the records inside a fold
+            # jump still move by up to ~1e-4 on doubling (the cw demonstration
+            # loop at T = 500 to 5000), the final population by at most ~1e-9.
+            drift = abs(float(n2[-1]) - float(n[-1]))
+            # written so that a diverged (nan) run fails the check too
+            if not drift <= 1e-6:
+                raise StepTooCoarse("encircling run not converged in step doubling")
+        if not (np.isfinite(n).all() and np.isfinite(r).all()):
+            raise StepTooCoarse(f"encircling run diverged at {steps} steps")
+        runs[direction] = TrajectoryRecord(
+            times=times,
+            states=np.stack([n.astype(complex), r], axis=1),
+            norm=np.hypot(np.abs(n), np.abs(r)),
+            log_norm=np.zeros(len(times)),
+            kind="meanfield",
+            sheet_index=n,  # the excited population stands in
+            steps=steps,
+            drift=drift,
         )
-        nf = float(res.rho22[-1])
+        nf = float(n[-1])
         finals[direction] = nf
         near = [k for k, s in enumerate(stable) if abs(nf - s.n) < LANDING_TOL]
         landings[direction] = near[-1] if near else None
@@ -600,8 +572,13 @@ def transfer_verdict(
 # -- transfer conditions ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096):
-    """Loop times where the discriminant changes sign, bisection-refined."""
+    """Loop times where the discriminant changes sign, bisection-refined.
+
+    Returns a tuple.  The last search is memoized, as ``step_rate`` is, so
+    that the validation of a config and its run share one search.
+    """
 
     def disc_at(t):
         return _discriminant(*path.point(t), gamma, W)
@@ -609,16 +586,14 @@ def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096
     ts = np.linspace(0.0, path.period, samples + 1)
     disc = disc_at(ts)
     k = np.flatnonzero((disc[:-1] < 0) != (disc[1:] < 0))
-    return contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist()
+    return tuple(contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist())
 
 
-def check_conditions(
-    path: EncirclePath,
-    fmap: FoldMap,
-    initial_root: str = "low",
-) -> TransferConditions:
+def check_conditions(path: EncirclePath, gamma: float, W: float) -> TransferConditions:
     """Sufficient-condition test for direction-dependent branch transfer.
 
+    It needs only the loop and the cubic, so it runs before any
+    integration; a loop that crosses no fold line raises NoIntersections.
     (i) the start point must lie in the bistable (three-root) region;
     (ii) the two loop/fold crossings nearest to the start must sit on
     opposite sides of the cusp, that is on different fold branches.  On a
@@ -626,7 +601,6 @@ def check_conditions(
     = 2 a^3 (r - s)^3 with a = W^2 > 0: its sign tells the branch where the
     upper two roots merge (r > s) from the one where the lower two do.
     """
-    gamma, W = fmap.gamma, fmap.W
     om0, de0 = path.point(0.0)
     p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
     in_bistable = len(steady_states(p0).roots) == 3 and discriminant(p0) > 0

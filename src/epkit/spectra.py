@@ -103,7 +103,6 @@ class EPCandidate:
     order: int
     eigenvalue: complex
     residual: float  # min gap at the refined location
-    kind: str = "point"  # the only kind
 
 
 @dataclass

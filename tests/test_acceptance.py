@@ -275,11 +275,7 @@ def test_criterion_7_rydberg_chirality():
     fast = transfer_verdict(path, gamma, W, 500.0, "low")
     assert fast.verdict == "none"
 
-    plane = PlaneSpec(
-        x=AxisSpec("Omega", 1.2, 6.0, 121), y=AxisSpec("Delta", -9.0, -1.0, 121)
-    )
-    fmap = bistability_map(plane, gamma=gamma, W=W)
-    cond = check_conditions(path, fmap, "low")
+    cond = check_conditions(path, gamma, W)
     assert cond.initial_in_bistable and cond.nearest_crossings_straddle_cusp
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"

@@ -697,6 +697,56 @@ def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
     assert len(probes) == 3
 
 
+def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
+    # Validation searches the loop's fold crossings and the run's transfer
+    # conditions share that search.  The start point's steady states are
+    # solved by validation, by transfer_verdict for both directions and by
+    # the conditions.
+    from epkit import contour, rydberg
+
+    searches, starts = [], []
+    original, original_steady = contour.bisect, rydberg.steady_states_batch
+
+    def spy(f, *args, **kwargs):
+        if f.__qualname__.startswith("path_fold_crossings."):
+            searches.append(f)
+        return original(f, *args, **kwargs)
+
+    def steady_spy(p):
+        if np.broadcast(p.Omega, p.Delta).size == 1:
+            starts.append(p)
+        return original_steady(p)
+
+    monkeypatch.setattr(contour, "bisect", spy)
+    monkeypatch.setattr(rydberg, "steady_states_batch", steady_spy)
+    rydberg.path_fold_crossings.cache_clear()
+    cfg = parse_config(RYDBERG_PATH_CONFIG + FIG5_PLANE.replace("161", "41"))
+    run(cfg, out_dir=str(tmp_path))
+    assert len(searches) == 1
+    assert len(starts) == 3
+    assert "conditions" in json.loads(_read(tmp_path / "transfer.json"))
+
+
+def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
+    # A loop that crosses no fold line fails its transfer conditions before
+    # any integration, also for a config built in code, which skips
+    # validation as the presets do.
+    from epkit import rydberg
+    from epkit.errors import NoIntersections
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(rydberg, "integrate_bloch", no_integration)
+    cfg = PRESETS["fig5"]()
+    cfg.path.update(center_x=1.3, center_y=-8.0, radius=0.1)
+    out = tmp_path / "out"
+    with pytest.raises(NoIntersections):
+        run(cfg, out_dir=str(out))
+    assert not list(out.glob("trajectory_*.csv"))
+    assert not (out / "transfer.json").exists()
+
+
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):
     # The manifest counts the steps integrated (a step-doubling check adds a
     # run at twice the steps, as perfbench counts them), names the step

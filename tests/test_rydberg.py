@@ -24,7 +24,6 @@ from epkit.rydberg import (
     cubic_coefficients,
     discriminant,
     discriminant_grid,
-    encircle_steady,
     integrate_bloch,
     jacobian,
     default_steps,
@@ -507,7 +506,7 @@ def test_default_run_records_on_the_fixed_grid():
     # a default step count records at exactly k T / 1024, and the records
     # of twice the steps sit at the same times
     T = 100.0
-    res = encircle_steady(demo_path(T), GAMMA, W, T, "cw")
+    res = transfer_verdict(demo_path(T), GAMMA, W, T).runs["cw"]
     assert res.steps == RECORD_GRID
     assert np.array_equal(res.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
     p0, start = _loop_start(T)
@@ -517,8 +516,8 @@ def test_default_run_records_on_the_fixed_grid():
 
 
 def test_transfer_verdict_probes_the_rate_once(monkeypatch):
-    # one steady-state solve over the probe points serves both directions;
-    # the other calls are single start points
+    # one steady-state solve over the probe points serves both directions,
+    # and one solve at the path start gives the start root of both
     sizes = []
     original = rydberg.steady_states_batch
 
@@ -529,7 +528,7 @@ def test_transfer_verdict_probes_the_rate_once(monkeypatch):
     monkeypatch.setattr(rydberg, "steady_states_batch", spy)
     step_rate.cache_clear()
     v = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
-    assert sizes.count(RECORD_GRID) == 1 and set(sizes) == {1, RECORD_GRID}
+    assert sizes.count(RECORD_GRID) == 1 and sizes.count(1) == 1 and len(sizes) == 2
     assert v.rate == step_rate(demo_path(100.0), GAMMA, W)
     assert v.runs["ccw"].steps == v.runs["cw"].steps == default_steps(v.rate, 100.0)
 
@@ -542,7 +541,6 @@ def test_explicit_steps_bypass_the_rule(monkeypatch):
     v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
     assert v.rate is None
     assert v.runs["ccw"].steps == v.runs["cw"].steps == 1000
-    assert encircle_steady(demo_path(), GAMMA, W, 100.0, "ccw", steps=1000).steps == 1000
 
 
 @pytest.mark.parametrize("steps", [1000, 2500])
@@ -663,11 +661,20 @@ def test_encircle_chirality_lost_when_fast():
 
 
 def test_transfer_verdict_keeps_the_judged_runs():
+    # each run is the trajectory record of the loop integrated from the
+    # start root, with the excited population as its sheet column
     v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
+    p0, start = _loop_start(100.0)
     for direction, final in (("ccw", v.final_ccw), ("cw", v.final_cw)):
-        res = encircle_steady(demo_path(), GAMMA, W, 100.0, direction, steps=1000)
-        assert np.array_equal(v.runs[direction].rho22, res.rho22)
-        assert v.runs[direction].rho22[-1] == final
+        path = replace(demo_path(100.0), direction=direction)
+        times, n, r = integrate_bloch(p0, start.n, start.rho21, 100.0, 1000, path=path)
+        run = v.runs[direction]
+        assert (run.kind, run.steps, run.drift) == ("meanfield", 1000, None)
+        assert np.array_equal(run.times, times) and np.array_equal(run.sheet_index, n)
+        assert np.array_equal(run.states, np.stack([n.astype(complex), r], axis=1))
+        assert np.array_equal(run.norm, np.hypot(np.abs(n), np.abs(r)))
+        assert not run.log_norm.any()
+        assert run.sheet_index[-1] == final
     assert "runs" not in repr(v)
 
 
@@ -675,38 +682,33 @@ def test_encircle_outside_bistable_no_switch():
     path = EncirclePath(
         center=(1.0, -7.5), radius=0.3, period=3000.0, plane="Omega-Delta"
     )
-    for direction in ("ccw", "cw"):
-        res = encircle_steady(path, GAMMA, W, 3000.0, direction, "low")
-        assert not res.switched
+    v = transfer_verdict(path, GAMMA, W, 3000.0, "low")
+    assert v.landed_ccw == v.landed_cw == v.initial_index
 
 
 # -- transfer conditions -------------------------------------------------------------
 
 
-def test_conditions_for_demo_path(fold_map):
-    cond = check_conditions(demo_path(), fold_map, "low")
+def test_conditions_for_demo_path():
+    cond = check_conditions(demo_path(), GAMMA, W)
     assert cond.initial_in_bistable
     assert cond.nearest_crossings_straddle_cusp
 
 
-@pytest.mark.parametrize("res", [41, 81, 121, 161, 241])
-def test_conditions_do_not_depend_on_the_plane_resolution(res):
-    # Near the cusp the bistable wedge is thinner than a grid cell and the
-    # traced fold lines end short of it.  A loop whose two nearest crossings
-    # lie on different fold branches, one of them in that region, straddles
-    # the cusp on every plane, and so does the demonstration loop.
-    plane = PlaneSpec(
-        x=AxisSpec("Omega", 1.2, 6.0, res), y=AxisSpec("Delta", -9.0, -1.0, res)
-    )
-    fmap = bistability_map(plane, gamma=GAMMA, W=W)
+def test_conditions_do_not_depend_on_the_plane_resolution():
+    # Near the cusp the bistable wedge is thinner than a grid cell, and
+    # traced fold lines end short of it.  The conditions take no plane: a
+    # loop whose two nearest crossings lie on different fold branches, one
+    # of them in that region, straddles the cusp, and so does the
+    # demonstration loop.
     near_cusp = EncirclePath(
         center=(4.0, -5.5), radius=0.7, period=100.0, phase0=0.0, plane="Omega-Delta"
     )
     for path in (near_cusp, demo_path()):
-        assert check_conditions(path, fmap, "low").nearest_crossings_straddle_cusp
+        assert check_conditions(path, GAMMA, W).nearest_crossings_straddle_cusp
 
 
-def test_conditions_match_the_merging_roots(fold_map):
+def test_conditions_match_the_merging_roots():
     # On a fold two of the three roots merge: the upper two on one branch,
     # the lower two on the other.  The nearest crossings straddle the cusp
     # exactly when they merge different pairs.
@@ -721,36 +723,36 @@ def test_conditions_match_the_merging_roots(fold_map):
         for t in sorted(ts, key=lambda t: min(t, 100.0 - t))[:2]:
             n = np.sort(np.roots(_cubic(*path.point(t), GAMMA, W)).real)
             upper.append(n[2] - n[1] < n[1] - n[0])
-        cond = check_conditions(path, fold_map, "low")
+        cond = check_conditions(path, GAMMA, W)
         assert cond.nearest_crossings_straddle_cusp == (upper[0] != upper[1])
         checked += 1
     assert checked > 20
 
 
-def test_conditions_outside_bistable(fold_map):
+def test_conditions_outside_bistable():
     path = EncirclePath(
         center=(2.2, -4.38), radius=1.0, period=100.0, phase0=math.pi, plane="Omega-Delta"
     )
     # start point at (1.2, -4.38): single-root region, but the loop still
     # crosses the folds
-    cond = check_conditions(path, fold_map, "low")
+    cond = check_conditions(path, GAMMA, W)
     assert not cond.initial_in_bistable
 
 
-def test_conditions_same_side_crossings(fold_map):
+def test_conditions_same_side_crossings():
     # a small loop that dips across one fold branch twice near its start,
     # far from the cusp: both nearest crossings on the same side
     path = EncirclePath(
         center=(2.0, -5.05), radius=0.15, period=100.0, phase0=-math.pi / 2,
         plane="Omega-Delta",
     )
-    cond = check_conditions(path, fold_map, "low")
+    cond = check_conditions(path, GAMMA, W)
     assert not cond.nearest_crossings_straddle_cusp
 
 
-def test_conditions_no_intersections(fold_map):
+def test_conditions_no_intersections():
     path = EncirclePath(
         center=(1.3, -8.0), radius=0.1, period=100.0, plane="Omega-Delta"
     )
     with pytest.raises(NoIntersections):
-        check_conditions(path, fold_map, "low")
+        check_conditions(path, GAMMA, W)
