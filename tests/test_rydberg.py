@@ -695,16 +695,26 @@ def test_conditions_for_demo_path():
     assert cond.nearest_crossings_straddle_cusp
 
 
-def test_conditions_do_not_depend_on_the_plane_resolution():
+@pytest.mark.parametrize("res", [41, 81, 121, 161, 241])
+def test_conditions_do_not_depend_on_the_plane_resolution(res):
     # Near the cusp the bistable wedge is thinner than a grid cell, and
     # traced fold lines end short of it.  The conditions take no plane: a
     # loop whose two nearest crossings lie on different fold branches, one
-    # of them in that region, straddles the cusp, and so does the
-    # demonstration loop.
+    # of them in that region, straddles the cusp whatever plane is mapped,
+    # and so does the demonstration loop.
+    plane = PlaneSpec(
+        x=AxisSpec("Omega", 1.2, 6.0, res), y=AxisSpec("Delta", -9.0, -1.0, res)
+    )
+    fmap = bistability_map(plane, gamma=GAMMA, W=W)
     near_cusp = EncirclePath(
         center=(4.0, -5.5), radius=0.7, period=100.0, phase0=0.0, plane="Omega-Delta"
     )
     for path in (near_cusp, demo_path()):
+        T = path.period
+        nearest = sorted(path_fold_crossings(path, GAMMA, W),
+                         key=lambda t: min(t, T - t))[:2]
+        # both crossings sit on the wedge side of the cusp this plane holds
+        assert all(path.point(t)[0] < fmap.cusp[0] for t in nearest)
         assert check_conditions(path, GAMMA, W).nearest_crossings_straddle_cusp
 
 
