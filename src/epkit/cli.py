@@ -35,23 +35,17 @@ from .spectra import AxisSpec, PlaneSpec, scan_grid, trace_lines
 
 COMMANDS = ("spectrum", "map", "encircle", "rydberg")
 
-_SECTION_KEYS = {
-    "experiment": {"command", "model"},
-    "plane": {"x_name", "x_min", "x_max", "x_res", "y_name", "y_min", "y_max", "y_res"},
-    "path": {"center_x", "center_y", "radius", "period", "phase0", "plane", "convention"},
-    "run": {"T", "steps", "directions", "initial_branch", "initial_root",
-            "threads", "check_steps"},
-    "output": {"dir"},
+# Each section's keys and their value types; every param.<name> is a float.
+_KEYS = {
+    "experiment": {"command": str, "model": str},
+    "plane": {"x_name": str, "x_min": float, "x_max": float, "x_res": int,
+              "y_name": str, "y_min": float, "y_max": float, "y_res": int},
+    "path": {"center_x": float, "center_y": float, "radius": float, "period": float,
+             "phase0": float, "plane": str, "convention": str},
+    "run": {"T": float, "steps": int, "directions": str, "initial_branch": str,
+            "initial_root": str, "threads": int, "check_steps": bool},
+    "output": {"dir": str},
 }
-_STRING_KEYS = {
-    ("experiment", "command"), ("experiment", "model"),
-    ("plane", "x_name"), ("plane", "y_name"),
-    ("path", "plane"), ("path", "convention"),
-    ("run", "directions"), ("run", "initial_branch"), ("run", "initial_root"),
-    ("output", "dir"),
-}
-_INT_KEYS = {("plane", "x_res"), ("plane", "y_res"), ("run", "steps"), ("run", "threads")}
-_BOOL_KEYS = {("run", "check_steps")}
 
 # Largest step count per loop direction, from run.steps or the default
 # rule: past it a loop cannot finish in reasonable time.
@@ -71,8 +65,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate an experiment file; errors carry lines."""
-    sections: dict[str, dict] = {"experiment": {}, "param": {}, "plane": {},
-                                 "path": {}, "run": {}, "output": {}}
+    sections: dict[str, dict] = {section: {} for section in ("param", *_KEYS)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,7 +79,7 @@ def parse_config(text: str) -> ExperimentConfig:
         section, _, name = key.partition(".")
         if section not in sections:
             raise ConfigError(f"unknown section '{section}'", lineno)
-        if section != "param" and name not in _SECTION_KEYS[section]:
+        if section != "param" and name not in _KEYS[section]:
             raise ConfigError(f"unknown key '{section}.{name}'", lineno)
         if name in sections[section]:
             raise ConfigError(f"duplicate key '{section}.{name}'", lineno)
@@ -112,16 +105,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _parse_value(section, name, value, lineno):
-    if (section, name) in _STRING_KEYS:
+    kind = float if section == "param" else _KEYS[section][name]
+    if kind is str:
         return value
-    if (section, name) in _BOOL_KEYS:
+    if kind is bool:
         if value in ("true", "false"):
             return value == "true"
         raise ConfigError(f"'{section}.{name}' expects true/false, got '{value}'", lineno)
     try:
-        if (section, name) in _INT_KEYS:
-            return int(value)
-        return float(value)
+        return kind(value)
     except ValueError:
         raise ConfigError(
             f"'{section}.{name}' expects a number, got '{value}'", lineno
@@ -146,7 +138,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not math.isfinite(val):
             raise ConfigError("parameter values must be finite")
     if cfg.command == "map" or (cfg.command == "rydberg" and cfg.plane):
-        for k in _SECTION_KEYS["plane"]:
+        for k in _KEYS["plane"]:
             if k not in cfg.plane:
                 raise ConfigError(f"missing section key 'plane.{k}'")
         # Build what the run builds, so that a bad plane fails here.
@@ -169,10 +161,15 @@ def _validate(cfg: ExperimentConfig) -> None:
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
+    # a loop command names its start by its own key, never by the other's
+    foreign = {"encircle": "initial_root", "rydberg": "initial_branch"}.get(cfg.command)
+    if foreign in cfg.run:
+        raise ConfigError(f"run.{foreign} is not a key of {cfg.command} runs")
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
                 raise ConfigError(f"missing section key 'path.{k}'")
+        _directions(cfg)
         floor = 100 if cfg.command == "encircle" else 1
         if cfg.run.get("steps", floor) < floor:
             raise ConfigError(f"{cfg.command} runs need run.steps >= {floor}")
@@ -318,14 +315,20 @@ def _build_plane(cfg: ExperimentConfig) -> PlaneSpec:
     )
 
 
+def _directions(cfg: ExperimentConfig) -> tuple:
+    """The loop directions whose trajectories a run writes."""
+    directions = cfg.run.get("directions", "both")
+    if directions not in ("ccw", "cw", "both"):
+        raise ConfigError(f"run.directions is 'ccw', 'cw' or 'both', not '{directions}'")
+    return ("ccw", "cw") if directions == "both" else (directions,)
+
+
 def _build_drives(cfg: ExperimentConfig):
     """Drive of an encircle run and a drive per requested direction."""
     model = get_model(cfg.model)
     fixed = resolve_params(model, cfg.params)
     drive = PathDrive(model=model, path=_build_path(cfg), fixed=fixed)
-    directions = cfg.run.get("directions", "both")
-    directions = ("ccw", "cw") if directions == "both" else (directions,)
-    return drive, {d: drive.with_direction(d) for d in directions}
+    return drive, {d: drive.with_direction(d) for d in _directions(cfg)}
 
 
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict:
@@ -434,8 +437,8 @@ def _run_rydberg(cfg, emit_text, emit_json):
             path, gamma, W, path.period, cfg.run.get("initial_root", "low"),
             steps=cfg.run.get("steps"), check_steps=bool(cfg.run.get("check_steps", False)),
         )
-        for direction, traj in verdict.runs.items():
-            emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
+        for d in _directions(cfg):
+            emit_text(f"trajectory_{d}.csv", output.trajectory_csv(verdict.runs[d]))
         counters = _step_counters("integrate_bloch", cfg, verdict)
         payload = {
             "verdict": verdict.verdict,

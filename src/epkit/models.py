@@ -158,9 +158,6 @@ class EncirclePath:
     def omega(self) -> float:
         return 2.0 * math.pi / self.period
 
-    def reversed(self) -> "EncirclePath":
-        return replace(self, direction="cw" if self.direction == "ccw" else "ccw")
-
     def point(self, t):
         """Plane coordinates (x, y) at time t; t may be an array."""
         theta = self.phase0 + self.sign * self.omega * np.asarray(t, dtype=float)
@@ -190,8 +187,8 @@ def pick_index(spec, named: dict, count: int, what: str) -> int:
 
 
 def pt_hamiltonian(p: PTParams) -> np.ndarray:
-    """J*sx - i(Gamma/2)*sz."""
-    return p.J * SIGMA_X - 0.5j * p.Gamma * SIGMA_Z
+    """J*sx - i(Gamma/2)*sz: the encircle model at Omega = 0."""
+    return encircle_model(p.J, 0.0, p.Gamma)
 
 
 def encircle_model(J, Omega, Gamma) -> np.ndarray:
@@ -249,14 +246,14 @@ def build_liouvillian(h, jumps: list[JumpTerm]) -> np.ndarray:
 
 
 def basic_liouvillian(J: float, Gamma: float) -> np.ndarray:
-    """Full Lindblad generator of H = J*sx with decay sqrt(Gamma)|1><2|."""
-    return build_liouvillian(
-        J * SIGMA_X, [JumpTerm(np.sqrt(Gamma) * SIGMA_MINUS)]
-    )
+    """Full Lindblad generator of H = J*sx with decay sqrt(Gamma)|1><2|:
+    the detuned Liouvillian at delta = 0."""
+    return detuned_liouvillian(J, Gamma, 0.0)
 
 
 def detuned_liouvillian(J: float, Gamma: float, delta: float) -> np.ndarray:
-    """Same as basic_liouvillian with a (delta/2)*sz term in the Hamiltonian."""
+    """Full Lindblad generator of H = J*sx + (delta/2)*sz with decay
+    sqrt(Gamma)|1><2|."""
     return build_liouvillian(
         J * SIGMA_X + 0.5 * delta * SIGMA_Z,
         [JumpTerm(np.sqrt(Gamma) * SIGMA_MINUS)],
@@ -483,10 +480,6 @@ class PathDrive:
             raise ValueError(f"plane '{self.path.plane}' is not of the form 'x-y'")
         aliases = PARAM_ALIASES.get(self.model.name, {})
         return aliases.get(parts[0], parts[0]), aliases.get(parts[1], parts[1])
-
-    @property
-    def direction(self) -> str:
-        return self.path.direction
 
     def with_direction(self, direction: str) -> "PathDrive":
         return replace(self, path=replace(self.path, direction=direction))

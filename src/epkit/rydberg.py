@@ -89,10 +89,9 @@ class SteadyState:
     marginal: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteadyStateSet:
-    params: RydbergParams
-    roots: list  # of SteadyState, ascending in n
+    roots: tuple  # of SteadyState, ascending in n
 
     @property
     def stable_roots(self):
@@ -112,7 +111,6 @@ class FoldMap:
     plane: PlaneSpec
     gamma: float
     W: float
-    discriminant: np.ndarray  # (n_Omega, n_Delta)
     lines: list = field(default_factory=list)  # (k, 2) arrays of (Omega, Delta)
     cusp: tuple | None = None
 
@@ -183,14 +181,19 @@ def jacobian(n, rho21, p: RydbergParams) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
+@functools.lru_cache(maxsize=1)
 def steady_states(p: RydbergParams) -> SteadyStateSet:
-    """All physical steady states with stability labels, ascending in n."""
+    """All physical steady states of a point of floats, ascending in n.
+
+    The last solve is memoized, as ``step_rate``'s probe is, so that a
+    config's validation, transfer conditions and loop share one solve.
+    """
     s = steady_states_batch(p)
-    return SteadyStateSet(params=p, roots=[
+    return SteadyStateSet(roots=tuple(
         SteadyState(float(s.n[k]), complex(s.rho21[k]), bool(s.stable[k]),
                     s.jacobian_eigenvalues[k], bool(s.marginal[k]))
         for k in np.flatnonzero(np.isfinite(s.n))
-    ])
+    ))
 
 
 def steady_states_batch(p: RydbergParams) -> SteadyState:
@@ -318,7 +321,6 @@ def bistability_map(plane: PlaneSpec, gamma: float, W: float) -> FoldMap:
         plane=plane,
         gamma=gamma,
         W=W,
-        discriminant=disc,
         lines=contour.arrange(contour.trace(omegas, deltas, disc, locate)),
         cusp=_locate_cusp(plane, gamma, W),
     )

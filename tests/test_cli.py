@@ -378,6 +378,10 @@ BAD_RUNS = {
     "encircle_unknown_direction": ENCIRCLE_CONFIG + "run.directions = sideways\n",
     "encircle_unknown_convention": ENCIRCLE_CONFIG + "path.convention = tan-cos\n",
     "rydberg_unknown_root": RYDBERG_PATH_CONFIG + "run.initial_root = middle\n",
+    "rydberg_unknown_direction": RYDBERG_PATH_CONFIG + "run.directions = sideways\n",
+    # each loop command names its start by its own key
+    "rydberg_encircle_start_key": RYDBERG_PATH_CONFIG + "run.initial_branch = middle\n",
+    "encircle_rydberg_start_key": ENCIRCLE_CONFIG + "run.initial_root = high\n",
     "encircle_too_few_steps": ENCIRCLE_CONFIG.replace("run.steps = 100\n", "run.steps = 50\n"),
     "rydberg_zero_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 0"),
     "rydberg_unknown_path_plane": RYDBERG_PATH_CONFIG.replace("Omega-Delta", "banana-Omega"),
@@ -464,6 +468,7 @@ def rydberg_configs(draw):
                   f"path.convention = {draw(st.sampled_from(['cos-sin', 'sin-cos']))}",
                   f"run.T = {T!r}",
                   f"run.initial_root = {draw(st.sampled_from(['low', 'high', *'0123']))}",
+                  f"run.directions = {draw(st.sampled_from(['both', 'ccw', 'cw']))}",
                   f"run.check_steps = {draw(st.sampled_from(['true', 'false']))}"]
         steps = draw(st.one_of(st.none(), st.integers(1, 400)))
         if steps is not None:  # none: the default rule, which probes the loop
@@ -665,6 +670,21 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     assert calls.count("eig") == 6
 
 
+def test_rydberg_run_writes_the_directions_it_names(tmp_path):
+    # As an encircle run does, a rydberg run writes the trajectory of each
+    # direction that run.directions names; transfer.json judges both loops.
+    outputs = {}
+    for directions in ("both", "cw"):
+        cfgfile = tmp_path / f"{directions}.cfg"
+        cfgfile.write_text(RYDBERG_PATH_CONFIG + f"run.directions = {directions}\n")
+        out = tmp_path / directions
+        assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 0
+        outputs[directions] = json.loads(_read(out / "manifest.json"))["outputs"]
+    assert sorted(outputs["cw"]) == ["trajectory_cw.csv", "transfer.json"]
+    outputs["both"].pop("trajectory_ccw.csv")
+    assert outputs["both"] == outputs["cw"]
+
+
 def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
     # Validation probes the rate for the step budget and the run shares
     # that probe; a preset skips validation, so its run probes for itself.
@@ -699,9 +719,9 @@ def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
 
 def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
     # Validation searches the loop's fold crossings and the run's transfer
-    # conditions share that search.  The start point's steady states are
-    # solved by validation, by transfer_verdict for both directions and by
-    # the conditions.
+    # conditions share that search.  Validation, the conditions and
+    # transfer_verdict for both directions share one solve of the start
+    # point's steady states; a preset skips validation and solves it once.
     from epkit import contour, rydberg
 
     searches, starts = [], []
@@ -720,11 +740,19 @@ def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
     monkeypatch.setattr(contour, "bisect", spy)
     monkeypatch.setattr(rydberg, "steady_states_batch", steady_spy)
     rydberg.path_fold_crossings.cache_clear()
+    rydberg.steady_states.cache_clear()
     cfg = parse_config(RYDBERG_PATH_CONFIG + FIG5_PLANE.replace("161", "41"))
-    run(cfg, out_dir=str(tmp_path))
+    run(cfg, out_dir=str(tmp_path / "config"))
     assert len(searches) == 1
-    assert len(starts) == 3
-    assert "conditions" in json.loads(_read(tmp_path / "transfer.json"))
+    assert len(starts) == 1
+    assert "conditions" in json.loads(_read(tmp_path / "config" / "transfer.json"))
+    starts.clear()
+    rydberg.steady_states.cache_clear()
+    preset = PRESETS["fig5"]()
+    preset.plane.update(x_res=41, y_res=41)
+    preset.path["period"] = preset.run["T"] = 100.0
+    run(preset, out_dir=str(tmp_path / "preset"))
+    assert len(starts) == 1
 
 
 def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):

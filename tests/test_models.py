@@ -1,6 +1,7 @@
 """Generator catalog: matrix layouts, closed-form spectra, symmetries."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_encircle_direction_and_phase():
     path = EncirclePath(center=(0.0, 0.0), radius=1.0, period=4.0, phase0=0.0)
     x, y = path.point(1.0)  # quarter turn ccw
     assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12
-    x, y = path.reversed().point(1.0)
+    x, y = replace(path, direction="cw").point(1.0)
     assert abs(x) < 1e-12 and abs(y + 1.0) < 1e-12
 
 
@@ -333,6 +334,25 @@ def test_catalog_batch_matches_scalar():
             public = PUBLIC_BUILDERS[name](**point)
             assert np.max(np.abs(single - public)) < 1e-14, name
             assert np.max(np.abs(batch[k] - public)) < 1e-14, name
+
+
+def test_each_generator_has_one_definition():
+    # pt is the encircle model at Omega = 0, and basic_liouvillian the
+    # detuned Liouvillian at delta = 0: in the scalar builders and in the
+    # catalog, in both forms of a Liouvillian.
+    rng = np.random.default_rng(20)
+    J, Gamma = rng.uniform(0.0, 1.5, size=(2, 50))
+    for j, g in zip(J.tolist(), Gamma.tolist()):
+        assert np.array_equal(pt_hamiltonian(PTParams(J=j, Gamma=g)), encircle_model(j, 0.0, g))
+        assert np.array_equal(basic_liouvillian(j, g), detuned_liouvillian(j, g, 0.0))
+    for name, general, at in (("pt", "encircle", {"Omega": 0.0}),
+                              ("basic_liouvillian", "detuned_liouvillian", {"delta": 0.0})):
+        for form in ("matrix", "bloch_matrix"):
+            build, general_build = getattr(MODELS[name], form), getattr(MODELS[general], form)
+            if MODELS[name].kind == "hamiltonian" and form == "bloch_matrix":
+                assert build is None and general_build is None
+                continue
+            assert np.array_equal(build(J=J, Gamma=Gamma), general_build(J=J, Gamma=Gamma, **at))
 
 
 def _same_multiset(a, b):

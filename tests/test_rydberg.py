@@ -358,7 +358,7 @@ def test_fold_edge_lanes_independent(fold_map):
     # All crossing edges bisected in one batch land on exactly the vertices
     # that each edge bisected alone (a batch of one) lands on.
     omegas, deltas = fold_map.plane.x.values(), fold_map.plane.y.values()
-    disc = fold_map.discriminant
+    disc = discriminant_grid(omegas, deltas, fold_map.gamma, fold_map.W)
     keys = sorted({k for seg in _segments(disc) for k in seg})
     p0, p1, f0, f1 = _edge_endpoints(omegas, deltas, disc, keys)
     batch = _fold_zeros(GAMMA, W, p0, p1, f0, f1)
@@ -527,6 +527,7 @@ def test_transfer_verdict_probes_the_rate_once(monkeypatch):
 
     monkeypatch.setattr(rydberg, "steady_states_batch", spy)
     step_rate.cache_clear()
+    steady_states.cache_clear()
     v = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
     assert sizes.count(RECORD_GRID) == 1 and sizes.count(1) == 1 and len(sizes) == 2
     assert v.rate == step_rate(demo_path(100.0), GAMMA, W)
