@@ -315,8 +315,8 @@ def _build_plane(cfg: ExperimentConfig) -> PlaneSpec:
     )
 
 
+# the loop directions whose trajectories a run writes
 def _directions(cfg: ExperimentConfig) -> tuple:
-    """The loop directions whose trajectories a run writes."""
     directions = cfg.run.get("directions", "both")
     if directions not in ("ccw", "cw", "both"):
         raise ConfigError(f"run.directions is 'ccw', 'cw' or 'both', not '{directions}'")
