@@ -47,8 +47,8 @@ _KEYS = {
     "output": {"dir": str},
 }
 
-# Largest step count per loop direction, from run.steps or the default
-# rule: past it a loop cannot finish in reasonable time.
+# Largest step count (for rydberg: step cap) per loop direction, from
+# run.steps or the default rule: past it a loop cannot finish in time.
 MAX_STEPS = 10**7
 
 
@@ -187,7 +187,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import default_steps, path_fold_crossings, resolve_root, step_rate
+                from .rydberg import path_fold_crossings, resolve_root
 
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
@@ -195,13 +195,11 @@ def _validate(cfg: ExperimentConfig) -> None:
                 # the loop's fold crossings before integrating
                 if cfg.plane and not path_fold_crossings(path, gamma, W):
                     raise ValueError("the loop never crosses a fold line")
-                if steps is None:
-                    steps = default_steps(step_rate(path, gamma, W), T)
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
             steps = math.inf
-        if steps > MAX_STEPS:
+        if steps is not None and steps > MAX_STEPS:  # None: rydberg's default cap
             rule = "run.steps" if "steps" in cfg.run else "the default step rule at this loop time"
             raise ConfigError(f"run: {rule} takes more than {MAX_STEPS} steps per direction")
     if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
@@ -457,15 +455,17 @@ def _run_rydberg(cfg, emit_text, emit_json):
 
 def _step_counters(name, cfg, report) -> dict:
     """Steps integrated (a step-doubling check adds a run at twice the
-    steps), the rule that chose them, the rate that set a default step
-    count and the worst step-doubling drift."""
+    steps; a mean-field run counts those it attempted, rerun included), the
+    rule that chose them, the rate that set a default step count and the
+    worst step-doubling drift."""
     runs = report.runs.values()
     check = bool(cfg.run.get("check_steps", False))
     counters = {
-        f"{name}.steps": sum((3 if check else 1) * r.steps for r in runs),
+        f"{name}.steps": sum((3 if check and r.kind != "meanfield" else 1) * r.steps
+                             for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
-    if report.rate is not None:
+    if getattr(report, "rate", None) is not None:
         counters[f"{name}.rate"] = report.rate
     if check:
         counters[f"{name}.drift"] = max(r.drift for r in runs)

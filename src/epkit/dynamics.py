@@ -488,11 +488,6 @@ def initial_state_on_branch(drive: PathDrive, branch):
     return linalg.vec_row(rho), dec
 
 
-def resolve_branch(drive: PathDrive, spec_name) -> int:
-    """Branch selector: 'upper'/'lower' by real part, 'quasi_steady', or an index."""
-    return _branch_index(linalg.eig(drive.matrix(0.0)), spec_name)
-
-
 def _branch_index(dec, spec_name) -> int:
     # canonical order sorts by descending real part
     named = {"upper": 0, "lower": dec.dim - 1, "quasi_steady": quasi_steady_index(dec)}

@@ -27,15 +27,22 @@ from .errors import NoIntersections, StepTooCoarse
 from .models import EncirclePath, pick_index
 from .spectra import PlaneSpec
 
-# Default steps keep h rate <= STEP_RATE, rate the largest |eigenvalue| of
-# the steady-state Jacobians along the loop (floor gamma).  RK4's stability
-# interval reaches ~2.8 / |lambda|: the fig5 loop stays finite up to
-# h rate ~3.1 and diverges at 3.3, so 1 leaves a threefold margin.
-STEP_RATE = 1.0
-
-# Loop points of the rate probe, and the record intervals of a default run:
-# its step count is a multiple of this, so it records at k T / RECORD_GRID.
+# The state is recorded at the times k T / RECORD_GRID of a loop.
 RECORD_GRID = 1024
+
+# Error tolerance of the mean-field loop, relative and absolute alike: at
+# 3e-9 the fig5 final populations hold their 1e-9 reference; 1e-8 misses it.
+RTOL = 3e-9
+
+# Attempted steps per direction of a mean-field loop (fig5: ~23k) unless run.steps caps them.
+STEP_CAP = 10**6
+
+# Shampine's ROS4 (Hairer and Wanner, ros4.f, METH = 1), transformed form: gamma,
+# A21 A31 A32, C21 C31 C32 C41 C42 C43, D1-D4, B1-B4, E1 E2 E4 (E3 = 0).  Stage 4
+# evaluates f at stage 3's point (t + 3h/5), so it reuses stage 3's f.
+_ROS4 = (0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5,
+         0.5, -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36,
+         125 / 108)
 
 RESIDUAL_TOL = 1e-10
 
@@ -171,21 +178,24 @@ def jacobian(n, rho21, p: RydbergParams) -> np.ndarray:
 
     Broadcasts over array states and parameters; the matrix axes are last.
     """
-    x, y = np.real(rho21), np.imag(rho21)
-    delta_eff = p.Delta - p.W * n
-    entries = np.broadcast_arrays(
-        -p.gamma, 0.0, -p.Omega,
-        p.W * y, -0.5 * p.gamma, -delta_eff,
-        -p.W * x + p.Omega, delta_eff, -0.5 * p.gamma,
-    )
+    entries = np.broadcast_arrays(*_jacobian_entries(
+        n, np.real(rho21), np.imag(rho21), p.Omega, p.Delta, p.gamma, p.W))
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+
+
+def _jacobian_entries(n, x, y, Omega, Delta, gamma, W):
+    """``jacobian``'s entries, row by row, on the real state (n, x, y)."""
+    e = Delta - W * n
+    return (-gamma, 0.0, -Omega,
+            W * y, -0.5 * gamma, -e,
+            Omega - W * x, e, -0.5 * gamma)
 
 
 @functools.lru_cache(maxsize=1)
 def steady_states(p: RydbergParams) -> SteadyStateSet:
     """All physical steady states of a point of floats, ascending in n.
 
-    The last solve is memoized, as ``step_rate``'s probe is, so that a
+    The last solve is memoized, as the fold crossings are, so that a
     config's validation, transfer conditions and loop share one solve.
     """
     s = steady_states_batch(p)
@@ -376,83 +386,103 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 # -- time integration -------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def step_rate(path: EncirclePath, gamma: float, W: float) -> float:
-    """Rate that sets the default step count of a loop around ``path``.
+def _drive(p: RydbergParams, path: EncirclePath | None):
+    """(Omega, Delta, dOmega/dt, dDelta/dt) at a float time, on plain floats:
+    ``path.point``'s point, turning about the centre the way the path runs,
+    or p's drive, held, without a path."""
+    if path is None:
+        return lambda t, fixed=(float(p.Omega), float(p.Delta), 0.0, 0.0): fixed
+    (cx, cy), r, th0, w = path.center, path.radius, path.phase0, path.sign * path.omega
+    cos, sin = (math.sin, math.cos) if path.convention == "sin-cos" else (math.cos, math.sin)
+    turn = path.omega if path.direction == "ccw" else -path.omega
 
-    The largest |eigenvalue| of the Jacobian over every steady state at
-    RECORD_GRID points of the loop, one batched solve, and at least gamma.
-    Both directions trace the same points.  The flow at -Omega is the flow
-    at Omega with rho21 negated, so a loop through Omega < 0 is probed at
-    |Omega|.  The last probe is memoized, so that the validation of a
-    config and its run share one probe.
+    def at(t):
+        th = th0 + w * t
+        u, v = r * cos(th), r * sin(th)
+        return cx + u, cy + v, -turn * v, turn * u
+
+    return at
+
+
+def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
+                    path: EncirclePath | None = None, rtol: float = RTOL):
+    """Error-controlled ROS4 steps (_ROS4) on the mean-field equations, on floats.
+
+    A step passes when its embedded third-order error estimate is within
+    rtol (1 + |value|) in each of rho22, Re rho21 and Im rho21; the next is
+    this one times 0.9 err^(-1/4), within [1/5, 5].  Steps land on the
+    RECORD_GRID + 1 times k T / RECORD_GRID (a step cut short to land
+    keeps the proposal it cut), and there (times, rho22, rho21) are
+    returned with the steps attempted.  ``steps`` caps the attempts; past
+    it, or when a step falls below the rounding of t, StepTooCoarse.  A
+    path modulates (Omega(t), Delta(t)).  Bit-reproducible.
     """
-    xs, ys = path.point(path.period * (np.arange(RECORD_GRID) / RECORD_GRID))
-    probe = RydbergParams(np.abs(xs), ys, gamma, W)
-    lam = np.abs(steady_states_batch(probe).jacobian_eigenvalues)
-    return max(gamma, float(lam[np.isfinite(lam)].max(initial=0.0)))
+    drive, gamma, W, half_g = _drive(p, path), float(p.gamma), float(p.W), 0.5 * float(p.gamma)
+    n, x, y = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag
+    times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
+    records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
+    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4 = _ROS4[:14]
+    b1, b2, b3, b4, e1, e2, e4 = _ROS4[14:]
+    for t_rec in times[1:].tolist():
+        while t < t_rec:
+            om, de, om_t, de_t = drive(t)
+            fn, fx, fy = _rhs(n, x, y, om, de, gamma, W, half_g)
+            jac = _jacobian_entries(n, x, y, om, de, gamma, W)
+            j00, j01, j02, j10, j11, j12, j20, j21, j22 = jac
+            tn, tx, ty = -y * om_t, -y * de_t, x * de_t + (n - 0.5) * om_t  # df/dt
+            while True:
+                attempts += 1
+                if attempts > steps:
+                    raise StepTooCoarse(f"mean-field loop needs more than {steps} steps")
+                hs = min(h, t_rec - t)
+                if t + 0.1 * hs == t:
+                    raise StepTooCoarse(f"mean-field step fell below the rounding of t = {t:.6g}")
+                # (I / (g hs) - J)^-1 by its cofactors, nan when singular (failing the
+                # error test); stage i applies it to f_i + sum C_ij k_j / hs + hs D_i df/dt
+                q = 1.0 / (g * hs)
+                m00, m11, m22 = q - j00, q - j11, q - j22
+                c00, c01, c02 = m11 * m22 - j12 * j21, j12 * j20 + j10 * m22, j10 * j21 + m11 * j20
+                s = 1.0 / det if (det := m00 * c00 - j01 * c01 - j02 * c02) else math.nan
+                i00, i01, i02 = c00 * s, (j01 * m22 + j02 * j21) * s, (j01 * j12 + j02 * m11) * s
+                i10, i11, i12 = c01 * s, (m00 * m22 - j02 * j20) * s, (m00 * j12 + j02 * j10) * s
+                i20, i21, i22 = c02 * s, (m00 * j21 + j01 * j20) * s, (m00 * m11 - j01 * j10) * s
 
+                def solve(d, un, ux, uy):
+                    un, ux, uy = un + hs * d * tn, ux + hs * d * tx, uy + hs * d * ty
+                    return (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                            i20 * un + i21 * ux + i22 * uy)
 
-def default_steps(rate: float, T: float) -> int:
-    """Step count keeping h rate at or below STEP_RATE, in whole record grids.
-
-    The count is a multiple of RECORD_GRID, so a default run records at
-    the times k T / RECORD_GRID.
-    """
-    return RECORD_GRID * max(1, math.ceil(T * rate / (STEP_RATE * RECORD_GRID)))
-
-
-def integrate_bloch(
-    p: RydbergParams,
-    rho22_0,
-    rho21_0,
-    T: float,
-    steps: int,
-    path: EncirclePath | None = None,
-):
-    """Fixed-step RK4 on the mean-field equations, optionally path-driven.
-
-    Returns (times, rho22, rho21) arrays at up to RECORD_GRID + 1 recorded
-    samples, with the time axis first; the record after s steps sits at
-    T (s / steps).  The state may be a scalar pair, which runs on Python
-    floats, or arrays (an ensemble), which run as numpy lanes with the
-    members' shape on the trailing axes; each member gets bit for bit the
-    result of a lone call.  When a path is given it modulates
-    (Omega(t), Delta(t)), evaluated one record interval at a time.
-    """
-    h = T / steps
-    rec_idx = np.unique(np.linspace(0, steps, min(RECORD_GRID + 1, steps + 1)).round().astype(int))
-    if np.ndim(rho22_0) == 0:
-        n, r = float(rho22_0), complex(rho21_0)
-        x, y = r.real, r.imag
-    else:
-        n, r = np.broadcast_arrays(np.asarray(rho22_0, float), np.asarray(rho21_0, complex))
-        n, x, y = n.copy(), r.real.copy(), r.imag.copy()
-    out_n = np.empty((len(rec_idx),) + np.shape(n))
-    out_r = np.empty(out_n.shape, dtype=complex)
-    out_n[0], out_r.real[0], out_r.imag[0] = n, x, y
-
-    gamma, W, half_g = p.gamma, p.W, 0.5 * p.gamma
-    h2, h6 = 0.5 * h, h / 6.0
-    for j in range(1, len(rec_idx)):
-        # the drive at the half steps k0 .. k1 of this record interval, as floats
-        k0, k1 = 2 * rec_idx[j - 1], 2 * rec_idx[j]
-        if path is None:
-            om, de = [float(p.Omega)] * (k1 - k0 + 1), [float(p.Delta)] * (k1 - k0 + 1)
-        else:
-            xs, ys = path.point(np.arange(k0, k1 + 1) * (0.5 * h))
-            om, de = np.asarray(xs, float).tolist(), np.asarray(ys, float).tolist()
-        drive = zip(om[0::2], om[1::2], om[2::2], de[0::2], de[1::2], de[2::2])
-        for o1, o2, o3, d1, d2, d3 in drive:
-            a1, b1, c1 = _rhs(n, x, y, o1, d1, gamma, W, half_g)
-            a2, b2, c2 = _rhs(n + h2 * a1, x + h2 * b1, y + h2 * c1, o2, d2, gamma, W, half_g)
-            a3, b3, c3 = _rhs(n + h2 * a2, x + h2 * b2, y + h2 * c2, o2, d2, gamma, W, half_g)
-            a4, b4, c4 = _rhs(n + h * a3, x + h * b3, y + h * c3, o3, d3, gamma, W, half_g)
-            n = n + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            x = x + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            y = y + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        out_n[j], out_r.real[j], out_r.imag[j] = n, x, y
-    return T * (rec_idx / steps), out_n, out_r
+                k1n, k1x, k1y = solve(d1, fn, fx, fy)
+                f = _rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, *drive(t + hs)[:2],
+                         gamma, W, half_g)
+                k2n, k2x, k2y = solve(d2, f[0] + c21 / hs * k1n, f[1] + c21 / hs * k1x,
+                                      f[2] + c21 / hs * k1y)
+                f = _rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
+                         y + a31 * k1y + a32 * k2y, *drive(t + 0.6 * hs)[:2], gamma, W, half_g)
+                u, v = c31 / hs, c32 / hs
+                k3n, k3x, k3y = solve(d3, f[0] + u * k1n + v * k2n, f[1] + u * k1x + v * k2x,
+                                      f[2] + u * k1y + v * k2y)
+                u, v, w = c41 / hs, c42 / hs, c43 / hs
+                k4n, k4x, k4y = solve(d4, f[0] + u * k1n + v * k2n + w * k3n,
+                                      f[1] + u * k1x + v * k2x + w * k3x,
+                                      f[2] + u * k1y + v * k2y + w * k3y)
+                nn = n + b1 * k1n + b2 * k2n + b3 * k3n + b4 * k4n
+                nx = x + b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x
+                ny = y + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y
+                en = abs(e1 * k1n + e2 * k2n + e4 * k4n) / (1.0 + max(abs(n), abs(nn)))
+                ex = abs(e1 * k1x + e2 * k2x + e4 * k4x) / (1.0 + max(abs(x), abs(nx)))
+                ey = abs(e1 * k1y + e2 * k2y + e4 * k4y) / (1.0 + max(abs(y), abs(ny)))
+                # max() may drop a nan, which compares false both ways
+                err = math.nan if math.isnan(en + ex + ey) else max(en, ex, ey) / rtol
+                grown = hs * min(5.0, max(0.2, 0.9 * max(err, 1e-4) ** -0.25))
+                if err <= 1.0:
+                    h = max(h, grown) if hs < h else grown
+                    break
+                h = grown  # a nan error shrinks it too
+            t, n, x, y = (t_rec if hs == t_rec - t else t + hs), nn, nx, ny
+        records.append((n, x, y))
+    n, x, y = np.array(records).T
+    return times, n, x + 1j * y, attempts
 
 
 def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
@@ -481,9 +511,8 @@ class TransferVerdict:
     the other returned; otherwise "none".  runs holds the judged run of
     each direction, keyed "ccw"/"cw": a ``dynamics.TrajectoryRecord`` of
     kind "meanfield" whose states are (rho22, rho21), with rho22 as its
-    sheet_index and the run's steps and step-doubling drift.  rate is the
-    rate that set their default step count (None when the steps were
-    given).
+    sheet_index, the steps its integration attempted (a check rerun
+    included) and the check's drift.
     """
 
     landed_ccw: int | None
@@ -493,7 +522,6 @@ class TransferVerdict:
     initial_index: int
     verdict: str
     runs: dict = field(compare=False, repr=False)
-    rate: float | None = None
 
 
 def transfer_verdict(
@@ -508,10 +536,11 @@ def transfer_verdict(
     """Chirality of the steady-state loop judged by clean branch landings.
 
     Both directions start from the same stable root at the path start and
-    run one period T.  A default step count comes from one rate probe for
-    both.  Under ``check_steps`` each direction runs again at twice the
-    steps, and a final population that moves by more than 1e-6 raises
-    StepTooCoarse, as does a run that diverges.
+    run one period T, each with at most ``steps`` attempted steps (STEP_CAP
+    when None).  Under ``check_steps`` each direction runs again at
+    RTOL / 16, which halves a fourth-order step, with twice the cap: a
+    record that moves by more than 1e-6 raises StepTooCoarse, as does a
+    run that diverges.
     """
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord
@@ -519,29 +548,25 @@ def transfer_verdict(
     path = replace(path, period=T)
     p0, stable, idx0 = resolve_root(path, gamma, W, initial_root)
     start = stable[idx0]
-    rate = None
-    if steps is None:
-        rate = step_rate(path, gamma, W)
-        steps = default_steps(rate, T)
+    cap = STEP_CAP if steps is None else steps
 
     runs = {}
     landings = {}
     finals = {}
     for direction in ("ccw", "cw"):
         loop = replace(path, direction=direction)
-        times, n, r = integrate_bloch(p0, start.n, start.rho21, T, steps, path=loop)
+        times, n, r, attempts = integrate_bloch(p0, start.n, start.rho21, T, cap, path=loop)
         drift = None
         if check_steps:
-            _, n2, _ = integrate_bloch(p0, start.n, start.rho21, T, 2 * steps, path=loop)
-            # The final population, not every record: the records inside a fold
-            # jump still move by up to ~1e-4 on doubling (the cw demonstration
-            # loop at T = 500 to 5000), the final population by at most ~1e-9.
-            drift = abs(float(n2[-1]) - float(n[-1]))
-            # written so that a diverged (nan) run fails the check too
+            _, n2, r2, more = integrate_bloch(p0, start.n, start.rho21, T, 2 * cap, path=loop,
+                                              rtol=RTOL / 16)
+            attempts += more
+            # every record, and written so that a diverged (nan) run fails too
+            drift = float(np.max(np.abs(np.concatenate([n2 - n, r2 - r]))))
             if not drift <= 1e-6:
-                raise StepTooCoarse("encircling run not converged in step doubling")
+                raise StepTooCoarse(f"loop not converged: records moved {drift:.2g} at RTOL / 16")
         if not (np.isfinite(n).all() and np.isfinite(r).all()):
-            raise StepTooCoarse(f"encircling run diverged at {steps} steps")
+            raise StepTooCoarse("encircling run diverged")
         runs[direction] = TrajectoryRecord(
             times=times,
             states=np.stack([n.astype(complex), r], axis=1),
@@ -549,7 +574,7 @@ def transfer_verdict(
             log_norm=np.zeros(len(times)),
             kind="meanfield",
             sheet_index=n,  # the excited population stands in
-            steps=steps,
+            steps=attempts,
             drift=drift,
         )
         nf = float(n[-1])
@@ -567,7 +592,6 @@ def transfer_verdict(
         initial_index=idx0,
         verdict="chiral" if chiral else "none",
         runs=runs,
-        rate=rate,
     )
 
 
@@ -578,8 +602,8 @@ def transfer_verdict(
 def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096):
     """Loop times where the discriminant changes sign, bisection-refined.
 
-    Returns a tuple.  The last search is memoized, as ``step_rate`` is, so
-    that the validation of a config and its run share one search.
+    Returns a tuple.  The last search is memoized, as ``steady_states`` is,
+    so that the validation of a config and its run share one search.
     """
 
     def disc_at(t):

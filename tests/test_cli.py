@@ -369,7 +369,7 @@ path.radius = 1.477
 path.period = 100.0
 path.plane = Omega-Delta
 run.T = 100.0
-run.steps = 1000
+run.steps = 10000
 """
 BAD_RUNS = {
     "encircle_unknown_plane_axis": ENCIRCLE_CONFIG.replace("J-Omega", "J-Gamma2"),
@@ -383,7 +383,7 @@ BAD_RUNS = {
     "rydberg_encircle_start_key": RYDBERG_PATH_CONFIG + "run.initial_branch = middle\n",
     "encircle_rydberg_start_key": ENCIRCLE_CONFIG + "run.initial_root = high\n",
     "encircle_too_few_steps": ENCIRCLE_CONFIG.replace("run.steps = 100\n", "run.steps = 50\n"),
-    "rydberg_zero_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 0"),
+    "rydberg_zero_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 10000", "run.steps = 0"),
     "rydberg_unknown_path_plane": RYDBERG_PATH_CONFIG.replace("Omega-Delta", "banana-Omega"),
     # 2 pi / period overflows; gamma / 2 underflows to zero
     "rydberg_subnormal_period": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 5e-324"),
@@ -402,9 +402,7 @@ BAD_RUNS = {
     "encircle_huge_T": ENCIRCLE_CONFIG.replace("= 10.0", "= 1e15")
     .replace("run.steps = 100\n", ""),
     "encircle_huge_steps": ENCIRCLE_CONFIG.replace("run.steps = 100", f"run.steps = {10**12}"),
-    "rydberg_huge_T": RYDBERG_PATH_CONFIG.replace("= 100.0", "= 1e15")
-    .replace("run.steps = 1000\n", ""),
-    "rydberg_huge_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 1000", f"run.steps = {10**12}"),
+    "rydberg_huge_steps": RYDBERG_PATH_CONFIG.replace("run.steps = 10000", f"run.steps = {10**12}"),
     # with a plane the run checks the transfer conditions at the loop's
     # fold crossings, and this loop crosses no fold
     "rydberg_no_fold_crossing": RYDBERG_PATH_CONFIG.replace("3.85", "1.3")
@@ -445,7 +443,7 @@ def rydberg_configs(draw):
     """Small ``rydberg`` experiment files: a plane, a path or both.
 
     Every range holds 0, and the Omega and Delta ranges negative values.
-    A path runs at 1 to 400 steps or by the default rule.
+    A path runs with a cap of 1 to 400 steps or the default cap.
     """
     lines = ["experiment.command = rydberg",
              f"param.gamma = {draw(st.floats(0.0, 3.0))!r}",
@@ -471,7 +469,7 @@ def rydberg_configs(draw):
                   f"run.directions = {draw(st.sampled_from(['both', 'ccw', 'cw']))}",
                   f"run.check_steps = {draw(st.sampled_from(['true', 'false']))}"]
         steps = draw(st.one_of(st.none(), st.integers(1, 400)))
-        if steps is not None:  # none: the default rule, which probes the loop
+        if steps is not None:  # none: the default cap
             lines.append(f"run.steps = {steps}")
     return "\n".join(lines) + "\n"
 
@@ -599,9 +597,9 @@ def test_cli_initial_branch_index(tmp_path):
 
 @pytest.mark.parametrize("steps", [100, 300])
 def test_cli_rydberg_check_steps(tmp_path, capsys, steps):
-    # At 100 steps the loop diverges, at 300 it converges to the wrong
-    # populations; step doubling catches both, set in the file or by flag.
-    text = RYDBERG_PATH_CONFIG.replace("run.steps = 1000", f"run.steps = {steps}")
+    # A cap of 100 or 300 steps cannot finish the T = 100 loop (~3k-4k per
+    # direction): the checked run fails typed, set in the file or by flag.
+    text = RYDBERG_PATH_CONFIG.replace("run.steps = 10000", f"run.steps = {steps}")
     plain = tmp_path / "plain.cfg"
     plain.write_text(text)
     checked = tmp_path / "checked.cfg"
@@ -610,20 +608,42 @@ def test_cli_rydberg_check_steps(tmp_path, capsys, steps):
     for argv in (["--config", str(checked)], ["--config", str(plain), "--check-steps"]):
         assert main(["rydberg", *argv, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "step doubling" in err
+        assert err.startswith("error: ") and f"more than {steps} steps" in err
 
 
 def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
-    # At 100 steps the T = 100 loop diverges to nan: the run ends with a
-    # typed error (exit 2) and writes no transfer.json, even unchecked.
+    # A loop the run cannot finish ends with a typed error (exit 2), no
+    # traceback and no transfer.json: past a cap of 100 steps, and at
+    # T = 1e15 under the default cap, where the steps across a fold jump
+    # fall below the rounding of t.  Both pass validation.
+    for name, text, message in (
+        ("cap", RYDBERG_PATH_CONFIG.replace("run.steps = 10000", "run.steps = 100"),
+         "more than 100 steps"),
+        ("huge_T", RYDBERG_PATH_CONFIG.replace("= 100.0", "= 1e15")
+         .replace("run.steps = 10000\n", ""), "rounding of t"),
+    ):
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(text)
+        assert main(["validate", "--config", str(cfgfile)]) == 0
+        out = tmp_path / name
+        assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (out / "transfer.json").exists()
+
+
+def test_rydberg_runs_are_reproducible(tmp_path):
+    # the adaptive steps depend on the config alone: two runs of one
+    # config write the same bytes
     cfgfile = tmp_path / "exp.cfg"
-    cfgfile.write_text(RYDBERG_PATH_CONFIG.replace("run.steps = 1000", "run.steps = 100"))
-    assert main(["validate", "--config", str(cfgfile)]) == 0
-    out = tmp_path / "out"
-    assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "diverged" in err and "Traceback" not in err
-    assert not (out / "transfer.json").exists()
+    cfgfile.write_text(RYDBERG_PATH_CONFIG)
+    outputs = []
+    for k in range(2):
+        out = tmp_path / f"out{k}"
+        assert main(["rydberg", "--config", str(cfgfile), "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("trajectory_ccw.csv", "trajectory_cw.csv", "transfer.json")})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_rydberg_cusp_off_the_plane(tmp_path):
@@ -683,38 +703,6 @@ def test_rydberg_run_writes_the_directions_it_names(tmp_path):
     assert sorted(outputs["cw"]) == ["trajectory_cw.csv", "transfer.json"]
     outputs["both"].pop("trajectory_ccw.csv")
     assert outputs["both"] == outputs["cw"]
-
-
-def test_rydberg_run_probes_the_step_rate_once(tmp_path, monkeypatch):
-    # Validation probes the rate for the step budget and the run shares
-    # that probe; a preset skips validation, so its run probes for itself.
-    # A config changed after validation is probed again.
-    from epkit import rydberg
-
-    probes = []
-    original = rydberg.steady_states_batch
-
-    def spy(p):
-        if np.broadcast(p.Omega, p.Delta).size == rydberg.RECORD_GRID:
-            probes.append(p)
-        return original(p)
-
-    monkeypatch.setattr(rydberg, "steady_states_batch", spy)
-    rydberg.step_rate.cache_clear()
-    cfg = parse_config(RYDBERG_PATH_CONFIG.replace("run.steps = 1000\n", ""))
-    assert len(probes) == 1
-    rate = run(cfg, out_dir=str(tmp_path / "a"))["counters"]["integrate_bloch.rate"]
-    assert len(probes) == 1
-    lam = np.abs(original(probes[0]).jacobian_eigenvalues)
-    assert rate == max(1.0, lam[np.isfinite(lam)].max())
-    cfg.params["W"] = -10.0
-    run(cfg, out_dir=str(tmp_path / "b"))
-    assert len(probes) == 2
-    preset = PRESETS["fig5"]()
-    preset.plane = {}
-    preset.path["period"] = preset.run["T"] = 100.0
-    run(preset, out_dir=str(tmp_path / "c"))
-    assert len(probes) == 3
 
 
 def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
@@ -777,18 +765,20 @@ def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):
     # The manifest counts the steps integrated (a step-doubling check adds a
-    # run at twice the steps, as perfbench counts them), names the step
-    # rule, gives the rate that set a default step count and, under
-    # --check-steps, the worst drift; the artifacts and stdout do not change
-    # with the check.
-    from epkit import dynamics, rydberg
+    # run at twice the steps, as perfbench counts them; a mean-field run
+    # counts the steps it attempted, its check rerun at RTOL / 16 included),
+    # names the step rule, gives the rate that set a default step count
+    # and, under --check-steps, the worst drift; the artifacts and stdout
+    # do not change with the check.
+    from epkit import dynamics
 
+    meanfield = {}
     for name, text, counter, steps in (
         ("fixed", ENCIRCLE_CONFIG, "integrate", 2 * 100),
         ("default", ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""), "integrate", 2 * 4096),
-        ("meanfield", RYDBERG_PATH_CONFIG, "integrate_bloch", 2 * 1000),
-        ("meanfield-default", RYDBERG_PATH_CONFIG.replace("run.steps = 1000\n", ""),
-         "integrate_bloch", 2 * 1024),
+        ("meanfield", RYDBERG_PATH_CONFIG, "integrate_bloch", None),
+        ("meanfield-default", RYDBERG_PATH_CONFIG.replace("run.steps = 10000\n", ""),
+         "integrate_bloch", None),
     ):
         cfgfile = tmp_path / f"{name}.cfg"
         cfgfile.write_text(text)
@@ -799,19 +789,27 @@ def test_manifest_reports_steps_and_drift(tmp_path, capsys):
             assert main(argv + ["--check-steps"] * check) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             counters = manifest["counters"]
-            assert counters[f"{counter}.steps"] == (3 if check else 1) * steps
+            if steps is None:
+                meanfield[name, check] = counters[f"{counter}.steps"]
+            else:
+                assert counters[f"{counter}.steps"] == (3 if check else 1) * steps
             default = name.endswith("default")
             assert counters[f"{counter}.step_rule"] == ("default" if default else "run.steps")
-            assert (f"{counter}.rate" in counters) == default
-            if default:  # the rate gives the steps taken per direction
-                module = dynamics if counter == "integrate" else rydberg
+            assert (f"{counter}.rate" in counters) == (default and steps is not None)
+            if f"{counter}.rate" in counters:  # the rate gives the steps per direction
                 T = parse_config(text).run["T"]
-                assert module.default_steps(counters[f"{counter}.rate"], T) == steps // 2
+                assert dynamics.default_steps(counters[f"{counter}.rate"], T) == steps // 2
             assert (f"{counter}.drift" in counters) == check
             if check:
                 assert 0.0 <= counters[f"{counter}.drift"] <= 1e-6
             seen.append((manifest["outputs"], capsys.readouterr().out))
         assert seen[0] == seen[1]
+    # A cap the run does not reach changes nothing, and halving the step of
+    # a fourth-order method takes about twice the steps.
+    unchecked, checked = meanfield["meanfield", False], meanfield["meanfield", True]
+    assert meanfield["meanfield-default", False] == unchecked
+    assert meanfield["meanfield-default", True] == checked
+    assert 1.5 * unchecked < checked - unchecked < 2.5 * unchecked
 
 
 def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, capsys):

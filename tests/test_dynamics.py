@@ -17,7 +17,6 @@ from epkit.dynamics import (
     integrate_liouvillian,
     integrate_schrodinger,
     project_trajectory,
-    resolve_branch,
     state_branch_fidelity,
     step_rate,
     track_sheets,
@@ -237,20 +236,25 @@ def test_relaxation_rate_matches_slow_eigenvalue():
 
 def test_trace_monotone_under_post_selection():
     drive = coldatom_drive(T=150.0)
-    b = resolve_branch(drive, "quasi_steady")
-    x0, _ = initial_state_on_branch(drive, b)
+    x0, _ = initial_state_on_branch(drive, "quasi_steady")
     traj = integrate_liouvillian(drive, x0, 150.0, 3000)
     assert np.all(np.diff(traj.log_norm) < 1e-12)
 
 
 def test_resolve_branch_names_and_indices():
+    # initial_state_on_branch resolves a branch name or index at t = 0
     drive = coldatom_drive(T=150.0)  # 4x4 generator
-    assert resolve_branch(drive, "upper") == 0
-    assert resolve_branch(drive, "lower") == 3
-    assert resolve_branch(drive, "3") == resolve_branch(drive, 3) == 3
+
+    def state(spec):
+        return initial_state_on_branch(drive, spec)[0]
+
+    assert np.array_equal(state("upper"), state(0))
+    assert np.array_equal(state("lower"), state(3))
+    assert np.array_equal(state("3"), state(3))
+    assert not np.array_equal(state(3), state(0))
     for bad in ("4", 7, -1, "-1", "1.0", "middle"):
         with pytest.raises(ValueError, match="index below 4"):
-            resolve_branch(drive, bad)
+            initial_state_on_branch(drive, bad)
 
 
 def test_chirality_report_keeps_the_judged_runs():

@@ -9,12 +9,13 @@ import pytest
 
 from epkit import linalg, rydberg
 from epkit.contour import _edge_endpoints, _segments
-from epkit.errors import NoIntersections
+from epkit.errors import NoIntersections, StepTooCoarse
 from epkit.models import EncirclePath
 from epkit.rydberg import (
     RECORD_GRID,
     RESIDUAL_TOL,
-    STEP_RATE,
+    RTOL,
+    STEP_CAP,
     RydbergParams,
     _cubic,
     _fold_zeros,
@@ -26,13 +27,11 @@ from epkit.rydberg import (
     discriminant_grid,
     integrate_bloch,
     jacobian,
-    default_steps,
     path_fold_crossings,
     rho21_for,
     root_count_grid,
     steady_states,
     steady_states_batch,
-    step_rate,
     transfer_verdict,
 )
 from epkit.spectra import AxisSpec, PlaneSpec
@@ -75,7 +74,7 @@ def test_rhs_linear_limit_matches_two_level_value():
     ss = steady_states(p)
     assert len(ss.roots) == 1
     assert abs(ss.roots[0].n - expected) < 1e-12
-    _, ns, _ = integrate_bloch(p, 0.0, 0.0j, 60.0, 2400)
+    _, ns, _, _ = integrate_bloch(p, 0.0, 0.0j, 60.0, STEP_CAP)
     assert abs(float(ns[-1]) - expected) < 1e-10
 
 
@@ -387,10 +386,12 @@ def test_fold_vertices_lie_on_grid_edges(fold_map):
 
 
 def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=1025):
-    """``integrate_bloch`` of a scalar start as it ran on complex numbers.
+    """Fixed-step RK4 on the mean-field equations in complex arithmetic.
 
-    The CPython complex-arithmetic RK4 loop that the real-arithmetic loop
-    replaced, kept here as its reference.
+    The loop that ``integrate_bloch`` ran before its error-controlled
+    Rosenbrock step, kept as the oracle: run at eight times the steps of
+    its former default (1,024 ceil(T 6.5625 / 1,024) on the demonstration
+    loop), its records are accurate to ~1e-8.
     """
     h = T / steps
     rec_idx = np.unique(np.linspace(0, steps, min(record, steps + 1)).round().astype(int))
@@ -434,6 +435,7 @@ def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=
     return T * (rec_idx / steps), out_n, out_r
 
 
+
 def _same_bits(a, b):
     return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
 
@@ -445,79 +447,44 @@ def _loop_start(T):
     return p0, steady_states(p0).stable_roots[0]
 
 
+def _shared_records(got, want):
+    """The records of two runs at the times both of them record."""
+    _, i, j = np.intersect1d(got[0], want[0], return_indices=True)
+    return [np.asarray(a)[i] for a in got[1:3]], [np.asarray(a)[j] for a in want[1:3]]
+
+
 @pytest.mark.parametrize("direction", ["ccw", "cw"])
 def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
-    # a fig5-shaped loop at the default 7,168 steps and at 20,000, where
-    # 20,000 / 1,024 records is not whole
-    T = 1000.0
-    path = replace(demo_path(T), direction=direction)
-    p0, start = _loop_start(T)
-    default = default_steps(step_rate(path, GAMMA, W), T)
-    assert default == 7 * RECORD_GRID
-    for steps in (default, 20000):
-        got = integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
-        want = _reference_integrate_bloch(p0, start.n, start.rho21, T, steps, path=path)
-        assert len(got[0]) == 1025
-        assert _same_bits(got, want)
-
-
-@pytest.mark.parametrize("T", [1.0, 100.0, 1000.0, 5000.0, 50000.0])
-def test_default_steps_keep_h_rate_within_the_bound(T):
-    # whole record grids, h rate <= STEP_RATE, and no grid more than needed
-    rate = step_rate(demo_path(T), GAMMA, W)
-    steps = default_steps(rate, T)
-    assert steps % RECORD_GRID == 0 and steps >= RECORD_GRID
-    assert (T / steps) * rate <= STEP_RATE
-    assert steps == RECORD_GRID or (T / (steps - RECORD_GRID)) * rate > STEP_RATE
-
-
-def test_step_rate_is_the_largest_jacobian_eigenvalue_on_the_loop():
-    # the fig5 loop: the steepest steady state along it sets the rate
-    path = demo_path()
-    xs, ys = path.point(path.period * (np.arange(RECORD_GRID) / RECORD_GRID))
-    lam = np.abs(steady_states_batch(RydbergParams(xs, ys, GAMMA, W)).jacobian_eigenvalues)
-    assert step_rate(path, GAMMA, W) == np.nanmax(lam) > GAMMA
-    assert math.isclose(step_rate(path, GAMMA, W), 6.5625, abs_tol=1e-4)
-    # direction does not matter: both trace the same points
-    cw = replace(path, direction="cw")
-    assert math.isclose(step_rate(cw, GAMMA, W), step_rate(path, GAMMA, W), rel_tol=1e-12)
-
-
-def test_step_rate_has_gamma_as_its_floor():
-    # W = 0, Delta = 0, Omega = gamma / 4: the Jacobian eigenvalues are
-    # -gamma / 2 and -3 gamma / 4 (double), all below gamma in magnitude
-    gamma = 2.0
-    path = EncirclePath(center=(0.5, 0.0), radius=0.0, period=10.0, plane="Omega-Delta")
-    (root,) = steady_states(RydbergParams(0.5, 0.0, gamma, 0.0)).roots
-    assert np.abs(root.jacobian_eigenvalues).max() < 0.8 * gamma
-    assert step_rate(path, gamma, 0.0) == gamma
-
-
-def test_step_rate_probes_negative_omega_at_its_magnitude():
-    # the flow at -Omega is the flow at Omega with rho21 negated; a loop
-    # through Omega < 0 gets the rate of its mirror image
-    loop = EncirclePath(center=(0.2, -3.0), radius=1.0, period=10.0, plane="Omega-Delta")
-    mirror = EncirclePath(center=(-0.2, -3.0), radius=1.0, period=10.0, plane="Omega-Delta",
-                          phase0=math.pi)
-    assert math.isclose(step_rate(loop, GAMMA, W), step_rate(mirror, GAMMA, W), rel_tol=1e-12)
+    # The fast and a slow demonstration loop, whose cw records cross a fold
+    # jump: every record within 5e-8 of RK4 at eight times its former
+    # default steps.
+    for T, reference_steps in ((500.0, 8 * 4096), (5000.0, 8 * 33792)):
+        path = replace(demo_path(T), direction=direction)
+        p0, start = _loop_start(T)
+        got = integrate_bloch(p0, start.n, start.rho21, T, STEP_CAP, path=path)
+        want = _reference_integrate_bloch(p0, start.n, start.rho21, T, reference_steps, path=path)
+        assert np.array_equal(got[0], want[0]) and len(got[0]) == RECORD_GRID + 1
+        assert np.abs(got[1] - want[1]).max() <= 5e-8
+        assert np.abs(got[2] - want[2]).max() <= 5e-8
 
 
 def test_default_run_records_on_the_fixed_grid():
-    # a default step count records at exactly k T / 1024, and the records
-    # of twice the steps sit at the same times
+    # every run records at exactly k T / 1024, its check rerun too, and
+    # the records of the two agree to the check's gate
     T = 100.0
     res = transfer_verdict(demo_path(T), GAMMA, W, T).runs["cw"]
-    assert res.steps == RECORD_GRID
     assert np.array_equal(res.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
     p0, start = _loop_start(T)
     path = replace(demo_path(T), direction="cw")
-    doubled = integrate_bloch(p0, start.n, start.rho21, T, 2 * res.steps, path=path)
-    assert np.array_equal(doubled[0], res.times)
+    finer = integrate_bloch(p0, start.n, start.rho21, T, STEP_CAP, path=path, rtol=RTOL / 16)
+    assert np.array_equal(finer[0], res.times)
+    assert np.abs(finer[1] - res.sheet_index).max() <= 1e-6
+    assert finer[3] > res.steps
 
 
-def test_transfer_verdict_probes_the_rate_once(monkeypatch):
-    # one steady-state solve over the probe points serves both directions,
-    # and one solve at the path start gives the start root of both
+def test_transfer_verdict_solves_the_start_once():
+    # one solve at the path start gives the start root of both directions,
+    # and nothing else along the loop is solved
     sizes = []
     original = rydberg.steady_states_batch
 
@@ -525,76 +492,42 @@ def test_transfer_verdict_probes_the_rate_once(monkeypatch):
         sizes.append(np.broadcast(p.Omega, p.Delta).size)
         return original(p)
 
-    monkeypatch.setattr(rydberg, "steady_states_batch", spy)
-    step_rate.cache_clear()
-    steady_states.cache_clear()
-    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
-    assert sizes.count(RECORD_GRID) == 1 and sizes.count(1) == 1 and len(sizes) == 2
-    assert v.rate == step_rate(demo_path(100.0), GAMMA, W)
-    assert v.runs["ccw"].steps == v.runs["cw"].steps == default_steps(v.rate, 100.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rydberg, "steady_states_batch", spy)
+        steady_states.cache_clear()
+        transfer_verdict(demo_path(), GAMMA, W, T=100.0)
+    assert sizes == [1]
 
 
 def test_explicit_steps_bypass_the_rule(monkeypatch):
-    def no_probe(*args):
-        raise AssertionError("step rate probed under explicit steps")
-
-    monkeypatch.setattr(rydberg, "step_rate", no_probe)
-    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
-    assert v.rate is None
-    assert v.runs["ccw"].steps == v.runs["cw"].steps == 1000
+    # run.steps replaces the default cap, STEP_CAP; a cap the run does not
+    # reach changes no bit, and one it reaches raises StepTooCoarse
+    default = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
+    monkeypatch.setattr(rydberg, "STEP_CAP", 1)
+    with pytest.raises(StepTooCoarse, match="more than 1 steps"):
+        transfer_verdict(demo_path(), GAMMA, W, T=100.0)
+    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=10000)
+    for d in ("ccw", "cw"):
+        assert _same_bits(v.runs[d].states, default.runs[d].states)
+        cap = v.runs[d].steps - 1
+        p0, start = _loop_start(100.0)
+        path = replace(demo_path(100.0), direction=d)
+        with pytest.raises(StepTooCoarse, match=f"more than {cap} steps"):
+            integrate_bloch(p0, start.n, start.rho21, 100.0, cap, path=path)
 
 
 @pytest.mark.parametrize("steps", [1000, 2500])
 def test_integrate_bloch_matches_complex_reference_from_zero_coherence(steps):
-    # rho21 = 0j and Omega = 0 keep exact zeros in the state, where a slip
-    # in the sign of a zero would show; 2,500 steps record at a non-integer
-    # spacing.
+    # Constant drives from the empty state: the records shared with RK4 at
+    # eight times ``steps`` agree to 5e-8, and at Omega = 0 the state stays
+    # exactly empty.
     for p in (RydbergParams(2.0, -4.4, GAMMA, W), RydbergParams(0.0, 0.5, GAMMA, W)):
-        got = integrate_bloch(p, 0.0, 0j, 50.0, steps)
-        assert _same_bits(got, _reference_integrate_bloch(p, 0.0, 0j, 50.0, steps))
-
-
-def test_integrate_bloch_diverges_where_the_complex_reference_does():
-    # Past the first overflow, inf and nan may land in other components
-    # than in complex arithmetic; the records turn non-finite together.
-    p = RydbergParams(2.0, -4.4, GAMMA, W)
-    for steps in (3, 7, 20):
-        (_, n, r), (_, n_ref, r_ref) = (
-            f(p, 0.0, 0j, 50.0, steps) for f in (integrate_bloch, _reference_integrate_bloch)
-        )
-        finite = np.isfinite(n) & np.isfinite(r)
-        assert not finite[-1]
-        assert np.array_equal(finite, np.isfinite(n_ref) & np.isfinite(r_ref))
-        assert _same_bits((n[finite], r[finite]), (n_ref[finite], r_ref[finite]))
-
-
-def _basin_ensemble():
-    """100 random physical starts."""
-    rng = np.random.default_rng(3)
-    n0 = rng.uniform(0, 1, 100)
-    amp = np.sqrt(n0 * (1 - n0)) * np.sqrt(rng.uniform(0, 1, 100))
-    return n0, amp * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
-
-
-def test_ensemble_members_equal_lone_runs():
-    n0, r0 = _basin_ensemble()
-    p = RydbergParams(Omega=2.0, Delta=-4.4, gamma=GAMMA, W=W)
-    times, ns, rs = integrate_bloch(p, n0, r0, 200.0, 4000)
-    assert ns.shape == rs.shape == (len(times), 100)
-    for k in range(100):
-        lone = integrate_bloch(p, n0[k], r0[k], 200.0, 4000)
-        assert _same_bits((times, ns[:, k], rs[:, k]), lone)
-    # a path-driven 2x5 ensemble near the first stable root
-    T = 200.0
-    p0, start = _loop_start(T)
-    rng = np.random.default_rng(4)
-    n0 = start.n + 1e-3 * rng.uniform(-1, 1, (2, 5))
-    r0 = start.rho21 + 1e-3 * rng.uniform(-1, 1, (2, 5))
-    times, ns, rs = integrate_bloch(p0, n0, r0, T, 3000, path=demo_path(T))
-    assert ns.shape == (len(times), 2, 5)
-    for i, j in np.ndindex(2, 5):
-        lone = _reference_integrate_bloch(p0, n0[i, j], r0[i, j], T, 3000, path=demo_path(T))
-        assert _same_bits((times, ns[:, i, j], rs[:, i, j]), lone)
+        got = integrate_bloch(p, 0.0, 0j, 50.0, STEP_CAP)
+        want = _reference_integrate_bloch(p, 0.0, 0j, 50.0, 8 * steps)
+        (n, r), (n_ref, r_ref) = _shared_records(got, want)
+        assert len(n) > 30
+        assert np.abs(n - n_ref).max() <= 5e-8 and np.abs(r - r_ref).max() <= 5e-8
+    assert not got[1].any() and not got[2].any()
 
 
 def test_eigvals_batch_equals_eig_batch_values():
@@ -617,14 +550,18 @@ def test_eigvals_batch_equals_eig_batch_values():
 
 
 def test_basin_of_attraction_never_hits_unstable_root():
-    n0, r0 = _basin_ensemble()
+    # 100 random physical starts, each a lone run
+    rng = np.random.default_rng(3)
+    n0 = rng.uniform(0, 1, 100)
+    amp = np.sqrt(n0 * (1 - n0)) * np.sqrt(rng.uniform(0, 1, 100))
+    r0 = amp * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
     p = RydbergParams(Omega=2.0, Delta=-4.4, gamma=GAMMA, W=W)
-    _, ns, rs = integrate_bloch(p, n0, r0, 200.0, 4000)
-    d22, d21 = bloch_rhs(ns[-1], rs[-1], p)
+    runs = [integrate_bloch(p, n, r, 200.0, STEP_CAP) for n, r in zip(n0, r0)]
+    final = np.array([ns[-1] for _, ns, _, _ in runs])
+    d22, d21 = bloch_rhs(final, np.array([rs[-1] for _, _, rs, _ in runs]), p)
     assert np.max(np.hypot(np.abs(d22), np.abs(d21))) <= 1e-6
     stable = [s.n for s in steady_states(p).roots if s.stable]
     unstable = [s.n for s in steady_states(p).roots if not s.stable]
-    final = ns[-1]
     assert np.max(np.min(np.abs(final[:, None] - np.array(stable)[None, :]), axis=1)) < 1e-8
     assert np.min(np.abs(final[:, None] - np.array(unstable)[None, :])) > 1e-2
 
@@ -634,7 +571,7 @@ def test_hysteresis_loop_area():
         outs = []
         for de in de_values:
             p = RydbergParams(Omega=2.0, Delta=float(de), gamma=GAMMA, W=W)
-            _, ns, rs = integrate_bloch(p, n, r, 30.0, 600)
+            _, ns, rs, _ = integrate_bloch(p, n, r, 30.0, STEP_CAP)
             n, r = float(ns[-1]), complex(rs[-1])
             outs.append(n)
         return np.array(outs), n, r
@@ -663,14 +600,15 @@ def test_encircle_chirality_lost_when_fast():
 
 def test_transfer_verdict_keeps_the_judged_runs():
     # each run is the trajectory record of the loop integrated from the
-    # start root, with the excited population as its sheet column
-    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=1000)
+    # start root, with the excited population as its sheet column and the
+    # steps its integration attempted
+    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=10000)
     p0, start = _loop_start(100.0)
     for direction, final in (("ccw", v.final_ccw), ("cw", v.final_cw)):
         path = replace(demo_path(100.0), direction=direction)
-        times, n, r = integrate_bloch(p0, start.n, start.rho21, 100.0, 1000, path=path)
+        times, n, r, attempts = integrate_bloch(p0, start.n, start.rho21, 100.0, 10000, path=path)
         run = v.runs[direction]
-        assert (run.kind, run.steps, run.drift) == ("meanfield", 1000, None)
+        assert (run.kind, run.steps, run.drift) == ("meanfield", attempts, None)
         assert np.array_equal(run.times, times) and np.array_equal(run.sheet_index, n)
         assert np.array_equal(run.states, np.stack([n.astype(complex), r], axis=1))
         assert np.array_equal(run.norm, np.hypot(np.abs(n), np.abs(r)))
