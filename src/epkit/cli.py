@@ -47,8 +47,9 @@ _KEYS = {
     "output": {"dir": str},
 }
 
-# Largest step count (for rydberg: step cap) per loop direction, from
-# run.steps or the default rule: past it a loop cannot finish in time.
+# Largest step count per loop direction, from run.steps or the default
+# rule (for rydberg, a cap on the attempted steps): past it a loop cannot
+# finish in reasonable time.
 MAX_STEPS = 10**7
 
 
@@ -187,7 +188,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import path_fold_crossings, resolve_root
+                from .rydberg import STEP_CAP, path_fold_crossings, resolve_root
 
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
@@ -195,11 +196,13 @@ def _validate(cfg: ExperimentConfig) -> None:
                 # the loop's fold crossings before integrating
                 if cfg.plane and not path_fold_crossings(path, gamma, W):
                     raise ValueError("the loop never crosses a fold line")
+                if steps is None:  # a cap on the attempted steps
+                    steps = STEP_CAP
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
             steps = math.inf
-        if steps is not None and steps > MAX_STEPS:  # None: rydberg's default cap
+        if steps > MAX_STEPS:
             rule = "run.steps" if "steps" in cfg.run else "the default step rule at this loop time"
             raise ConfigError(f"run: {rule} takes more than {MAX_STEPS} steps per direction")
     if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
@@ -455,14 +458,13 @@ def _run_rydberg(cfg, emit_text, emit_json):
 
 def _step_counters(name, cfg, report) -> dict:
     """Steps integrated (a step-doubling check adds a run at twice the
-    steps; a mean-field run counts those it attempted, rerun included), the
-    rule that chose them, the rate that set a default step count and the
-    worst step-doubling drift."""
+    steps), the rule that chose them, the rate that set a default step
+    count and the worst step-doubling drift."""
     runs = report.runs.values()
     check = bool(cfg.run.get("check_steps", False))
+    # a mean-field run counts the steps it attempted, its check rerun included
     counters = {
-        f"{name}.steps": sum((3 if check and r.kind != "meanfield" else 1) * r.steps
-                             for r in runs),
+        f"{name}.steps": sum(r.steps * (3 if check and r.kind != "meanfield" else 1) for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
     if getattr(report, "rate", None) is not None:
