@@ -48,8 +48,7 @@ _KEYS = {
 }
 
 # Largest step count per loop direction, from run.steps or the default
-# rule (for rydberg, a cap on the attempted steps): past it a loop cannot
-# finish in reasonable time.
+# rule: past it a loop cannot finish in reasonable time.
 MAX_STEPS = 10**7
 
 
@@ -462,9 +461,11 @@ def _step_counters(name, cfg, report) -> dict:
     count and the worst step-doubling drift."""
     runs = report.runs.values()
     check = bool(cfg.run.get("check_steps", False))
-    # a mean-field run counts the steps it attempted, its check rerun included
+    # a mean-field run (integrate_bloch) counts the steps it attempted, its
+    # check rerun included
+    factor = 3 if check and name == "integrate" else 1
     counters = {
-        f"{name}.steps": sum(r.steps * (3 if check and r.kind != "meanfield" else 1) for r in runs),
+        f"{name}.steps": sum(factor * r.steps for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
     if getattr(report, "rate", None) is not None:

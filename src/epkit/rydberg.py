@@ -434,9 +434,9 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 attempts += 1
                 if attempts > steps:
                     raise StepTooCoarse(f"mean-field loop needs more than {steps} steps")
-                hs = min(h, t_rec - t)
-                if t + 0.1 * hs == t:
+                if t + 0.1 * h == t:  # h, not a short step landing on a record
                     raise StepTooCoarse(f"mean-field step fell below the rounding of t = {t:.6g}")
+                hs = min(h, t_rec - t)
                 # (I / (g hs) - J)^-1 by its cofactors, nan when singular (failing the
                 # error test); stage i applies it to f_i + sum C_ij k_j / hs + hs D_i df/dt
                 q = 1.0 / (g * hs)
