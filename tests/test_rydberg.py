@@ -468,6 +468,36 @@ def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
         assert np.abs(got[2] - want[2]).max() <= 5e-8
 
 
+@pytest.mark.parametrize("T", [1.0, 100.0, 1000.0, 5000.0, 50000.0])
+def test_default_steps_keep_h_rate_within_the_bound(T):
+    # RK4 kept h rate <= 1 with T rate steps; the error-controlled step is
+    # bound by its error and by the record grid instead.  Under the default
+    # cap the demonstration loop, from T = 1 to fig5's 50,000, finishes in
+    # both directions with at least one step per record, and every record
+    # sits within 5e-8 of its check rerun at RTOL / 16.
+    v = transfer_verdict(demo_path(T), GAMMA, W, T, check_steps=True)
+    for run in v.runs.values():
+        assert np.array_equal(run.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
+        assert 2 * RECORD_GRID <= run.steps < 2 * STEP_CAP
+        assert run.drift <= 5e-8
+
+
+def test_integrate_bloch_diverges_where_the_complex_reference_does():
+    # Where RK4 diverges (3, 7 and 20 steps over T = 50), a cap of that
+    # many steps raises StepTooCoarse instead of returning non-finite
+    # records.  A non-finite state fails every error test, so a non-finite
+    # start shrinks the step to the rounding of t and raises too.
+    p = RydbergParams(2.0, -4.4, GAMMA, W)
+    for steps in (3, 7, 20):
+        _, n_ref, r_ref = _reference_integrate_bloch(p, 0.0, 0j, 50.0, steps)
+        assert not (np.isfinite(n_ref[-1]) and np.isfinite(r_ref[-1]))
+        with pytest.raises(StepTooCoarse, match=f"more than {steps} steps"):
+            integrate_bloch(p, 0.0, 0j, 50.0, steps)
+    for n0, r0 in ((math.nan, 0j), (0.0, complex(math.inf, 0.0)), (math.inf, 0j)):
+        with pytest.raises(StepTooCoarse, match="rounding of t = 0"):
+            integrate_bloch(p, n0, r0, 50.0, STEP_CAP)
+
+
 def test_default_run_records_on_the_fixed_grid():
     # every run records at exactly k T / 1024, its check rerun too, and
     # the records of the two agree to the check's gate
