@@ -174,20 +174,20 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.run.get("steps", floor) < floor:
             raise ConfigError(f"{cfg.command} runs need run.steps >= {floor}")
         # Build what the run builds, so that a bad path, direction or start
-        # branch fails here, and count the steps it will take.
-        T, steps = cfg.path["period"], cfg.run.get("steps")
+        # branch fails here, and count its steps (a rydberg run's cap: run.steps).
+        T, steps = cfg.path["period"], cfg.run.get("steps", 0)
         try:
             if cfg.command == "encircle":
                 from .dynamics import default_steps, initial_state_on_branch, step_rate
 
                 drive, _ = _build_drives(cfg)
                 initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
-                if steps is None:
+                if "steps" not in cfg.run:
                     steps = default_steps(step_rate(drive, T), T)
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import STEP_CAP, path_fold_crossings, resolve_root
+                from .rydberg import path_fold_crossings, resolve_root
 
                 path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
                 resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
@@ -195,8 +195,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                 # the loop's fold crossings before integrating
                 if cfg.plane and not path_fold_crossings(path, gamma, W):
                     raise ValueError("the loop never crosses a fold line")
-                if steps is None:  # a cap on the attempted steps
-                    steps = STEP_CAP
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
@@ -410,7 +408,7 @@ def _run_encircle(cfg, emit_text, emit_json):
         traj = project_trajectory(report.runs[direction], d)
         emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
     emit_json("chirality.json", output.chirality_json(report))
-    return _step_counters("integrate", cfg, report)
+    return _step_counters("integrate", cfg, report, report.rate)
 
 
 def _run_rydberg(cfg, emit_text, emit_json):
@@ -455,22 +453,17 @@ def _run_rydberg(cfg, emit_text, emit_json):
     return counters
 
 
-def _step_counters(name, cfg, report) -> dict:
-    """Steps integrated (a step-doubling check adds a run at twice the
-    steps), the rule that chose them, the rate that set a default step
-    count and the worst step-doubling drift."""
+def _step_counters(name, cfg, report, rate=None) -> dict:
+    """Steps integrated (a check's rerun included), the rule that chose them,
+    the rate that set a default step count and the check's worst drift."""
     runs = report.runs.values()
-    check = bool(cfg.run.get("check_steps", False))
-    # a mean-field run (integrate_bloch) counts the steps it attempted, its
-    # check rerun included
-    factor = 3 if check and name == "integrate" else 1
     counters = {
-        f"{name}.steps": sum(factor * r.steps for r in runs),
+        f"{name}.steps": sum(r.steps for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
-    if getattr(report, "rate", None) is not None:
-        counters[f"{name}.rate"] = report.rate
-    if check:
+    if rate is not None:
+        counters[f"{name}.rate"] = rate
+    if cfg.run.get("check_steps", False):
         counters[f"{name}.drift"] = max(r.drift for r in runs)
     return counters
 

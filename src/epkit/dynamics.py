@@ -78,8 +78,8 @@ class TrajectoryRecord:
     projected: np.ndarray | None = None  # weighted spectral projection
     sheet_index: np.ndarray | None = None  # mean-field runs: the population
     populations: np.ndarray | None = None  # biorthogonal coefficients (n, dim)
-    steps: int | None = None  # integration steps of the run
-    drift: float | None = None  # step-doubling drift, when it was checked
+    steps: int | None = None  # integration steps of the run, a check's rerun included
+    drift: float | None = None  # the check's drift, when it was checked
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _evolve(
         norm=_safe_exp(log_norms),
         log_norm=log_norms,
         kind=kind,
-        steps=steps,
+        steps=3 * steps if check_steps else steps,  # the rerun takes 2 * steps
         drift=drift,
     )
 
