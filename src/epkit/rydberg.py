@@ -37,13 +37,6 @@ RTOL = 3e-9
 # Attempted steps per direction of a mean-field loop (fig5: ~23k) unless run.steps caps them.
 STEP_CAP = 10**6
 
-# Shampine's ROS4 (Hairer and Wanner, ros4.f, METH = 1), transformed form: gamma,
-# A21 A31 A32, C21 C31 C32 C41 C42 C43, D1-D4, B1-B4, E1 E2 E4 (E3 = 0).  Stage 4
-# evaluates f at stage 3's point (t + 3h/5), so it reuses stage 3's f.
-_ROS4 = (0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5,
-         0.5, -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36,
-         125 / 108)
-
 RESIDUAL_TOL = 1e-10
 
 # A direction "lands" on a steady branch when its final population sits
@@ -387,18 +380,16 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 
 
 def _drive(p: RydbergParams, path: EncirclePath | None):
-    """(Omega, Delta, dOmega/dt, dDelta/dt) at a float time, on plain floats:
-    ``path.point``'s point, turning about the centre the way the path runs,
-    or p's drive, held, without a path."""
+    """(Omega, Delta, dOmega/dt, dDelta/dt) at a float time, on floats: the path's
+    start point turned about the centre the way it runs, or p's drive, held."""
     if path is None:
         return lambda t, fixed=(float(p.Omega), float(p.Delta), 0.0, 0.0): fixed
-    (cx, cy), r, th0, w = path.center, path.radius, path.phase0, path.sign * path.omega
-    cos, sin = (math.sin, math.cos) if path.convention == "sin-cos" else (math.cos, math.sin)
-    turn = path.omega if path.direction == "ccw" else -path.omega
+    (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
+    u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
 
     def at(t):
-        th = th0 + w * t
-        u, v = r * cos(th), r * sin(th)
+        c, s = math.cos(turn * t), math.sin(turn * t)
+        u, v = u0 * c - v0 * s, u0 * s + v0 * c
         return cx + u, cy + v, -turn * v, turn * u
 
     return at
@@ -406,29 +397,31 @@ def _drive(p: RydbergParams, path: EncirclePath | None):
 
 def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                     path: EncirclePath | None = None, rtol: float = RTOL):
-    """Error-controlled ROS4 steps (_ROS4) on the mean-field equations, on floats.
+    """Error-controlled ROS4 steps on the mean-field equations, on floats.
 
     A step passes when its embedded third-order error estimate is within
     rtol (1 + |value|) in each of rho22, Re rho21 and Im rho21; the next is
-    this one times 0.9 err^(-1/4), within [1/5, 5].  Steps land on the
-    RECORD_GRID + 1 times k T / RECORD_GRID (a step cut short to land
-    keeps the proposal it cut), and there (times, rho22, rho21) are
-    returned with the steps attempted.  ``steps`` caps the attempts; past
-    it, or when a step falls below the rounding of t, StepTooCoarse.  A
-    path modulates (Omega(t), Delta(t)).  Bit-reproducible.
+    this one times 0.9 err^(-1/4), within [1/5, 5].  Steps land on the times
+    k T / RECORD_GRID (a step cut short to land keeps the proposal it cut),
+    which are returned with (rho22, rho21) there and the steps attempted.
+    ``steps`` caps the attempts; past it, or when a step falls below the
+    rounding of t, StepTooCoarse.  A path modulates (Omega(t), Delta(t)).
     """
     drive, gamma, W, half_g = _drive(p, path), float(p.gamma), float(p.W), 0.5 * float(p.gamma)
     n, x, y = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag
     times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
     records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
-    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4 = _ROS4[:14]
-    b1, b2, b3, b4, e1, e2, e4 = _ROS4[14:]
+    # Shampine's ROS4 (Hairer and Wanner, ros4.f, METH = 1) in transformed form; E3 = 0,
+    # and stage 4 evaluates f at stage 3's point (t + 3h/5), so it reuses stage 3's f
+    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4, b1, b2, b3, b4, e1, e2, e4 = (
+        0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5, 0.5,
+        -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36, 125 / 108)
     for t_rec in times[1:].tolist():
         while t < t_rec:
             om, de, om_t, de_t = drive(t)
             fn, fx, fy = _rhs(n, x, y, om, de, gamma, W, half_g)
-            jac = _jacobian_entries(n, x, y, om, de, gamma, W)
-            j00, j01, j02, j10, j11, j12, j20, j21, j22 = jac
+            j00, j01, j02, j10, j11, j12, j20, j21, j22 = _jacobian_entries(
+                n, x, y, om, de, gamma, W)
             tn, tx, ty = -y * om_t, -y * de_t, x * de_t + (n - 0.5) * om_t  # df/dt
             while True:
                 attempts += 1
@@ -439,8 +432,7 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 hs = min(h, t_rec - t)
                 # (I / (g hs) - J)^-1 by its cofactors, nan when singular (failing the
                 # error test); stage i applies it to f_i + sum C_ij k_j / hs + hs D_i df/dt
-                q = 1.0 / (g * hs)
-                m00, m11, m22 = q - j00, q - j11, q - j22
+                m00, m11, m22 = (q := 1.0 / (g * hs)) - j00, q - j11, q - j22
                 c00, c01, c02 = m11 * m22 - j12 * j21, j12 * j20 + j10 * m22, j10 * j21 + m11 * j20
                 s = 1.0 / det if (det := m00 * c00 - j01 * c01 - j02 * c02) else math.nan
                 i00, i01, i02 = c00 * s, (j01 * m22 + j02 * j21) * s, (j01 * j12 + j02 * m11) * s
@@ -455,8 +447,8 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 k1n, k1x, k1y = solve(d1, fn, fx, fy)
                 f = _rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, *drive(t + hs)[:2],
                          gamma, W, half_g)
-                k2n, k2x, k2y = solve(d2, f[0] + c21 / hs * k1n, f[1] + c21 / hs * k1x,
-                                      f[2] + c21 / hs * k1y)
+                u = c21 / hs
+                k2n, k2x, k2y = solve(d2, f[0] + u * k1n, f[1] + u * k1x, f[2] + u * k1y)
                 f = _rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
                          y + a31 * k1y + a32 * k2y, *drive(t + 0.6 * hs)[:2], gamma, W, half_g)
                 u, v = c31 / hs, c32 / hs
@@ -536,37 +528,31 @@ def transfer_verdict(
     """Chirality of the steady-state loop judged by clean branch landings.
 
     Both directions start from the same stable root at the path start and
-    run one period T, each with at most ``steps`` attempted steps (STEP_CAP
-    when None).  Under ``check_steps`` each direction runs again at
-    RTOL / 16, which halves a fourth-order step, with twice the cap: a
-    record that moves by more than 1e-6 raises StepTooCoarse, as does a
-    run that diverges.
+    run one period T with at most ``steps`` attempts (STEP_CAP when None).
+    Under ``check_steps`` each direction runs again at RTOL / 16, which
+    halves a fourth-order step, with twice the cap; a record that moves by
+    more than 1e-6 raises StepTooCoarse.
     """
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord
 
     path = replace(path, period=T)
     p0, stable, idx0 = resolve_root(path, gamma, W, initial_root)
-    start = stable[idx0]
+    start = (p0, stable[idx0].n, stable[idx0].rho21, T)
     cap = STEP_CAP if steps is None else steps
 
-    runs = {}
-    landings = {}
-    finals = {}
+    runs, landings, finals = {}, {}, {}
     for direction in ("ccw", "cw"):
         loop = replace(path, direction=direction)
-        times, n, r, attempts = integrate_bloch(p0, start.n, start.rho21, T, cap, path=loop)
+        times, n, r, attempts = integrate_bloch(*start, cap, path=loop, rtol=RTOL)
         drift = None
         if check_steps:
-            _, n2, r2, more = integrate_bloch(p0, start.n, start.rho21, T, 2 * cap, path=loop,
-                                              rtol=RTOL / 16)
+            _, n2, r2, more = integrate_bloch(*start, 2 * cap, path=loop, rtol=RTOL / 16)
             attempts += more
-            # every record, and written so that a diverged (nan) run fails too
+            # every record, and written so that a nan fails too
             drift = float(np.max(np.abs(np.concatenate([n2 - n, r2 - r]))))
             if not drift <= 1e-6:
                 raise StepTooCoarse(f"loop not converged: records moved {drift:.2g} at RTOL / 16")
-        if not (np.isfinite(n).all() and np.isfinite(r).all()):
-            raise StepTooCoarse("encircling run diverged")
         runs[direction] = TrajectoryRecord(
             times=times,
             states=np.stack([n.astype(complex), r], axis=1),
@@ -577,8 +563,7 @@ def transfer_verdict(
             steps=attempts,
             drift=drift,
         )
-        nf = float(n[-1])
-        finals[direction] = nf
+        finals[direction] = nf = float(n[-1])
         near = [k for k, s in enumerate(stable) if abs(nf - s.n) < LANDING_TOL]
         landings[direction] = near[-1] if near else None
 
