@@ -67,7 +67,9 @@ class TrajectoryRecord:
     sheet_index and populations are filled by project_trajectory.  A
     "meanfield" run (``rydberg.transfer_verdict``) holds the states
     (rho22, rho21) as integrated, their hypot as norm, log_norm 0 and
-    rho22 as sheet_index.
+    rho22 as sheet_index.  steps counts the steps integrated, a check's
+    rerun included: three times the run's steps under CF4 step doubling,
+    the attempts of both runs of a mean-field loop.  drift is the check's.
     """
 
     times: np.ndarray
@@ -78,8 +80,8 @@ class TrajectoryRecord:
     projected: np.ndarray | None = None  # weighted spectral projection
     sheet_index: np.ndarray | None = None  # mean-field runs: the population
     populations: np.ndarray | None = None  # biorthogonal coefficients (n, dim)
-    steps: int | None = None  # integration steps of the run, a check's rerun included
-    drift: float | None = None  # the check's drift, when it was checked
+    steps: int | None = None
+    drift: float | None = None  # None when unchecked
 
 
 @dataclass(frozen=True)
