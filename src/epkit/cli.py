@@ -12,6 +12,10 @@ never fall back to defaults silently).  Sections:
     run.T/steps/directions/initial_branch/initial_root/threads/check_steps
     output.dir
 
+Validation builds everything a run needs, its ``Plan``, which ``run``
+executes; ``run`` validates a preset, a config built in code or one edited
+after parsing first.  Each command accepts only the ``run`` keys it reads.
+
 Named presets bundle the demonstration scenarios (fig2, fig4a,
 fig4_adiabatic, fig4_intermediate, fig5); ``epkit presets`` lists their
 expansions.  All artifacts are deterministic: a manifest with SHA-256
@@ -47,6 +51,15 @@ _KEYS = {
     "output": {"dir": str},
 }
 
+# The run keys each command reads; a rydberg run without a path reads
+# none.  Validation rejects every other key.
+_RUN_KEYS = {
+    "spectrum": (),
+    "map": ("threads",),
+    "encircle": ("T", "steps", "directions", "initial_branch", "check_steps"),
+    "rydberg": ("T", "steps", "directions", "initial_root", "check_steps"),
+}
+
 # Largest step count per loop direction, from run.steps or the default
 # rule: past it a loop cannot finish in reasonable time.
 MAX_STEPS = 10**7
@@ -61,10 +74,31 @@ class ExperimentConfig:
     path: dict = field(default_factory=dict)
     run: dict = field(default_factory=dict)
     out_dir: str = "out"
+    plan: Plan | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What validating a config built, which ``run`` executes: for the
+    config ``inputs`` (``_planned``), the scan plane, the loop path, an
+    encircle drive, the loop start (``initial_state_on_branch`` or
+    ``resolve_root``), a rydberg plane's fold crossings, the steps per
+    direction (a mean-field cap), the rate that set default steps and the
+    directions written; None or empty where the command has none."""
+
+    inputs: str
+    plane: PlaneSpec | None = None
+    path: EncirclePath | None = None
+    drive: PathDrive | None = None
+    start: tuple | None = None
+    crossings: list | None = None
+    steps: int | None = None
+    rate: float | None = None
+    directions: tuple = ()
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate an experiment file; errors carry lines."""
+    """Parse and fully validate an experiment file, with its plan; errors carry lines."""
     sections: dict[str, dict] = {section: {} for section in ("param", *_KEYS)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,7 +134,7 @@ def parse_config(text: str) -> ExperimentConfig:
         run=sections["run"],
         out_dir=sections["output"].get("dir", "out"),
     )
-    _validate(cfg)
+    cfg.plan = _validate(cfg)
     return cfg
 
 
@@ -120,20 +154,24 @@ def _parse_value(section, name, value, lineno):
         ) from None
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    needs_model = cfg.command in ("spectrum", "map", "encircle")
-    if needs_model:
+def _validate(cfg: ExperimentConfig) -> Plan:
+    """Check a config by building what its run needs; returns that plan."""
+    plane = path = drive = start = crossings = steps = rate = None
+    directions = ()
+    if cfg.command in ("spectrum", "map", "encircle"):
         if not cfg.model:
             raise ConfigError("missing section 'experiment.model'")
         model = get_model(cfg.model)  # raises UnknownModel
         try:
-            resolve_params(model, cfg.params)
+            fixed = resolve_params(model, cfg.params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:
         for req in ("gamma", "W"):
             if req not in cfg.params:
                 raise ConfigError(f"rydberg runs require 'param.{req}'")
+        if not cfg.plane and not cfg.path:
+            raise ConfigError("rydberg runs need a 'plane' section, a 'path' section or both")
     for val in cfg.params.values():
         if not math.isfinite(val):
             raise ConfigError("parameter values must be finite")
@@ -141,14 +179,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         for k in _KEYS["plane"]:
             if k not in cfg.plane:
                 raise ConfigError(f"missing section key 'plane.{k}'")
-        # Build what the run builds, so that a bad plane fails here.
+        p = cfg.plane
         try:
-            plane = _build_plane(cfg)
+            plane = PlaneSpec(x=AxisSpec(p["x_name"], p["x_min"], p["x_max"], p["x_res"]),
+                              y=AxisSpec(p["y_name"], p["y_min"], p["y_max"], p["y_res"]),
+                              fixed=dict(cfg.params))
             if cfg.command == "map":
                 axes = resolve_params(model, {plane.x.name: 0.0, plane.y.name: 0.0})
                 if len(axes) < 2:
                     raise ValueError("x_name and y_name name the same parameter")
-                model.matrix(**{**resolve_params(model, cfg.params), **axes})
+                model.matrix(**{**fixed, **axes})
             elif (plane.x.name, plane.y.name) != ("Omega", "Delta"):
                 raise ValueError("rydberg axes are x_name = Omega, y_name = Delta")
             else:
@@ -161,40 +201,49 @@ def _validate(cfg: ExperimentConfig) -> None:
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
-    # a loop command names its start by its own key, never by the other's
-    foreign = {"encircle": "initial_root", "rydberg": "initial_branch"}.get(cfg.command)
-    if foreign in cfg.run:
-        raise ConfigError(f"run.{foreign} is not a key of {cfg.command} runs")
+    unread = sorted(set(cfg.run) - set(_run_keys(cfg)))
+    if unread:
+        runs = "rydberg runs without a path" if cfg.command == "rydberg" else f"{cfg.command} runs"
+        raise ConfigError(f"run.{unread[0]} is not a key of {runs}")
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
                 raise ConfigError(f"missing section key 'path.{k}'")
-        _directions(cfg)
+        directions = cfg.run.get("directions", "both")
+        if directions not in ("ccw", "cw", "both"):
+            raise ConfigError(f"run.directions is 'ccw', 'cw' or 'both', not '{directions}'")
+        directions = ("ccw", "cw") if directions == "both" else (directions,)
         floor = 100 if cfg.command == "encircle" else 1
         if cfg.run.get("steps", floor) < floor:
             raise ConfigError(f"{cfg.command} runs need run.steps >= {floor}")
-        # Build what the run builds, so that a bad path, direction or start
-        # branch fails here, and count its steps (a rydberg run's cap: run.steps).
-        T, steps = cfg.path["period"], cfg.run.get("steps", 0)
+        steps, p = cfg.run.get("steps"), cfg.path
         try:
+            path = EncirclePath(center=(p["center_x"], p["center_y"]), radius=p["radius"],
+                                period=p["period"], phase0=p.get("phase0", 0.0),
+                                plane=p.get("plane", "J-Omega"),
+                                convention=p.get("convention", "cos-sin"))
             if cfg.command == "encircle":
                 from .dynamics import default_steps, initial_state_on_branch, step_rate
 
-                drive, _ = _build_drives(cfg)
-                initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
-                if "steps" not in cfg.run:
-                    steps = default_steps(step_rate(drive, T), T)
+                drive = PathDrive(model=model, path=path, fixed=fixed)
+                start = initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
+                if steps is None:
+                    rate = step_rate(drive, path.period)
+                    steps = default_steps(rate, path.period)
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import path_fold_crossings, resolve_root
+                from .rydberg import STEP_CAP, path_fold_crossings, resolve_root
 
-                path, gamma, W = _build_path(cfg), cfg.params["gamma"], cfg.params["W"]
-                resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
+                gamma, W = cfg.params["gamma"], cfg.params["W"]
+                start = resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
+                steps = STEP_CAP if steps is None else steps
                 # with a plane, the run checks the transfer conditions at
                 # the loop's fold crossings before integrating
-                if cfg.plane and not path_fold_crossings(path, gamma, W):
-                    raise ValueError("the loop never crosses a fold line")
+                if cfg.plane:
+                    crossings = path_fold_crossings(path, gamma, W)
+                    if not crossings:
+                        raise ValueError("the loop never crosses a fold line")
         except ValueError as exc:
             raise ConfigError(f"path: {exc}") from None
         except OverflowError:  # T rate past the float range
@@ -202,13 +251,23 @@ def _validate(cfg: ExperimentConfig) -> None:
         if steps > MAX_STEPS:
             rule = "run.steps" if "steps" in cfg.run else "the default step rule at this loop time"
             raise ConfigError(f"run: {rule} takes more than {MAX_STEPS} steps per direction")
-    if cfg.command == "rydberg" and not cfg.plane and not cfg.path:
-        raise ConfigError("rydberg runs need a 'plane' section, a 'path' section or both")
-    if cfg.path and "T" in cfg.run and "period" in cfg.path:
-        if cfg.run["T"] != cfg.path["period"]:
-            raise ConfigError(
-                "runs integrate one full cycle: run.T must equal path.period"
-            )
+    # only a loop reads run.T, and its path has a period
+    if "T" in cfg.run and cfg.run["T"] != cfg.path["period"]:
+        raise ConfigError("runs integrate one full cycle: run.T must equal path.period")
+    return Plan(inputs=_planned(cfg), plane=plane, path=path, drive=drive, start=start,
+                crossings=crossings, steps=steps, rate=rate, directions=directions)
+
+
+def _run_keys(cfg: ExperimentConfig) -> tuple:
+    return () if cfg.command == "rydberg" and not cfg.path else _RUN_KEYS[cfg.command]
+
+
+def _planned(cfg: ExperimentConfig) -> str:
+    """The inputs a plan is built from: the config but its output directory
+    and, where the run reads it, the check switch (``--out`` and
+    ``--check-steps`` change neither what is built nor what is valid)."""
+    run = {k: v for k, v in cfg.run.items() if k != "check_steps" or k not in _run_keys(cfg)}
+    return serialize_config(replace(cfg, out_dir="", run=run))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -292,47 +351,15 @@ PRESETS = {
 # -- runners ---------------------------------------------------------------------
 
 
-def _build_path(cfg: ExperimentConfig) -> EncirclePath:
-    p = cfg.path
-    return EncirclePath(
-        center=(p["center_x"], p["center_y"]),
-        radius=p["radius"],
-        period=p["period"],
-        phase0=p.get("phase0", 0.0),
-        plane=p.get("plane", "J-Omega"),
-        convention=p.get("convention", "cos-sin"),
-    )
-
-
-def _build_plane(cfg: ExperimentConfig) -> PlaneSpec:
-    p = cfg.plane
-    return PlaneSpec(
-        x=AxisSpec(p["x_name"], p["x_min"], p["x_max"], p["x_res"]),
-        y=AxisSpec(p["y_name"], p["y_min"], p["y_max"], p["y_res"]),
-        fixed=dict(cfg.params),
-    )
-
-
-# the loop directions whose trajectories a run writes
-def _directions(cfg: ExperimentConfig) -> tuple:
-    directions = cfg.run.get("directions", "both")
-    if directions not in ("ccw", "cw", "both"):
-        raise ConfigError(f"run.directions is 'ccw', 'cw' or 'both', not '{directions}'")
-    return ("ccw", "cw") if directions == "both" else (directions,)
-
-
-def _build_drives(cfg: ExperimentConfig):
-    """Drive of an encircle run and a drive per requested direction."""
-    model = get_model(cfg.model)
-    fixed = resolve_params(model, cfg.params)
-    drive = PathDrive(model=model, path=_build_path(cfg), fixed=fixed)
-    return drive, {d: drive.with_direction(d) for d in _directions(cfg)}
-
-
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict:
-    """Execute a validated config; returns the manifest dictionary."""
+    """Execute a config's plan; returns the manifest dictionary.
+
+    A config without a plan (a preset, a config built in code) or edited
+    since it was planned is validated first, so no run executes a stale plan.
+    """
     import os
 
+    plan = cfg.plan if cfg.plan is not None and cfg.plan.inputs == _planned(cfg) else _validate(cfg)
     t0 = time.time()
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -349,11 +376,11 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
     if cfg.command == "spectrum":
         _run_spectrum(cfg, emit_text, emit_json)
     elif cfg.command == "map":
-        counters = _run_map(cfg, emit_text, emit_json, threads)
+        counters = _run_map(cfg, plan, emit_text, emit_json, threads)
     elif cfg.command == "encircle":
-        counters = _run_encircle(cfg, emit_text, emit_json)
+        counters = _run_encircle(cfg, plan, emit_text, emit_json)
     elif cfg.command == "rydberg":
-        counters = _run_rydberg(cfg, emit_text, emit_json)
+        counters = _run_rydberg(cfg, plan, emit_text, emit_json)
 
     manifest = {
         "config_sha256": output.sha256_text(serialize_config(cfg)),
@@ -387,42 +414,37 @@ def _run_spectrum(cfg, emit_text, emit_json):
     )
 
 
-def _run_map(cfg, emit_text, emit_json, threads):
-    plane = _build_plane(cfg)
-    emap = trace_lines(scan_grid(plane, cfg.model, threads=threads))
+def _run_map(cfg, plan, emit_text, emit_json, threads):
+    emap = trace_lines(scan_grid(plan.plane, cfg.model, threads=threads))
     emit_text("map.csv", output.map_csv(emap))
     emit_json("map.json", output.map_json(emap))
     return emap.counters
 
 
-def _run_encircle(cfg, emit_text, emit_json):
+def _run_encircle(cfg, plan, emit_text, emit_json):
     from .dynamics import classify_chirality, project_trajectory
 
-    drive, drives = _build_drives(cfg)
-    check = bool(cfg.run.get("check_steps", False))
-    report = classify_chirality(
-        drive, drive.path.period, cfg.run.get("initial_branch", "upper"),
-        steps=cfg.run.get("steps"), check_steps=check,
-    )
-    for direction, d in drives.items():
-        traj = project_trajectory(report.runs[direction], d)
+    drive = plan.drive
+    report = classify_chirality(drive, drive.path.period, plan.start, plan.steps,
+                                check_steps=bool(cfg.run.get("check_steps", False)))
+    for direction in plan.directions:
+        traj = project_trajectory(report.runs[direction], drive.with_direction(direction))
         emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
     emit_json("chirality.json", output.chirality_json(report))
-    return _step_counters("integrate", cfg, report, report.rate)
+    return _step_counters("integrate", cfg, plan, report)
 
 
-def _run_rydberg(cfg, emit_text, emit_json):
+def _run_rydberg(cfg, plan, emit_text, emit_json):
     from .rydberg import (RydbergParams, bistability_map, check_conditions,
                           steady_states_batch, transfer_verdict)
 
     gamma, W = cfg.params["gamma"], cfg.params["W"]
-    path = _build_path(cfg) if cfg.path else None
-    # the conditions need only the loop: a loop that crosses no fold line
-    # fails here, before the scan and the integrations
-    cond = check_conditions(path, gamma, W) if cfg.plane and path is not None else None
+    path, plane = plan.path, plan.plane
+    # the conditions need only the loop: checked before the scan and the
+    # integrations
+    cond = None if plan.crossings is None else check_conditions(path, plan.start, plan.crossings)
     counters = {}
-    if cfg.plane:
-        plane = _build_plane(cfg)
+    if plane is not None:
         fmap = bistability_map(plane, gamma=gamma, W=W)
         om, de = plane.x.values(), plane.y.values()
         steady = steady_states_batch(RydbergParams(om[:, None], de[None, :], gamma, W))
@@ -431,13 +453,11 @@ def _run_rydberg(cfg, emit_text, emit_json):
         emit_json("folds.json", output.fold_json(fmap))
 
     if path is not None:
-        verdict = transfer_verdict(
-            path, gamma, W, path.period, cfg.run.get("initial_root", "low"),
-            steps=cfg.run.get("steps"), check_steps=bool(cfg.run.get("check_steps", False)),
-        )
-        for d in _directions(cfg):
+        verdict = transfer_verdict(path, path.period, plan.start, plan.steps,
+                                   check_steps=bool(cfg.run.get("check_steps", False)))
+        for d in plan.directions:
             emit_text(f"trajectory_{d}.csv", output.trajectory_csv(verdict.runs[d]))
-        counters = _step_counters("integrate_bloch", cfg, verdict)
+        counters = _step_counters("integrate_bloch", cfg, plan, verdict)
         payload = {
             "verdict": verdict.verdict,
             "initial_branch_index": verdict.initial_index,
@@ -453,7 +473,7 @@ def _run_rydberg(cfg, emit_text, emit_json):
     return counters
 
 
-def _step_counters(name, cfg, report, rate=None) -> dict:
+def _step_counters(name, cfg, plan, report) -> dict:
     """Steps integrated (a check's rerun included), the rule that chose them,
     the rate that set a default step count and the check's worst drift."""
     runs = report.runs.values()
@@ -461,8 +481,8 @@ def _step_counters(name, cfg, report, rate=None) -> dict:
         f"{name}.steps": sum(r.steps for r in runs),
         f"{name}.step_rule": "run.steps" if "steps" in cfg.run else "default",
     }
-    if rate is not None:
-        counters[f"{name}.rate"] = rate
+    if plan.rate is not None:
+        counters[f"{name}.rate"] = plan.rate
     if cfg.run.get("check_steps", False):
         counters[f"{name}.drift"] = max(r.drift for r in runs)
     return counters

@@ -96,9 +96,7 @@ class AdiabaticityEstimate:
 class ChiralityReport:
     """Final-state fidelities of both loop directions and the verdict.
 
-    runs holds the judged trajectory of each direction, keyed "ccw"/"cw";
-    rate is the rate that set their default step count (None when the
-    steps were given).
+    runs holds the judged trajectory of each direction, keyed "ccw"/"cw".
     """
 
     ccw_final_fidelity_to_initial_branch: float
@@ -108,7 +106,6 @@ class ChiralityReport:
     verdict: str  # "chiral" | "non_chiral" | "ambiguous"
     adiabaticity: AdiabaticityEstimate
     runs: dict = field(compare=False, repr=False)
-    rate: float | None = None
 
 
 def _record_indices(steps: int) -> np.ndarray:
@@ -479,45 +476,35 @@ def adiabaticity_estimate(drive: PathDrive, T: float, samples: int = 720) -> Adi
 
 
 def initial_state_on_branch(drive: PathDrive, branch):
-    """Eigenstate (or Hermitized eigenmatrix) at t = 0 on a branch spec."""
+    """Start of a loop on a branch spec (a name, or an index in canonical
+    order, by descending real part): the eigenstate (or Hermitized
+    eigenmatrix) at t = 0, the t = 0 decomposition and the branch index."""
     dec = linalg.eig(drive.matrix(0.0))
-    branch = _branch_index(dec, branch)
-    if drive.model.kind == "hamiltonian":
-        return dec.right[:, branch], dec
-    rho = hermitize_density(dec.right[:, branch])
-    if rho is None:
-        raise ValueError(f"branch {branch} is traceless; cannot prepare a state")
-    return linalg.vec_row(rho), dec
-
-
-def _branch_index(dec, spec_name) -> int:
-    # canonical order sorts by descending real part
     named = {"upper": 0, "lower": dec.dim - 1, "quasi_steady": quasi_steady_index(dec)}
-    return pick_index(spec_name, named, dec.dim, "branch")
+    index = pick_index(branch, named, dec.dim, "branch")
+    if drive.model.kind == "hamiltonian":
+        return dec.right[:, index], dec, index
+    rho = hermitize_density(dec.right[:, index])
+    if rho is None:
+        raise ValueError(f"branch {index} is traceless; cannot prepare a state")
+    return linalg.vec_row(rho), dec, index
 
 
 def classify_chirality(
-    drive: PathDrive,
-    T: float,
-    initial_branch,
-    steps: int | None = None,
-    check_steps: bool = False,
+    drive: PathDrive, T: float, start, steps: int, check_steps: bool = False
 ) -> ChiralityReport:
     """Run one full loop both ways and compare final states against branches.
 
-    The path period is set to T (a single cycle).  The verdict is chiral
-    when one direction returns to the initial branch with fidelity > 0.9
-    while the other leaves it below 0.5; non-chiral when both return above
-    0.9; ambiguous otherwise.  The report keeps both runs, so callers that
-    also want the trajectories never integrate a loop again.
+    ``start`` is the loop start that ``initial_state_on_branch`` resolves,
+    and ``steps`` the steps per direction.  The path period is set to T (a
+    single cycle).  The verdict is chiral when one direction returns to the
+    initial branch with fidelity > 0.9 while the other leaves it below 0.5;
+    non-chiral when both return above 0.9; ambiguous otherwise.  The report
+    keeps both runs, so callers that also want the trajectories never
+    integrate a loop again.
     """
     drive = replace(drive, path=replace(drive.path, period=T))
-    x0, dec0 = initial_state_on_branch(drive, initial_branch)
-    branch = _branch_index(dec0, initial_branch)
-    rate = None
-    if steps is None:
-        rate = step_rate(drive, T)
-        steps = default_steps(rate, T)
+    x0, dec0, branch = start
 
     results = {}
     runs = {}
@@ -557,7 +544,6 @@ def classify_chirality(
         verdict=verdict,
         adiabaticity=adiabaticity_estimate(drive, T),
         runs=runs,
-        rate=rate,
     )
 
 
@@ -582,5 +568,9 @@ def scan_periods(
     drive: PathDrive, periods, initial_branch
 ) -> list[tuple[float, ChiralityReport]]:
     """Chirality classification over a list of loop periods, each at its
-    default step count."""
-    return [(float(T), classify_chirality(drive, T, initial_branch)) for T in periods]
+    default step count.  The start is resolved once: a loop's t = 0 point
+    is its phase0 whatever its period."""
+    start = initial_state_on_branch(drive, initial_branch)
+    loops = [(T, replace(drive, path=replace(drive.path, period=T))) for T in periods]
+    return [(float(T), classify_chirality(d, T, start, default_steps(step_rate(d, T), T)))
+            for T, d in loops]

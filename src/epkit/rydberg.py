@@ -184,13 +184,8 @@ def _jacobian_entries(n, x, y, Omega, Delta, gamma, W):
             Omega - W * x, e, -0.5 * gamma)
 
 
-@functools.lru_cache(maxsize=1)
 def steady_states(p: RydbergParams) -> SteadyStateSet:
-    """All physical steady states of a point of floats, ascending in n.
-
-    The last solve is memoized, as the fold crossings are, so that a
-    config's validation, transfer conditions and loop share one solve.
-    """
+    """All physical steady states of a point of floats, ascending in n."""
     s = steady_states_batch(p)
     return SteadyStateSet(roots=tuple(
         SteadyState(float(s.n[k]), complex(s.rho21[k]), bool(s.stable[k]),
@@ -478,18 +473,20 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
 
 
 def resolve_root(path: EncirclePath, gamma: float, W: float, spec):
-    """Start parameters, stable roots there and the index of the start root.
+    """Start of a loop: the parameters at the path start, the steady states
+    there and the index of the start root among their stable roots.
 
     ``spec`` is 'low', 'high' or an index into the stable roots at the path
     start, ascending in n.
     """
     om0, de0 = path.point(0.0)
     p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
-    stable = steady_states(p0).stable_roots
+    states = steady_states(p0)
+    stable = states.stable_roots
     if not stable:
         raise ValueError("no stable steady state at the path start")
     named = {"low": 0, "high": len(stable) - 1}
-    return p0, stable, pick_index(spec, named, len(stable), "root")
+    return p0, states, pick_index(spec, named, len(stable), "root")
 
 
 @dataclass(frozen=True)
@@ -517,37 +514,32 @@ class TransferVerdict:
 
 
 def transfer_verdict(
-    path: EncirclePath,
-    gamma: float,
-    W: float,
-    T: float,
-    initial_root: str = "low",
-    steps: int | None = None,
-    check_steps: bool = False,
+    path: EncirclePath, T: float, start, steps: int, check_steps: bool = False
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings.
 
-    Both directions start from the same stable root at the path start and
-    run one period T with at most ``steps`` attempts (STEP_CAP when None).
-    Under ``check_steps`` each direction runs again at RTOL / 16, which
-    halves a fourth-order step, with twice the cap; a record that moves by
-    more than 1e-6 raises StepTooCoarse.
+    Both directions start from ``start``, the stable root at the path start
+    that ``resolve_root`` resolves, and run one period T with at most
+    ``steps`` attempts each (the CLI's default is STEP_CAP).  Under
+    ``check_steps`` each direction runs again at RTOL / 16, which halves a
+    fourth-order step, with twice the cap; a record that moves by more than
+    1e-6 raises StepTooCoarse.
     """
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord
 
     path = replace(path, period=T)
-    p0, stable, idx0 = resolve_root(path, gamma, W, initial_root)
-    start = (p0, stable[idx0].n, stable[idx0].rho21, T)
-    cap = STEP_CAP if steps is None else steps
+    p0, states, idx0 = start
+    stable = states.stable_roots
+    root = (p0, stable[idx0].n, stable[idx0].rho21, T)
 
     runs, landings, finals = {}, {}, {}
     for direction in ("ccw", "cw"):
         loop = replace(path, direction=direction)
-        times, n, r, attempts = integrate_bloch(*start, cap, path=loop, rtol=RTOL)
+        times, n, r, attempts = integrate_bloch(*root, steps, path=loop, rtol=RTOL)
         drift = None
         if check_steps:
-            _, n2, r2, more = integrate_bloch(*start, 2 * cap, path=loop, rtol=RTOL / 16)
+            _, n2, r2, more = integrate_bloch(*root, 2 * steps, path=loop, rtol=RTOL / 16)
             attempts += more
             # every record, and written so that a nan fails too
             drift = float(np.max(np.abs(np.concatenate([n2 - n, r2 - r]))))
@@ -583,13 +575,8 @@ def transfer_verdict(
 # -- transfer conditions ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096):
-    """Loop times where the discriminant changes sign, bisection-refined.
-
-    Returns a tuple.  The last search is memoized, as ``steady_states`` is,
-    so that the validation of a config and its run share one search.
-    """
+    """Loop times where the discriminant changes sign, bisection-refined."""
 
     def disc_at(t):
         return _discriminant(*path.point(t), gamma, W)
@@ -597,14 +584,16 @@ def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096
     ts = np.linspace(0.0, path.period, samples + 1)
     disc = disc_at(ts)
     k = np.flatnonzero((disc[:-1] < 0) != (disc[1:] < 0))
-    return tuple(contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist())
+    return contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist()
 
 
-def check_conditions(path: EncirclePath, gamma: float, W: float) -> TransferConditions:
+def check_conditions(path: EncirclePath, start, crossings) -> TransferConditions:
     """Sufficient-condition test for direction-dependent branch transfer.
 
-    It needs only the loop and the cubic, so it runs before any
-    integration; a loop that crosses no fold line raises NoIntersections.
+    It needs only the loop, its start (``resolve_root``), its fold
+    crossings (``path_fold_crossings``) and the cubic, so it runs before
+    any integration; a loop that crosses no fold line raises
+    NoIntersections.
     (i) the start point must lie in the bistable (three-root) region;
     (ii) the two loop/fold crossings nearest to the start must sit on
     opposite sides of the cusp, that is on different fold branches.  On a
@@ -612,11 +601,8 @@ def check_conditions(path: EncirclePath, gamma: float, W: float) -> TransferCond
     = 2 a^3 (r - s)^3 with a = W^2 > 0: its sign tells the branch where the
     upper two roots merge (r > s) from the one where the lower two do.
     """
-    om0, de0 = path.point(0.0)
-    p0 = RydbergParams(Omega=float(om0), Delta=float(de0), gamma=gamma, W=W)
-    in_bistable = len(steady_states(p0).roots) == 3 and discriminant(p0) > 0
-
-    crossings = path_fold_crossings(path, gamma, W)
+    p0, states, _ = start
+    in_bistable = len(states.roots) == 3 and discriminant(p0) > 0
     if not crossings:
         raise NoIntersections("path never crosses a fold line")
 
@@ -624,7 +610,7 @@ def check_conditions(path: EncirclePath, gamma: float, W: float) -> TransferCond
     # around the loop)
     T = path.period
     nearest = sorted(crossings, key=lambda t: min(t, T - t))[:2]
-    a, b, c, d = _cubic(*path.point(np.array(nearest)), gamma, W)
+    a, b, c, d = _cubic(*path.point(np.array(nearest)), p0.gamma, p0.W)
     side = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
     straddle = len(nearest) == 2 and side[0] * side[1] < 0
     return TransferConditions(

@@ -16,7 +16,13 @@ import pytest
 
 from epkit import linalg
 from epkit.cli import PRESETS, parse_config, run as cli_run
-from epkit.dynamics import classify_chirality, default_steps, scan_periods
+from epkit.dynamics import (
+    classify_chirality,
+    default_steps,
+    initial_state_on_branch,
+    scan_periods,
+    step_rate,
+)
 from epkit.models import (
     ColdAtomParams,
     EncirclePath,
@@ -35,8 +41,11 @@ from epkit.models import (
 from epkit.rydberg import (
     RydbergParams,
     bistability_map,
+    STEP_CAP,
     check_conditions,
     discriminant_grid,
+    path_fold_crossings,
+    resolve_root,
     root_count_grid,
     steady_states,
     transfer_verdict,
@@ -157,7 +166,8 @@ def test_criterion_4_hamiltonian_chirality():
     t0 = time.time()
     path = EncirclePath(center=(0.5, 0.0), radius=0.1, period=100.0, plane="J-Omega")
     drive = PathDrive(model=get_model("encircle"), path=path, fixed={"Gamma": 1.0})
-    report = classify_chirality(drive, 100.0, "upper")
+    start = initial_state_on_branch(drive, "upper")
+    report = classify_chirality(drive, 100.0, start, default_steps(step_rate(drive, 100.0), 100.0))
     elapsed = time.time() - t0
     assert report.ccw_final_fidelity_to_other_branch > 0.9
     assert report.ccw_final_fidelity_to_initial_branch < 0.5
@@ -264,7 +274,8 @@ def test_criterion_7_rydberg_chirality():
         center=(3.85, -5.6), radius=1.477, period=50000.0,
         phase0=-math.atan(9 / 4), plane="Omega-Delta", convention="sin-cos",
     )
-    slow = transfer_verdict(path, gamma, W, 50000.0, "low")
+    start = resolve_root(path, gamma, W, "low")
+    slow = transfer_verdict(path, 50000.0, start, STEP_CAP)
     assert slow.verdict == "chiral"
     switched = [
         d for d, landed in (("ccw", slow.landed_ccw), ("cw", slow.landed_cw))
@@ -272,10 +283,10 @@ def test_criterion_7_rydberg_chirality():
     ]
     assert len(switched) == 1  # exactly one direction switches branch
 
-    fast = transfer_verdict(path, gamma, W, 500.0, "low")
+    fast = transfer_verdict(path, 500.0, start, STEP_CAP)
     assert fast.verdict == "none"
 
-    cond = check_conditions(path, gamma, W)
+    cond = check_conditions(path, start, path_fold_crossings(path, gamma, W))
     assert cond.initial_in_bistable and cond.nearest_crossings_straddle_cusp
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"

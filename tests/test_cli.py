@@ -438,6 +438,69 @@ def test_cli_bad_run_spec_fails_validation(tmp_path, capsys, monkeypatch, case):
     assert not out.exists()
 
 
+SPECTRUM_CONFIG = """
+experiment.command = spectrum
+experiment.model = basic_liouvillian
+param.J = 0.125
+param.Gamma = 1.0
+"""
+# each command's base config and the run keys its run reads
+RUN_KEY_BASES = {
+    "spectrum": (SPECTRUM_CONFIG, ()),
+    "map": (MAP_CONFIG, ("threads",)),
+    "encircle": (ENCIRCLE_CONFIG, ("T", "steps", "directions", "initial_branch", "check_steps")),
+    "rydberg": (RYDBERG_PATH_CONFIG, ("T", "steps", "directions", "initial_root", "check_steps")),
+    "rydberg-plane": (RYDBERG_PLANE_CONFIG, ()),
+}
+RUN_KEY_VALUES = {"T": "3", "steps": "7", "directions": "sideways", "initial_branch": "middle",
+                  "initial_root": "7", "threads": "2", "check_steps": "true"}
+UNREAD_RUN_KEYS = {
+    f"{base}:{key}": RUN_KEY_BASES[base][0] + f"run.{key} = {value}\n"
+    for base in RUN_KEY_BASES for key, value in RUN_KEY_VALUES.items()
+    if key not in RUN_KEY_BASES[base][1]
+}
+UNREAD_RUN_KEYS["map:all"] = MAP_CONFIG + (
+    "run.directions = sideways\nrun.initial_branch = middle\nrun.steps = 7\nrun.T = 3\n")
+UNREAD_RUN_KEYS["rydberg-plane:all"] = RYDBERG_PLANE_CONFIG + (
+    "run.initial_root = 7\nrun.steps = 0\nrun.T = -1\nrun.directions = sideways\n")
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_RUN_KEYS))
+def test_cli_run_keys_a_command_never_reads_fail_validation(tmp_path, capsys, case):
+    # A run key the command's run never reads is an error, not a silent
+    # no-op: `validate` and the run both exit 2 and write nothing.
+    base = case.split(":")[0]
+    parse_config(RUN_KEY_BASES[base][0])  # the config without the key is valid
+    with pytest.raises(ConfigError, match="is not a key of"):
+        parse_config(UNREAD_RUN_KEYS[case])
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(UNREAD_RUN_KEYS[case])
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith("error: run.")
+    out = tmp_path / "out"
+    assert main([base.split("-")[0], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: run.")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base", ["spectrum", "map", "rydberg-plane"])
+def test_cli_check_steps_flag_follows_the_key_rule(tmp_path, capsys, base):
+    # --check-steps is run.check_steps = true: a command that never reads
+    # the switch rejects the flag too, for a config file and a preset
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(RUN_KEY_BASES[base][0])
+    command = base.split("-")[0]
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfgfile), "--out", str(out), "--check-steps"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: run.check_steps is not a key of")
+    assert not out.exists()
+    if command == "map":
+        assert main(["map", "--preset", "fig4a", "--out", str(out), "--check-steps"]) == 2
+        assert capsys.readouterr().err.startswith("error: run.check_steps is not a key of")
+        assert not out.exists()
+
+
 @st.composite
 def rydberg_configs(draw):
     """Small ``rydberg`` experiment files: a plane, a path or both.
@@ -618,11 +681,14 @@ def test_cli_rydberg_check_steps(tmp_path, capsys, monkeypatch, T):
         assert not (out / "transfer.json").exists()
 
 
-def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
+def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys, monkeypatch):
     # A loop the run cannot finish ends with a typed error (exit 2), no
     # traceback and no transfer.json: past a cap of 100 steps, and at
     # T = 1e15 under the default cap, where the steps across a fold jump
-    # fall below the rounding of t.  Both pass validation.
+    # fall below the rounding of t.  Both pass validation.  Without
+    # run.steps the cap is rydberg.STEP_CAP.
+    from epkit import rydberg
+
     for name, text, message in (
         ("cap", RYDBERG_PATH_CONFIG.replace("run.steps = 10000", "run.steps = 100"),
          "more than 100 steps"),
@@ -637,6 +703,10 @@ def test_cli_diverged_meanfield_loop_fails(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (out / "transfer.json").exists()
+    monkeypatch.setattr(rydberg, "STEP_CAP", 1)
+    cfgfile.write_text(RYDBERG_PATH_CONFIG.replace("run.steps = 10000\n", ""))
+    assert main(["rydberg", "--config", str(cfgfile), "--out", str(tmp_path / "cap")]) == 2
+    assert "more than 1 steps" in capsys.readouterr().err
 
 
 def test_rydberg_runs_are_reproducible(tmp_path):
@@ -671,11 +741,13 @@ def test_cli_rydberg_cusp_off_the_plane(tmp_path):
 def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # The verdicts return the runs they judged, and the trajectory files
     # are written from those runs: one integration per direction.  The
-    # t = 0 generator is decomposed once by validate and once by the run.
+    # t = 0 generator is decomposed once, by validation, whose plan the
+    # run executes.
     from epkit import dynamics, linalg, rydberg
 
     calls = []
-    targets = ((dynamics, "_integrate"), (rydberg, "integrate_bloch"), (linalg, "eig"))
+    targets = ((dynamics, "_integrate"), (rydberg, "integrate_bloch"), (linalg, "eig"),
+               (dynamics, "step_rate"))
     for module, name in targets:
         original = getattr(module, name)
 
@@ -692,9 +764,16 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
         assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
     assert calls.count("_integrate") == 2
     assert calls.count("integrate_bloch") == 2
-    # encircle: t = 0 in validate and in the run, t = T and the sheet
-    # tracking once per direction; the rydberg run makes no linalg.eig call
-    assert calls.count("eig") == 6
+    # encircle: t = 0 once, t = T and the sheet tracking once per
+    # direction; the rydberg run makes no linalg.eig call
+    assert calls.count("eig") == 5
+    assert calls.count("step_rate") == 0  # run.steps is given
+    # under the default step rule, one rate probe from parsing to the run
+    calls.clear()
+    cfg = parse_config(ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""))
+    run(cfg, out_dir=str(tmp_path / "default"))
+    assert calls.count("step_rate") == 1
+    assert calls.count("eig") == 5
 
 
 def test_rydberg_run_writes_the_directions_it_names(tmp_path):
@@ -713,10 +792,10 @@ def test_rydberg_run_writes_the_directions_it_names(tmp_path):
 
 
 def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
-    # Validation searches the loop's fold crossings and the run's transfer
-    # conditions share that search.  Validation, the conditions and
-    # transfer_verdict for both directions share one solve of the start
-    # point's steady states; a preset skips validation and solves it once.
+    # Validation searches the loop's fold crossings and solves the start
+    # point's steady states, and the run's transfer conditions and
+    # transfer_verdict for both directions take them from its plan.  A
+    # preset is validated by the run, and searches and solves once too.
     from epkit import contour, rydberg
 
     searches, starts = [], []
@@ -734,28 +813,26 @@ def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(contour, "bisect", spy)
     monkeypatch.setattr(rydberg, "steady_states_batch", steady_spy)
-    rydberg.path_fold_crossings.cache_clear()
-    rydberg.steady_states.cache_clear()
     cfg = parse_config(RYDBERG_PATH_CONFIG + FIG5_PLANE.replace("161", "41"))
     run(cfg, out_dir=str(tmp_path / "config"))
     assert len(searches) == 1
     assert len(starts) == 1
     assert "conditions" in json.loads(_read(tmp_path / "config" / "transfer.json"))
+    searches.clear()
     starts.clear()
-    rydberg.steady_states.cache_clear()
     preset = PRESETS["fig5"]()
     preset.plane.update(x_res=41, y_res=41)
     preset.path["period"] = preset.run["T"] = 100.0
     run(preset, out_dir=str(tmp_path / "preset"))
+    assert len(searches) == 1
     assert len(starts) == 1
 
 
 def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
-    # A loop that crosses no fold line fails its transfer conditions before
-    # any integration, also for a config built in code, which skips
-    # validation as the presets do.
+    # A loop that crosses no fold line fails validation before any
+    # integration, also for a config built in code, which the run
+    # validates as it does the presets.
     from epkit import rydberg
-    from epkit.errors import NoIntersections
 
     def no_integration(*args, **kwargs):
         raise AssertionError("integration started")
@@ -764,10 +841,41 @@ def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
     cfg = PRESETS["fig5"]()
     cfg.path.update(center_x=1.3, center_y=-8.0, radius=0.1)
     out = tmp_path / "out"
-    with pytest.raises(NoIntersections):
+    with pytest.raises(ConfigError, match="never crosses a fold line"):
         run(cfg, out_dir=str(out))
-    assert not list(out.glob("trajectory_*.csv"))
-    assert not (out / "transfer.json").exists()
+    assert not out.exists()
+
+
+def test_run_never_executes_a_stale_plan(tmp_path, monkeypatch):
+    # A parsed config edited afterwards is planned again: its run matches
+    # the run of the edited text, and an edit that makes it invalid fails
+    # as validation fails.  The output directory and the check switch are
+    # not planned inputs, so changing them keeps the plan.
+    from epkit import cli
+
+    plans = []
+    original = cli._validate
+
+    def planned(cfg):
+        plans.append(cfg.command)
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "_validate", planned)
+    cfg = parse_config(ENCIRCLE_CONFIG)
+    cfg.out_dir = str(tmp_path / "elsewhere")
+    cfg.run["check_steps"] = True
+    assert run(cfg, out_dir=str(tmp_path / "kept"))["counters"]["integrate.steps"] == 3 * 2 * 100
+    assert len(plans) == 1
+    cfg.run["steps"] = 200
+    edited = run(cfg, out_dir=str(tmp_path / "edited"))
+    fresh = run(parse_config(serialize_config(cfg)), out_dir=str(tmp_path / "fresh"))
+    assert len(plans) == 3
+    assert edited["counters"]["integrate.steps"] == 3 * 2 * 200
+    assert edited["outputs"] == fresh["outputs"]
+    cfg.run["steps"] = 50
+    with pytest.raises(ConfigError, match="run.steps >= 100"):
+        run(cfg, out_dir=str(tmp_path / "invalid"))
+    assert not (tmp_path / "invalid").exists()
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):

@@ -17,6 +17,7 @@ from epkit.dynamics import (
     integrate_liouvillian,
     integrate_schrodinger,
     project_trajectory,
+    scan_periods,
     state_branch_fidelity,
     step_rate,
     track_sheets,
@@ -37,6 +38,12 @@ def ring_drive(Gamma=1.0, r=0.1, T=100.0, center=None, direction="ccw"):
         center=center, radius=r, period=T, direction=direction, plane="J-Omega"
     )
     return PathDrive(model=get_model("encircle"), path=path, fixed={"Gamma": Gamma})
+
+
+def chirality(drive, T, branch):
+    """classify_chirality at the default step count, as a config run takes it."""
+    start = initial_state_on_branch(drive, branch)
+    return classify_chirality(drive, T, start, default_steps(step_rate(drive, T), T))
 
 
 def basic_drive(J=1.0, Gamma=1.0):
@@ -73,7 +80,7 @@ def test_hermitian_norm_conserved():
 
 def test_step_doubling_flag_passes_at_default():
     drive = ring_drive()
-    x0, _ = initial_state_on_branch(drive, 0)
+    x0, _, _ = initial_state_on_branch(drive, 0)
     steps = default_steps(step_rate(drive, 100.0), 100.0)
     integrate_schrodinger(drive, x0, 100.0, steps, check_steps=True)
 
@@ -134,7 +141,7 @@ def test_block_composition_equals_stepwise_evolution(monkeypatch, T):
     from epkit import dynamics
 
     drive = coldatom_drive(T)
-    x0, _ = initial_state_on_branch(drive, "quasi_steady")
+    x0, _, _ = initial_state_on_branch(drive, "quasi_steady")
     steps = 3 * 4096
     blocks = integrate_liouvillian(drive, x0, T, steps)
     monkeypatch.setattr(dynamics, "BLOCK_RATE", 0.0)
@@ -160,14 +167,14 @@ def test_step_doubling_fails_on_nan_drift(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_integrate", diverged)
     drive = ring_drive()
-    x0, _ = initial_state_on_branch(drive, 0)
+    x0, _, _ = initial_state_on_branch(drive, 0)
     with pytest.raises(StepTooCoarse):
         integrate_schrodinger(drive, x0, 100.0, 200, check_steps=True)
 
 
 def test_gauge_invariance_of_fidelities():
     drive = ring_drive()
-    x0, dec0 = initial_state_on_branch(drive, 0)
+    x0, dec0, _ = initial_state_on_branch(drive, 0)
     traj1 = integrate_schrodinger(drive, x0, 100.0, 2000)
     traj2 = integrate_schrodinger(drive, np.exp(0.37j) * x0, 100.0, 2000)
     decT = linalg.eig(drive.matrix(100.0))
@@ -181,7 +188,7 @@ def test_ring_chirality_ccw_switches_cw_returns():
     # One loop around the degeneracy: starting on the larger-real-part
     # branch, the counterclockwise run hands the state to the other branch
     # while the clockwise one brings it home.
-    report = classify_chirality(ring_drive(), 100.0, "upper")
+    report = chirality(ring_drive(), 100.0, "upper")
     assert report.verdict == "chiral"
     assert report.ccw_final_fidelity_to_initial_branch < 0.1
     assert report.ccw_final_fidelity_to_other_branch > 0.9
@@ -236,7 +243,7 @@ def test_relaxation_rate_matches_slow_eigenvalue():
 
 def test_trace_monotone_under_post_selection():
     drive = coldatom_drive(T=150.0)
-    x0, _ = initial_state_on_branch(drive, "quasi_steady")
+    x0, _, _ = initial_state_on_branch(drive, "quasi_steady")
     traj = integrate_liouvillian(drive, x0, 150.0, 3000)
     assert np.all(np.diff(traj.log_norm) < 1e-12)
 
@@ -252,6 +259,7 @@ def test_resolve_branch_names_and_indices():
     assert np.array_equal(state("lower"), state(3))
     assert np.array_equal(state("3"), state(3))
     assert not np.array_equal(state(3), state(0))
+    assert initial_state_on_branch(drive, "lower")[2] == 3
     for bad in ("4", 7, -1, "-1", "1.0", "middle"):
         with pytest.raises(ValueError, match="index below 4"):
             initial_state_on_branch(drive, bad)
@@ -259,8 +267,9 @@ def test_resolve_branch_names_and_indices():
 
 def test_chirality_report_keeps_the_judged_runs():
     drive = ring_drive()
-    report = classify_chirality(drive, 100.0, "upper", steps=2000)
-    x0, _ = initial_state_on_branch(drive, 0)
+    start = initial_state_on_branch(drive, "upper")
+    report = classify_chirality(drive, 100.0, start, 2000)
+    x0 = start[0]
     for direction in ("ccw", "cw"):
         again = integrate_schrodinger(drive.with_direction(direction), x0, 100.0, 2000)
         assert np.array_equal(report.runs[direction].states, again.states)
@@ -269,15 +278,40 @@ def test_chirality_report_keeps_the_judged_runs():
     assert "runs" not in repr(report)
 
 
+def test_scan_periods_decomposes_the_start_once(monkeypatch):
+    # A loop's t = 0 point is its phase0 whatever its period, so one t = 0
+    # decomposition starts every period; then each period decomposes only
+    # its returning point, once per direction.  Every report is the one a
+    # start resolved for its own period gives, bit for bit.
+    drive, periods = ring_drive(), (50.0, 100.0, 200.0)
+    calls = []
+    original = linalg.eig
+
+    def spy(mats):
+        calls.append(mats)
+        return original(mats)
+
+    monkeypatch.setattr(linalg, "eig", spy)
+    results = scan_periods(drive, periods, "upper")
+    assert len(calls) == 1 + 2 * len(periods)
+    assert [T for T, _ in results] == list(periods)
+    for T, report in results:
+        loop = dataclasses.replace(drive, path=dataclasses.replace(drive.path, period=T))
+        alone = chirality(loop, T, "upper")
+        assert report == alone
+        for direction in ("ccw", "cw"):
+            assert np.array_equal(report.runs[direction].states, alone.runs[direction].states)
+
+
 def test_liouvillian_adiabatic_loop_returns_both_ways():
-    report = classify_chirality(coldatom_drive(T=10000.0), 10000.0, "quasi_steady")
+    report = chirality(coldatom_drive(T=10000.0), 10000.0, "quasi_steady")
     assert report.verdict == "non_chiral"
     assert report.ccw_final_fidelity_to_initial_branch > 0.9
     assert report.cw_final_fidelity_to_initial_branch > 0.9
 
 
 def test_liouvillian_intermediate_loop_is_chiral():
-    report = classify_chirality(coldatom_drive(T=150.0), 150.0, "quasi_steady")
+    report = chirality(coldatom_drive(T=150.0), 150.0, "quasi_steady")
     assert report.verdict == "chiral"
 
 
@@ -318,7 +352,7 @@ def test_projection_weighted_mean_matches_direct_formula():
 
 def test_projection_fig2_loop_lands_on_other_sheet():
     drive = ring_drive()
-    x0, _ = initial_state_on_branch(drive, 0)
+    x0, _, _ = initial_state_on_branch(drive, 0)
 
     # counterclockwise: adiabatic following on the SMOOTH sheet, which the
     # loop permutes onto the other static branch -> projection ends on the
@@ -352,7 +386,7 @@ def test_record_grid_dense_for_any_step_count():
 
 def test_projection_works_with_decimated_records():
     drive = ring_drive()
-    x0, _ = initial_state_on_branch(drive, 0)
+    x0, _, _ = initial_state_on_branch(drive, 0)
     traj = integrate_schrodinger(drive, x0, 100.0, 10007)  # prime step count
     traj = project_trajectory(traj, drive)
     assert len(traj.times) > 2000

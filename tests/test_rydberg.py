@@ -28,6 +28,7 @@ from epkit.rydberg import (
     integrate_bloch,
     jacobian,
     path_fold_crossings,
+    resolve_root,
     rho21_for,
     root_count_grid,
     steady_states,
@@ -47,6 +48,17 @@ def demo_path(T=50000.0):
         phase0=math.pi / 2 + math.atan(9 / 4),
         plane="Omega-Delta",
     )
+
+
+def loop_verdict(path, T, steps=STEP_CAP, check_steps=False):
+    """transfer_verdict from the low root at the path start."""
+    return transfer_verdict(path, T, resolve_root(path, GAMMA, W, "low"), steps, check_steps)
+
+
+def loop_conditions(path):
+    """check_conditions at the path start and the loop's fold crossings."""
+    start = resolve_root(path, GAMMA, W, "low")
+    return check_conditions(path, start, path_fold_crossings(path, GAMMA, W))
 
 
 @pytest.fixture(scope="module")
@@ -475,7 +487,7 @@ def test_default_steps_keep_h_rate_within_the_bound(T):
     # cap the demonstration loop, from T = 1 to fig5's 50,000, finishes in
     # both directions with at least one step per record, and every record
     # sits within 5e-8 of its check rerun at RTOL / 16.
-    v = transfer_verdict(demo_path(T), GAMMA, W, T, check_steps=True)
+    v = loop_verdict(demo_path(T), T, check_steps=True)
     for run in v.runs.values():
         assert np.array_equal(run.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
         assert 2 * RECORD_GRID <= run.steps < 2 * STEP_CAP
@@ -502,7 +514,7 @@ def test_default_run_records_on_the_fixed_grid():
     # every run records at exactly k T / 1024, its check rerun too, and
     # the records of the two agree to the check's gate
     T = 100.0
-    res = transfer_verdict(demo_path(T), GAMMA, W, T).runs["cw"]
+    res = loop_verdict(demo_path(T), T).runs["cw"]
     assert np.array_equal(res.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
     p0, start = _loop_start(T)
     path = replace(demo_path(T), direction="cw")
@@ -513,8 +525,8 @@ def test_default_run_records_on_the_fixed_grid():
 
 
 def test_transfer_verdict_solves_the_start_once():
-    # one solve at the path start gives the start root of both directions,
-    # and nothing else along the loop is solved
+    # resolve_root's one solve at the path start gives the start root of
+    # both directions, and nothing else along the loop is solved
     sizes = []
     original = rydberg.steady_states_batch
 
@@ -524,19 +536,17 @@ def test_transfer_verdict_solves_the_start_once():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rydberg, "steady_states_batch", spy)
-        steady_states.cache_clear()
-        transfer_verdict(demo_path(), GAMMA, W, T=100.0)
+        loop_verdict(demo_path(), 100.0)
     assert sizes == [1]
 
 
-def test_explicit_steps_bypass_the_rule(monkeypatch):
+def test_explicit_steps_bypass_the_rule():
     # run.steps replaces the default cap, STEP_CAP; a cap the run does not
     # reach changes no bit, and one it reaches raises StepTooCoarse
-    default = transfer_verdict(demo_path(), GAMMA, W, T=100.0)
-    monkeypatch.setattr(rydberg, "STEP_CAP", 1)
+    default = loop_verdict(demo_path(), 100.0)
     with pytest.raises(StepTooCoarse, match="more than 1 steps"):
-        transfer_verdict(demo_path(), GAMMA, W, T=100.0)
-    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=10000)
+        loop_verdict(demo_path(), 100.0, steps=1)
+    v = loop_verdict(demo_path(), 100.0, steps=10000)
     for d in ("ccw", "cw"):
         assert _same_bits(v.runs[d].states, default.runs[d].states)
         cap = v.runs[d].steps - 1
@@ -617,13 +627,13 @@ def test_hysteresis_loop_area():
 
 def test_encircle_chirality_slow_loop():
     # moderate period keeps the test quick; landings are already clean here
-    v = transfer_verdict(demo_path(), GAMMA, W, T=5000.0, initial_root="low")
+    v = loop_verdict(demo_path(), 5000.0)
     assert v.verdict == "chiral"
     assert v.landed_ccw != v.landed_cw
 
 
 def test_encircle_chirality_lost_when_fast():
-    v = transfer_verdict(demo_path(), GAMMA, W, T=500.0, initial_root="low")
+    v = loop_verdict(demo_path(), 500.0)
     assert v.verdict == "none"
     assert v.landed_ccw is None and v.landed_cw is None
 
@@ -632,7 +642,7 @@ def test_transfer_verdict_keeps_the_judged_runs():
     # each run is the trajectory record of the loop integrated from the
     # start root, with the excited population as its sheet column and the
     # steps its integration attempted
-    v = transfer_verdict(demo_path(), GAMMA, W, T=100.0, steps=10000)
+    v = loop_verdict(demo_path(), 100.0, steps=10000)
     p0, start = _loop_start(100.0)
     for direction, final in (("ccw", v.final_ccw), ("cw", v.final_cw)):
         path = replace(demo_path(100.0), direction=direction)
@@ -651,7 +661,7 @@ def test_encircle_outside_bistable_no_switch():
     path = EncirclePath(
         center=(1.0, -7.5), radius=0.3, period=3000.0, plane="Omega-Delta"
     )
-    v = transfer_verdict(path, GAMMA, W, 3000.0, "low")
+    v = loop_verdict(path, 3000.0)
     assert v.landed_ccw == v.landed_cw == v.initial_index
 
 
@@ -659,7 +669,7 @@ def test_encircle_outside_bistable_no_switch():
 
 
 def test_conditions_for_demo_path():
-    cond = check_conditions(demo_path(), GAMMA, W)
+    cond = loop_conditions(demo_path())
     assert cond.initial_in_bistable
     assert cond.nearest_crossings_straddle_cusp
 
@@ -684,7 +694,7 @@ def test_conditions_do_not_depend_on_the_plane_resolution(res):
                          key=lambda t: min(t, T - t))[:2]
         # both crossings sit on the wedge side of the cusp this plane holds
         assert all(path.point(t)[0] < fmap.cusp[0] for t in nearest)
-        assert check_conditions(path, GAMMA, W).nearest_crossings_straddle_cusp
+        assert loop_conditions(path).nearest_crossings_straddle_cusp
 
 
 def test_conditions_match_the_merging_roots():
@@ -702,7 +712,7 @@ def test_conditions_match_the_merging_roots():
         for t in sorted(ts, key=lambda t: min(t, 100.0 - t))[:2]:
             n = np.sort(np.roots(_cubic(*path.point(t), GAMMA, W)).real)
             upper.append(n[2] - n[1] < n[1] - n[0])
-        cond = check_conditions(path, GAMMA, W)
+        cond = loop_conditions(path)
         assert cond.nearest_crossings_straddle_cusp == (upper[0] != upper[1])
         checked += 1
     assert checked > 20
@@ -714,7 +724,7 @@ def test_conditions_outside_bistable():
     )
     # start point at (1.2, -4.38): single-root region, but the loop still
     # crosses the folds
-    cond = check_conditions(path, GAMMA, W)
+    cond = loop_conditions(path)
     assert not cond.initial_in_bistable
 
 
@@ -725,7 +735,7 @@ def test_conditions_same_side_crossings():
         center=(2.0, -5.05), radius=0.15, period=100.0, phase0=-math.pi / 2,
         plane="Omega-Delta",
     )
-    cond = check_conditions(path, GAMMA, W)
+    cond = loop_conditions(path)
     assert not cond.nearest_crossings_straddle_cusp
 
 
@@ -734,4 +744,4 @@ def test_conditions_no_intersections():
         center=(1.3, -8.0), radius=0.1, period=100.0, plane="Omega-Delta"
     )
     with pytest.raises(NoIntersections):
-        check_conditions(path, GAMMA, W)
+        loop_conditions(path)
