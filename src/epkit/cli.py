@@ -383,7 +383,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
         counters = _run_rydberg(cfg, plan, emit_text, emit_json)
 
     manifest = {
-        "config_sha256": output.sha256_text(serialize_config(cfg)),
+        "config_sha256": output.sha256_text(serialize_config(replace(cfg, out_dir=""))),
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": artifacts,
@@ -422,16 +422,15 @@ def _run_map(cfg, plan, emit_text, emit_json, threads):
 
 
 def _run_encircle(cfg, plan, emit_text, emit_json):
-    from .dynamics import classify_chirality, project_trajectory
+    from .dynamics import classify_chirality, project_loop
 
-    drive = plan.drive
-    report = classify_chirality(drive, drive.path.period, plan.start, plan.steps,
+    report = classify_chirality(plan.drive, plan.path.period, plan.start, plan.steps,
                                 check_steps=bool(cfg.run.get("check_steps", False)))
+    counters = project_loop(report, plan.drive, plan.steps, plan.directions)
     for direction in plan.directions:
-        traj = project_trajectory(report.runs[direction], drive.with_direction(direction))
-        emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(traj))
+        emit_text(f"trajectory_{direction}.csv", output.trajectory_csv(report.runs[direction]))
     emit_json("chirality.json", output.chirality_json(report))
-    return _step_counters("integrate", cfg, plan, report)
+    return _step_counters("integrate", cfg, plan, report) | counters
 
 
 def _run_rydberg(cfg, plan, emit_text, emit_json):

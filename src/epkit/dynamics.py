@@ -64,7 +64,8 @@ class TrajectoryRecord:
 
     states holds unit-normalized snapshots; norm[i] = exp(log_norm[i]) is
     the true state norm (0.0 after underflow, by design).  projected,
-    sheet_index and populations are filled by project_trajectory.  A
+    sheet_index, populations and the count of ambiguous sheet-tracking
+    samples are filled by project_trajectory.  A
     "meanfield" run (``rydberg.transfer_verdict``) holds the states
     (rho22, rho21) as integrated, their hypot as norm, log_norm 0 and
     rho22 as sheet_index.  steps counts the steps integrated, a check's
@@ -82,6 +83,7 @@ class TrajectoryRecord:
     populations: np.ndarray | None = None  # biorthogonal coefficients (n, dim)
     steps: int | None = None
     drift: float | None = None  # None when unchecked
+    ambiguous: int | None = None
 
 
 @dataclass(frozen=True)
@@ -316,18 +318,21 @@ class SheetTrack:
 
 
 def track_sheets(
-    drive: PathDrive, T: float, samples: int, times: np.ndarray | None = None
+    drive: PathDrive, T: float, samples: int, times: np.ndarray | None = None,
+    dec: linalg.SpectralDecomposition | None = None,
 ) -> SheetTrack:
     """Match eigenvalue branches continuously along the drive path.
 
-    One stacked eigendecomposition and one batched assignment cover every
-    sample; only the composition of the matchings runs sample by sample.
+    One stacked eigendecomposition (``dec``, when the caller has it) and one
+    batched assignment cover every sample; only the composition of the
+    matchings runs sample by sample.
     """
     if samples < 100:
         raise SampleTooCoarse("need at least 100 samples per period")
     if times is None:
         times = np.linspace(0.0, T, samples + 1)
-    dec = linalg.eig(drive.matrices(times))
+    if dec is None:
+        dec = linalg.eig(drive.matrices(times))
     vals, rights = dec.eigenvalues, dec.right
 
     # cost[k - 1, a, j]: branch a at sample k - 1 against branch j at sample k
@@ -375,19 +380,23 @@ def _match_values(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 # -- projection ----------------------------------------------------------------
 
 
-def project_trajectory(traj: TrajectoryRecord, drive: PathDrive) -> TrajectoryRecord:
+def project_trajectory(
+    traj: TrajectoryRecord, drive: PathDrive, dec: linalg.SpectralDecomposition | None = None
+) -> TrajectoryRecord:
     """Fill spectral projection, biorthogonal populations and sheet indices.
 
     The projection is the overlap-weighted mean of instantaneous
     eigenvalues, sum_i |<chi_i|psi>|^2 E_i / sum_i |<chi_i|psi>|^2, with
     chi_i the left eigenvectors.  Populations come from the biorthogonal
     expansion in the smoothly tracked frame; the sheet index is the branch
-    with maximal population weight.
+    with maximal population weight.  ``dec`` is the decomposition at the
+    record times, when the caller has it.
     """
     T = float(traj.times[-1])
     if len(traj.times) < 101:
         raise SampleTooCoarse("trajectory has too few records for sheet tracking")
-    track = track_sheets(drive, T, len(traj.times) - 1, times=traj.times)
+    track = track_sheets(drive, T, len(traj.times) - 1, times=traj.times, dec=dec)
+    traj.ambiguous = int(track.defective_samples.sum())
 
     # raw[k, j] = <chi_j|psi> at sample k
     raw = (track.lefts.conj().swapaxes(-1, -2) @ traj.states[..., None])[..., 0]
@@ -402,6 +411,33 @@ def project_trajectory(traj: TrajectoryRecord, drive: PathDrive) -> TrajectoryRe
     traj.populations = np.where(np.abs(denom) > 1e-14, raw / denom, 0.0)
     traj.sheet_index = np.argmax(np.abs(traj.populations), axis=-1)
     return traj
+
+
+def project_loop(report: ChiralityReport, drive: PathDrive, steps: int, directions) -> dict:
+    """Project the judged runs of ``directions`` in place; returns the
+    manifest counters of their sheet tracking.
+
+    cw(t) = ccw(T - t), the two angles a whole turn apart, so on a record
+    grid symmetric under k -> N - k the generator at cw record k is the one
+    at ccw record N - k: one decomposition at the ccw records, run
+    backwards for cw, serves both directions.  cw record 0 takes ccw record
+    0, the exact loop start of both, not ccw record N, which equals it only
+    to rounding and could reorder branches with near-equal real parts.
+    Other grids decompose each direction.
+    """
+    rec = _record_indices(steps)
+    dec = None
+    if len(directions) > 1 and np.array_equal(rec, steps - rec[::-1]):
+        dec = linalg.eig(drive.with_direction("ccw").matrices(report.runs["ccw"].times))
+    for direction in directions:
+        shared = dec
+        if dec is not None and direction == "cw":
+            back = -np.arange(len(rec)) % (len(rec) - 1)  # 0, N - 1, ..., 1, 0
+            shared = replace(dec, eigenvalues=dec.eigenvalues[back], right=dec.right[back],
+                             left=dec.left[back], frobenius=dec.frobenius[back])
+        project_trajectory(report.runs[direction], drive.with_direction(direction), shared)
+    return {"track_sheets.decompositions": len(directions) if dec is None else 1,
+            "track_sheets.ambiguous": sum(report.runs[d].ambiguous for d in directions)}
 
 
 # -- fidelities and chirality ----------------------------------------------------
@@ -505,6 +541,10 @@ def classify_chirality(
     """
     drive = replace(drive, path=replace(drive.path, period=T))
     x0, dec0, branch = start
+    # both directions return a whole turn from phase0: identify "the
+    # initial branch" there by eigenvalue proximity to the t=0 labels
+    dec_T = linalg.eig(drive.with_direction("ccw").matrix(T))
+    perm = _match_values(dec0.eigenvalues, dec_T.eigenvalues)
 
     results = {}
     runs = {}
@@ -516,10 +556,6 @@ def classify_chirality(
             traj = integrate_liouvillian(d, x0, T, steps, check_steps=check_steps)
         runs[direction] = traj
         final = traj.states[-1]
-        dec_T = linalg.eig(d.matrix(T))
-        # identify "the initial branch" at the returning parameter point by
-        # eigenvalue proximity to the t=0 labels
-        perm = _match_values(dec0.eigenvalues, dec_T.eigenvalues)
         fid = [
             state_branch_fidelity(dec_T, final, perm[j], traj.kind)
             for j in range(dec_T.dim)

@@ -742,7 +742,8 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # The verdicts return the runs they judged, and the trajectory files
     # are written from those runs: one integration per direction.  The
     # t = 0 generator is decomposed once, by validation, whose plan the
-    # run executes.
+    # run executes; the returning point once for both directions, and on
+    # a symmetric record grid one sheet-tracking decomposition serves both.
     from epkit import dynamics, linalg, rydberg
 
     calls = []
@@ -764,16 +765,59 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
         assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
     assert calls.count("_integrate") == 2
     assert calls.count("integrate_bloch") == 2
-    # encircle: t = 0 once, t = T and the sheet tracking once per
-    # direction; the rydberg run makes no linalg.eig call
-    assert calls.count("eig") == 5
+    # encircle: t = 0, t = T and the sheet tracking once each; the
+    # rydberg run makes no linalg.eig call
+    assert calls.count("eig") == 3
     assert calls.count("step_rate") == 0  # run.steps is given
     # under the default step rule, one rate probe from parsing to the run
     calls.clear()
     cfg = parse_config(ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""))
     run(cfg, out_dir=str(tmp_path / "default"))
     assert calls.count("step_rate") == 1
-    assert calls.count("eig") == 5
+    assert calls.count("eig") == 3
+    # 10,000 steps record every third step and the last one: an asymmetric
+    # grid, sheet-tracked once per direction
+    calls.clear()
+    cfg = parse_config(ENCIRCLE_CONFIG.replace("run.steps = 100", "run.steps = 10000"))
+    run(cfg, out_dir=str(tmp_path / "asymmetric"))
+    assert calls.count("eig") == 4
+
+
+@pytest.mark.parametrize("steps, directions, decompositions", [
+    (100, "both", 1), (4096, "both", 1), (10000, "both", 2), (10000, "cw", 1),
+])
+def test_manifest_counts_sheet_decompositions(tmp_path, steps, directions, decompositions):
+    # One decomposition on a record grid symmetric under k -> N - k, one
+    # per projected direction otherwise; the ambiguous samples are those
+    # track_sheets flags over the projected directions.
+    from epkit.dynamics import _record_indices, track_sheets
+
+    text = ENCIRCLE_CONFIG.replace("run.steps = 100", f"run.steps = {steps}")
+    cfg = parse_config(text + f"run.directions = {directions}\n")
+    counters = run(cfg, out_dir=str(tmp_path))["counters"]
+    assert counters["track_sheets.decompositions"] == decompositions
+    times = _record_indices(steps) * (10.0 / steps)
+    flagged = [track_sheets(cfg.plan.drive.with_direction(d), 10.0, len(times) - 1,
+                            times=times).defective_samples.sum() for d in cfg.plan.directions]
+    assert counters["track_sheets.ambiguous"] == sum(flagged)
+
+
+def test_config_hash_ignores_the_output_directory(tmp_path):
+    # One experiment written to two directories is one config: the
+    # manifests name the same config hash and the same artifacts.
+    cfgfile = tmp_path / "loop.cfg"
+    cfgfile.write_text(ENCIRCLE_CONFIG)
+    manifests = []
+    for out in ("a", "b"):
+        assert main(["encircle", "--config", str(cfgfile), "--out", str(tmp_path / out)]) == 0
+        manifests.append(json.loads(_read(tmp_path / out / "manifest.json")))
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    other = tmp_path / "other.cfg"
+    other.write_text(ENCIRCLE_CONFIG.replace("radius = 0.1", "radius = 0.2"))
+    assert main(["encircle", "--config", str(other), "--out", str(tmp_path / "c")]) == 0
+    manifest = json.loads(_read(tmp_path / "c" / "manifest.json"))
+    assert manifest["config_sha256"] != manifests[0]["config_sha256"]
 
 
 def test_rydberg_run_writes_the_directions_it_names(tmp_path):

@@ -16,6 +16,7 @@ from epkit.dynamics import (
     initial_state_on_branch,
     integrate_liouvillian,
     integrate_schrodinger,
+    project_loop,
     project_trajectory,
     scan_periods,
     state_branch_fidelity,
@@ -25,6 +26,7 @@ from epkit.dynamics import (
 )
 from epkit.errors import SampleTooCoarse, StepTooCoarse
 from epkit.models import (
+    MODELS,
     EncirclePath,
     PathDrive,
     basic_liouvillian,
@@ -281,8 +283,8 @@ def test_chirality_report_keeps_the_judged_runs():
 def test_scan_periods_decomposes_the_start_once(monkeypatch):
     # A loop's t = 0 point is its phase0 whatever its period, so one t = 0
     # decomposition starts every period; then each period decomposes only
-    # its returning point, once per direction.  Every report is the one a
-    # start resolved for its own period gives, bit for bit.
+    # its returning point, once for both directions.  Every report is the
+    # one a start resolved for its own period gives, bit for bit.
     drive, periods = ring_drive(), (50.0, 100.0, 200.0)
     calls = []
     original = linalg.eig
@@ -293,7 +295,7 @@ def test_scan_periods_decomposes_the_start_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig", spy)
     results = scan_periods(drive, periods, "upper")
-    assert len(calls) == 1 + 2 * len(periods)
+    assert len(calls) == 1 + len(periods)
     assert [T for T, _ in results] == list(periods)
     for T, report in results:
         loop = dataclasses.replace(drive, path=dataclasses.replace(drive.path, period=T))
@@ -382,6 +384,98 @@ def test_record_grid_dense_for_any_step_count():
         idx = _record_indices(steps)
         assert idx[0] == 0 and idx[-1] == steps
         assert len(idx) > 2000
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("convention", ["cos-sin", "sin-cos"])
+def test_cw_generator_is_ccw_run_backwards(model, convention):
+    # The shared sheet-tracking pass rests on cw(t) = ccw(T - t): the two
+    # angles differ by a whole turn, so the path points agree to a few ulps
+    # and the generators to a few ulps of their largest entry (entries that
+    # cancel, such as J - delta, lose some).
+    spec = get_model(model)
+    fixed = {name: 0.3 + 0.1 * i for i, name in enumerate(spec.params[2:])}
+    T = 150.0
+    times = np.arange(4097) * (T / 4096)
+    for phase0 in (0.0, -np.pi / 6, 2 * np.pi / 3 - 0.02, 2 * np.pi / 3 + 0.02,
+                   -np.arctan(9 / 4) + 0.02, 3.0):
+        path = EncirclePath(center=(0.4, 0.3), radius=0.25, period=T, phase0=phase0,
+                            plane="-".join(spec.params[:2]), convention=convention)
+        drive = PathDrive(model=spec, path=path, fixed=fixed)
+        eps = np.finfo(float).eps
+        back = drive.with_direction("cw")
+        for a, b in zip(path.point(T - times), back.path.point(times)):
+            assert np.max(np.abs(a - b)) <= 4 * eps
+        ccw, cw = drive.matrices(T - times), back.matrices(times)
+        scale = np.abs(ccw).max(axis=(-2, -1))
+        assert np.all(np.abs(cw - ccw).max(axis=(-2, -1)) <= 16 * eps * scale)
+
+
+def test_default_step_counts_give_symmetric_record_grids():
+    # Every default step count records on a grid symmetric under
+    # k -> N - k, where one decomposition serves both directions.
+    from epkit.dynamics import _record_indices
+
+    for rate, T in ((1.0, 10.0), (0.3, 150.0), (0.06, 1e4), (2.0, 5e4), (40.0, 1e5)):
+        steps = default_steps(rate, T)
+        rec = _record_indices(steps)
+        assert np.array_equal(rec, steps - rec[::-1]), steps
+    for grids in range(1, 200):
+        rec = _record_indices(4096 * grids)
+        assert np.array_equal(rec, 4096 * grids - rec[::-1])
+
+
+def _per_direction(report, drive):
+    return {d: project_trajectory(dataclasses.replace(report.runs[d]), drive.with_direction(d))
+            for d in ("ccw", "cw")}
+
+
+@pytest.mark.parametrize("make, steps", [
+    (lambda: (ring_drive(), 100.0, "upper"), 2000),
+    (lambda: (coldatom_drive(150.0), 150.0, "quasi_steady"), 4096),
+    (lambda: (coldatom_drive(150.0), 150.0, "quasi_steady"), 8192),
+])
+def test_shared_pass_matches_projecting_each_direction(monkeypatch, make, steps):
+    # One decomposition at the ccw records, reversed, serves cw: ccw is
+    # bit-identical to its own pass, cw agrees to rounding.
+    drive, T, branch = make()
+    report = classify_chirality(drive, T, initial_state_on_branch(drive, branch), steps)
+    alone = _per_direction(report, drive)
+    calls = []
+    original = linalg.eig
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "eig", counted)
+    counters = project_loop(report, drive, steps, ("ccw", "cw"))
+    assert len(calls) == 1 and calls[0][0] == len(report.runs["ccw"].times)
+    assert counters == {"track_sheets.decompositions": 1,
+                        "track_sheets.ambiguous": alone["ccw"].ambiguous + alone["cw"].ambiguous}
+    ccw, cw = report.runs["ccw"], report.runs["cw"]
+    for name in ("projected", "populations", "sheet_index"):
+        assert np.array_equal(getattr(ccw, name), getattr(alone["ccw"], name))
+    assert np.max(np.abs(cw.projected - alone["cw"].projected)) <= 1e-12
+    assert np.max(np.abs(cw.populations - alone["cw"].populations)) <= 1e-12
+    assert np.array_equal(cw.sheet_index, alone["cw"].sheet_index)
+
+
+def test_asymmetric_grid_decomposes_each_direction(monkeypatch):
+    # 10,007 steps record every third step and the last: cw record k is
+    # no ccw record, so each direction is decomposed and projected alone.
+    drive = ring_drive()
+    report = classify_chirality(drive, 100.0, initial_state_on_branch(drive, "upper"), 10007)
+    alone = _per_direction(report, drive)
+    calls = []
+    original = linalg.eig
+    monkeypatch.setattr(linalg, "eig", lambda m: calls.append(m) or original(m))
+    counters = project_loop(report, drive, 10007, ("ccw", "cw"))
+    assert len(calls) == 2
+    assert counters["track_sheets.decompositions"] == 2
+    for d in ("ccw", "cw"):
+        for name in ("projected", "populations", "sheet_index"):
+            assert np.array_equal(getattr(report.runs[d], name), getattr(alone[d], name))
 
 
 def test_projection_works_with_decimated_records():
