@@ -417,27 +417,23 @@ def project_loop(report: ChiralityReport, drive: PathDrive, steps: int, directio
     """Project the judged runs of ``directions`` in place; returns the
     manifest counters of their sheet tracking.
 
-    cw(t) = ccw(T - t), the two angles a whole turn apart, so on a record
-    grid symmetric under k -> N - k the generator at cw record k is the one
-    at ccw record N - k: one decomposition at the ccw records, run
-    backwards for cw, serves both directions.  cw record 0 takes ccw record
-    0, the exact loop start of both, not ccw record N, which equals it only
-    to rounding and could reorder branches with near-equal real parts.
-    Other grids decompose each direction.
+    cw(t) = ccw(T - t), T the drive's period, so cw record k reads the ccw
+    generator at step (steps - rec[k]) % steps: one decomposition at the
+    ccw steps the records need serves every direction.  Both ends of the
+    cw loop take step 0, the exact loop start; step ``steps`` equals it
+    only to rounding and could reorder branches with near-equal real parts.
     """
     rec = _record_indices(steps)
-    dec = None
-    if len(directions) > 1 and np.array_equal(rec, steps - rec[::-1]):
-        dec = linalg.eig(drive.with_direction("ccw").matrices(report.runs["ccw"].times))
-    for direction in directions:
-        shared = dec
-        if dec is not None and direction == "cw":
-            back = -np.arange(len(rec)) % (len(rec) - 1)  # 0, N - 1, ..., 1, 0
-            shared = replace(dec, eigenvalues=dec.eigenvalues[back], right=dec.right[back],
-                             left=dec.left[back], frobenius=dec.frobenius[back])
-        project_trajectory(report.runs[direction], drive.with_direction(direction), shared)
-    return {"track_sheets.decompositions": len(directions) if dec is None else 1,
-            "track_sheets.ambiguous": sum(report.runs[d].ambiguous for d in directions)}
+    need = {d: rec if d == "ccw" else (steps - rec) % steps for d in directions}
+    at = np.sort(np.concatenate(list(need.values())))
+    at = at[np.diff(at, prepend=-1) > 0]
+    dec = linalg.eig(drive.with_direction("ccw").matrices(at * (drive.path.period / steps)))
+    for direction, idx in need.items():
+        k = np.searchsorted(at, idx)
+        own = replace(dec, eigenvalues=dec.eigenvalues[k], right=dec.right[k],
+                      left=dec.left[k], frobenius=dec.frobenius[k])
+        project_trajectory(report.runs[direction], drive.with_direction(direction), own)
+    return {"track_sheets.ambiguous": sum(report.runs[d].ambiguous for d in directions)}
 
 
 # -- fidelities and chirality ----------------------------------------------------

@@ -466,6 +466,8 @@ class PathDrive:
     def __post_init__(self):
         object.__setattr__(self, "fixed", resolve_params(self.model, self.fixed))
         x_name, y_name = self.axis_names
+        if x_name == y_name:
+            raise ValueError("x_name and y_name name the same parameter")
         for nm in (x_name, y_name):
             if nm not in self.model.params:
                 raise ValueError(

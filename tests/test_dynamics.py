@@ -392,11 +392,19 @@ def test_cw_generator_is_ccw_run_backwards(model, convention):
     # The shared sheet-tracking pass rests on cw(t) = ccw(T - t): the two
     # angles differ by a whole turn, so the path points agree to a few ulps
     # and the generators to a few ulps of their largest entry (entries that
-    # cancel, such as J - delta, lose some).
+    # cancel, such as J - delta, lose some).  Checked at T - t and at the
+    # ccw steps (steps - rec[k]) % steps that project_loop reads for cw
+    # record k, on a symmetric and two asymmetric record grids.
+    from epkit.dynamics import _record_indices
+
     spec = get_model(model)
     fixed = {name: 0.3 + 0.1 * i for i, name in enumerate(spec.params[2:])}
     T = 150.0
     times = np.arange(4097) * (T / 4096)
+    pairs = [(T - times, times)]
+    for steps in (4096, 10000, 10007):
+        rec = _record_indices(steps)
+        pairs.append(((steps - rec) % steps * (T / steps), rec * (T / steps)))
     for phase0 in (0.0, -np.pi / 6, 2 * np.pi / 3 - 0.02, 2 * np.pi / 3 + 0.02,
                    -np.arctan(9 / 4) + 0.02, 3.0):
         path = EncirclePath(center=(0.4, 0.3), radius=0.25, period=T, phase0=phase0,
@@ -404,16 +412,18 @@ def test_cw_generator_is_ccw_run_backwards(model, convention):
         drive = PathDrive(model=spec, path=path, fixed=fixed)
         eps = np.finfo(float).eps
         back = drive.with_direction("cw")
-        for a, b in zip(path.point(T - times), back.path.point(times)):
-            assert np.max(np.abs(a - b)) <= 4 * eps
-        ccw, cw = drive.matrices(T - times), back.matrices(times)
-        scale = np.abs(ccw).max(axis=(-2, -1))
-        assert np.all(np.abs(cw - ccw).max(axis=(-2, -1)) <= 16 * eps * scale)
+        for ccw_times, cw_times in pairs:
+            for a, b in zip(path.point(ccw_times), back.path.point(cw_times)):
+                assert np.max(np.abs(a - b)) <= 4 * eps
+            ccw, cw = drive.matrices(ccw_times), back.matrices(cw_times)
+            scale = np.abs(ccw).max(axis=(-2, -1))
+            assert np.all(np.abs(cw - ccw).max(axis=(-2, -1)) <= 16 * eps * scale)
 
 
 def test_default_step_counts_give_symmetric_record_grids():
     # Every default step count records on a grid symmetric under
-    # k -> N - k, where one decomposition serves both directions.
+    # k -> N - k, where the cw records read the ccw records and the shared
+    # sheet-tracking decomposition holds no more points than one direction.
     from epkit.dynamics import _record_indices
 
     for rate, T in ((1.0, 10.0), (0.3, 150.0), (0.06, 1e4), (2.0, 5e4), (40.0, 1e5)):
@@ -430,16 +440,8 @@ def _per_direction(report, drive):
             for d in ("ccw", "cw")}
 
 
-@pytest.mark.parametrize("loop, steps", [("ring", 2000), ("coldatom", 4096), ("coldatom", 8192)])
-def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps):
-    # One decomposition at the ccw records, run backwards, serves cw: ccw
-    # is bit-identical to its own pass, cw agrees to rounding.  The
-    # coldatom loop's conjugate pair is ordered by rounding at t = 0, so
-    # cw must start on the exact loop start, not on ccw's t = T record.
-    drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
-                        "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
-    report = classify_chirality(drive, T, initial_state_on_branch(drive, branch), steps)
-    alone = _per_direction(report, drive)
+def _project_counting_eig(monkeypatch, report, drive, steps, directions):
+    """project_loop's counters and the shapes of its linalg.eig calls."""
     calls = []
     original = linalg.eig
 
@@ -447,34 +449,56 @@ def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps)
         calls.append(np.shape(m))
         return original(m)
 
-    monkeypatch.setattr(linalg, "eig", counted)
-    counters = project_loop(report, drive, steps, ("ccw", "cw"))
-    assert len(calls) == 1 and calls[0][0] == len(report.runs["ccw"].times)
-    assert counters == {"track_sheets.decompositions": 1,
-                        "track_sheets.ambiguous": alone["ccw"].ambiguous + alone["cw"].ambiguous}
-    ccw, cw = report.runs["ccw"], report.runs["cw"]
-    for name in ("projected", "populations", "sheet_index"):
-        assert np.array_equal(getattr(ccw, name), getattr(alone["ccw"], name))
-    assert np.max(np.abs(cw.projected - alone["cw"].projected)) <= 1e-12
-    assert np.max(np.abs(cw.populations - alone["cw"].populations)) <= 1e-12
-    assert np.array_equal(cw.sheet_index, alone["cw"].sheet_index)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "eig", counted)
+        counters = project_loop(report, drive, steps, directions)
+    return counters, calls
+
+
+def _assert_matches_alone(runs, alone):
+    # ccw is bit-identical to its own pass, cw agrees to rounding
+    for d, traj in runs.items():
+        if d == "ccw":
+            for name in ("projected", "populations", "sheet_index"):
+                assert np.array_equal(getattr(traj, name), getattr(alone["ccw"], name))
+        else:
+            assert np.max(np.abs(traj.projected - alone["cw"].projected)) <= 1e-12
+            assert np.max(np.abs(traj.populations - alone["cw"].populations)) <= 1e-12
+            assert np.array_equal(traj.sheet_index, alone["cw"].sheet_index)
+
+
+@pytest.mark.parametrize("loop, steps", [("ring", 2000), ("coldatom", 4096), ("coldatom", 8192)])
+def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps):
+    # One decomposition at the ccw records serves cw, whose records are
+    # the same ccw steps run backwards on a symmetric grid.  The coldatom
+    # loop's conjugate pair is ordered by rounding at t = 0, so cw must
+    # start on the exact loop start, not on ccw's t = T record.
+    drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
+                        "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
+    report = classify_chirality(drive, T, initial_state_on_branch(drive, branch), steps)
+    alone = _per_direction(report, drive)
+    counters, calls = _project_counting_eig(monkeypatch, report, drive, steps, ("ccw", "cw"))
+    assert calls == [(len(report.runs["ccw"].times), *drive.matrix(0.0).shape)]
+    assert counters == {"track_sheets.ambiguous":
+                        alone["ccw"].ambiguous + alone["cw"].ambiguous}
+    _assert_matches_alone(report.runs, alone)
 
 
 def test_asymmetric_grid_decomposes_each_direction(monkeypatch):
     # 10,007 steps record every third step and the last: cw record k is
-    # no ccw record, so each direction is decomposed and projected alone.
+    # ccw step 10,007 - 3k, no ccw record, so the one decomposition covers
+    # the 3,337 ccw records and their 3,335 mirrors other than step 0.  A
+    # cw-only run decomposes the mirrors alone.
     drive = ring_drive()
     report = classify_chirality(drive, 100.0, initial_state_on_branch(drive, "upper"), 10007)
     alone = _per_direction(report, drive)
-    calls = []
-    original = linalg.eig
-    monkeypatch.setattr(linalg, "eig", lambda m: calls.append(m) or original(m))
-    counters = project_loop(report, drive, 10007, ("ccw", "cw"))
-    assert len(calls) == 2
-    assert counters["track_sheets.decompositions"] == 2
-    for d in ("ccw", "cw"):
-        for name in ("projected", "populations", "sheet_index"):
-            assert np.array_equal(getattr(report.runs[d], name), getattr(alone[d], name))
+    for directions, points in ((("ccw", "cw"), 6672), (("cw",), 3336)):
+        runs = {d: dataclasses.replace(report.runs[d]) for d in directions}
+        judged = dataclasses.replace(report, runs=runs)
+        counters, calls = _project_counting_eig(monkeypatch, judged, drive, 10007, directions)
+        assert [shape[0] for shape in calls] == [points]
+        assert counters == {"track_sheets.ambiguous": sum(alone[d].ambiguous for d in directions)}
+        _assert_matches_alone(runs, alone)
 
 
 def test_projection_works_with_decimated_records():
