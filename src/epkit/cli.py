@@ -226,10 +226,19 @@ def _validate(cfg: ExperimentConfig) -> Plan:
                 from .dynamics import default_steps, initial_state_on_branch, step_rate
 
                 drive = PathDrive(model=model, path=path, fixed=fixed)
-                start = initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
+                # probed before the t = 0 decomposition, whose norm
+                # overflows first on entries this large
+                probe = step_rate(drive, path.period)
                 if steps is None:
-                    rate = step_rate(drive, path.period)
+                    rate = probe
                     steps = default_steps(rate, path.period)
+                # the integrator needs h rate dim < 1e300; entries linear in
+                # cos and sin reach within 1 / cos(pi / 64) of the
+                # 65-sample probe
+                elif not path.period / steps * probe * model.dim < 1e300 * math.cos(math.pi / 64):
+                    raise ConfigError(f"run.steps = {steps} is too coarse for generator "
+                                      f"entries {probe:.3g}")
+                start = initial_state_on_branch(drive, cfg.run.get("initial_branch", "upper"))
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:

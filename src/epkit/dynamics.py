@@ -317,22 +317,16 @@ class SheetTrack:
     defective_samples: np.ndarray
 
 
-def track_sheets(
-    drive: PathDrive, T: float, samples: int, times: np.ndarray | None = None,
-    dec: linalg.SpectralDecomposition | None = None,
-) -> SheetTrack:
-    """Match eigenvalue branches continuously along the drive path.
+def track_sheets(times: np.ndarray, dec: linalg.SpectralDecomposition) -> SheetTrack:
+    """Match eigenvalue branches continuously along sampled path points.
 
-    One stacked eigendecomposition (``dec``, when the caller has it) and one
-    batched assignment cover every sample; only the composition of the
-    matchings runs sample by sample.
+    ``dec`` is the stacked eigendecomposition at ``times``.  One batched
+    assignment covers every sample; only the composition of the matchings
+    runs sample by sample.
     """
+    samples = len(times) - 1
     if samples < 100:
         raise SampleTooCoarse("need at least 100 samples per period")
-    if times is None:
-        times = np.linspace(0.0, T, samples + 1)
-    if dec is None:
-        dec = linalg.eig(drive.matrices(times))
     vals, rights = dec.eigenvalues, dec.right
 
     # cost[k - 1, a, j]: branch a at sample k - 1 against branch j at sample k
@@ -360,8 +354,8 @@ def track_sheets(
     out_vals = np.take_along_axis(vals, order, axis=-1)
 
     # Closing permutation: branch j at the end corresponds to the branch
-    # whose eigenvalue at the start matches out_vals[-1, j].
-    permutation = _match_values(out_vals[-1], out_vals[0])
+    # whose eigenvalue at the start is closest to out_vals[-1, j].
+    permutation = linalg.assign(np.abs(out_vals[-1][:, None] - out_vals[0][None, :]))
     return SheetTrack(
         times=times,
         values=out_vals,
@@ -372,43 +366,41 @@ def track_sheets(
     )
 
 
-def _match_values(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Permutation p with dst[p[j]] closest to src[j], one-to-one; broadcasts."""
-    return linalg.assign(np.abs(np.asarray(src)[..., :, None] - np.asarray(dst)[..., None, :]))
-
-
 # -- projection ----------------------------------------------------------------
 
 
+def _coefficients(lefts: np.ndarray, rights: np.ndarray, psi: np.ndarray):
+    """Overlaps <chi_j|psi> and biorthogonal coefficients
+    c_j = <chi_j|psi> / <chi_j|psi_j> (0 where the denominator is below
+    1e-14), eigenvectors in columns; broadcasts over leading axes."""
+    raw = (lefts.conj().swapaxes(-1, -2) @ np.asarray(psi)[..., None])[..., 0]
+    denom = np.einsum("...ij,...ij->...j", lefts.conj(), rights)
+    big = np.abs(denom) > 1e-14
+    return raw, np.divide(raw, denom, out=np.zeros_like(raw), where=big)
+
+
 def project_trajectory(
-    traj: TrajectoryRecord, drive: PathDrive, dec: linalg.SpectralDecomposition | None = None
+    traj: TrajectoryRecord, dec: linalg.SpectralDecomposition
 ) -> TrajectoryRecord:
     """Fill spectral projection, biorthogonal populations and sheet indices.
 
-    The projection is the overlap-weighted mean of instantaneous
-    eigenvalues, sum_i |<chi_i|psi>|^2 E_i / sum_i |<chi_i|psi>|^2, with
-    chi_i the left eigenvectors.  Populations come from the biorthogonal
-    expansion in the smoothly tracked frame; the sheet index is the branch
-    with maximal population weight.  ``dec`` is the decomposition at the
-    record times, when the caller has it.
+    ``dec`` is the stacked eigendecomposition at the record times.  The
+    projection is the overlap-weighted mean of instantaneous eigenvalues,
+    sum_i |<chi_i|psi>|^2 E_i / sum_i |<chi_i|psi>|^2, with chi_i the left
+    eigenvectors.  Populations come from the biorthogonal expansion in the
+    smoothly tracked frame; the sheet index is the branch with maximal
+    population weight.
     """
-    T = float(traj.times[-1])
-    if len(traj.times) < 101:
-        raise SampleTooCoarse("trajectory has too few records for sheet tracking")
-    track = track_sheets(drive, T, len(traj.times) - 1, times=traj.times, dec=dec)
+    track = track_sheets(traj.times, dec)
     traj.ambiguous = int(track.defective_samples.sum())
 
-    # raw[k, j] = <chi_j|psi> at sample k
-    raw = (track.lefts.conj().swapaxes(-1, -2) @ traj.states[..., None])[..., 0]
+    raw, traj.populations = _coefficients(track.lefts, track.rights, traj.states)
     weights = np.abs(raw) ** 2
     total = weights.sum(axis=-1)
     if (total < 1e-14).any():
         t = traj.times[np.argmax(total < 1e-14)]
         raise ProjectionUndefined(f"all branch overlaps vanish at t={t}")
     traj.projected = (weights[:, None, :] @ track.values[..., None])[:, 0, 0] / total
-    # biorthogonal coefficients: c_j = <chi_j|psi> / <chi_j|psi_j>
-    denom = np.einsum("kij,kij->kj", track.lefts.conj(), track.rights)
-    traj.populations = np.where(np.abs(denom) > 1e-14, raw / denom, 0.0)
     traj.sheet_index = np.argmax(np.abs(traj.populations), axis=-1)
     return traj
 
@@ -417,22 +409,23 @@ def project_loop(report: ChiralityReport, drive: PathDrive, steps: int, directio
     """Project the judged runs of ``directions`` in place; returns the
     manifest counters of their sheet tracking.
 
-    cw(t) = ccw(T - t), T the drive's period, so cw record k reads the ccw
-    generator at step (steps - rec[k]) % steps: one decomposition at the
-    ccw steps the records need serves every direction.  Both ends of the
-    cw loop take step 0, the exact loop start; step ``steps`` equals it
-    only to rounding and could reorder branches with near-equal real parts.
+    The loop ends at its start, and cw(t) = ccw(T - t) with T the drive's
+    period, so record k of either direction reads the ccw generator at step
+    (+-rec[k]) % steps: one decomposition at the ccw steps the records need
+    serves every direction, and both ends of each loop take step 0, the
+    exact start.  Step ``steps`` equals it only to rounding and could
+    reorder branches with near-equal real parts; it is never decomposed.
     """
     rec = _record_indices(steps)
-    need = {d: rec if d == "ccw" else (steps - rec) % steps for d in directions}
+    need = {d: (rec if d == "ccw" else -rec) % steps for d in directions}
     at = np.sort(np.concatenate(list(need.values())))
     at = at[np.diff(at, prepend=-1) > 0]
     dec = linalg.eig(drive.with_direction("ccw").matrices(at * (drive.path.period / steps)))
     for direction, idx in need.items():
         k = np.searchsorted(at, idx)
-        own = replace(dec, eigenvalues=dec.eigenvalues[k], right=dec.right[k],
-                      left=dec.left[k], frobenius=dec.frobenius[k])
-        project_trajectory(report.runs[direction], drive.with_direction(direction), own)
+        project_trajectory(report.runs[direction], replace(
+            dec, eigenvalues=dec.eigenvalues[k], right=dec.right[k], left=dec.left[k],
+            frobenius=dec.frobenius[k]))
     return {"track_sheets.ambiguous": sum(report.runs[d].ambiguous for d in directions)}
 
 
@@ -466,11 +459,7 @@ def hermitize_density(vec4: np.ndarray):
 
 def branch_populations(dec: linalg.SpectralDecomposition, psi: np.ndarray) -> np.ndarray:
     """Normalized biorthogonal weights |c_n|^2 / sum |c_m|^2."""
-    c = np.empty(dec.dim, dtype=complex)
-    for j in range(dec.dim):
-        denom = np.vdot(dec.left[:, j], dec.right[:, j])
-        c[j] = np.vdot(dec.left[:, j], psi) / denom if abs(denom) > 1e-14 else 0.0
-    p = np.abs(c) ** 2
+    p = np.abs(_coefficients(dec.left, dec.right, psi)[1]) ** 2
     total = p.sum()
     if total <= 0:
         raise ProjectionUndefined("state has no weight on any branch")
@@ -529,19 +518,16 @@ def classify_chirality(
 
     ``start`` is the loop start that ``initial_state_on_branch`` resolves,
     and ``steps`` the steps per direction.  The path period is set to T (a
-    single cycle).  The verdict is chiral when one direction returns to the
-    initial branch with fidelity > 0.9 while the other leaves it below 0.5;
-    non-chiral when both return above 0.9; ambiguous otherwise.  The report
-    keeps both runs, so callers that also want the trajectories never
-    integrate a loop again.
+    single cycle).  A closed loop ends at its start, so both directions'
+    final states are judged on the start's t = 0 decomposition, and the
+    judgement decomposes nothing.  The verdict is chiral when one direction
+    returns to the initial branch with fidelity > 0.9 while the other leaves
+    it below 0.5; non-chiral when both return above 0.9; ambiguous
+    otherwise.  The report keeps both runs, so callers that also want the
+    trajectories never integrate a loop again.
     """
     drive = replace(drive, path=replace(drive.path, period=T))
     x0, dec0, branch = start
-    # both directions return a whole turn from phase0: identify "the
-    # initial branch" there by eigenvalue proximity to the t=0 labels
-    dec_T = linalg.eig(drive.with_direction("ccw").matrix(T))
-    perm = _match_values(dec0.eigenvalues, dec_T.eigenvalues)
-
     results = {}
     runs = {}
     for direction in ("ccw", "cw"):
@@ -552,10 +538,7 @@ def classify_chirality(
             traj = integrate_liouvillian(d, x0, T, steps, check_steps=check_steps)
         runs[direction] = traj
         final = traj.states[-1]
-        fid = [
-            state_branch_fidelity(dec_T, final, perm[j], traj.kind)
-            for j in range(dec_T.dim)
-        ]
+        fid = [state_branch_fidelity(dec0, final, j, traj.kind) for j in range(dec0.dim)]
         fid_initial = fid[branch]
         others = [f for j, f in enumerate(fid) if j != branch]
         results[direction] = (fid_initial, max(others))
@@ -601,7 +584,8 @@ def scan_periods(
 ) -> list[tuple[float, ChiralityReport]]:
     """Chirality classification over a list of loop periods, each at its
     default step count.  The start is resolved once: a loop's t = 0 point
-    is its phase0 whatever its period."""
+    is its phase0 whatever its period, and it is also the point where each
+    loop's verdict is judged."""
     start = initial_state_on_branch(drive, initial_branch)
     loops = [(T, replace(drive, path=replace(drive.path, period=T))) for T in periods]
     return [(float(T), classify_chirality(d, T, start, default_steps(step_rate(d, T), T)))

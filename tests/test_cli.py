@@ -457,6 +457,32 @@ def test_loop_plane_naming_one_parameter_twice_fails_validation(tmp_path, capsys
         assert capsys.readouterr().out == "ok\n"
 
 
+def test_loop_too_coarse_for_its_generator_fails_validation(tmp_path, capsys, monkeypatch):
+    # At 200 steps of a T = 100 loop, generator entries of 5e307 (Gamma)
+    # or 1e300 (the path centre) put h rate dim past what the integrator
+    # takes: `validate` and the run both reject run.steps (exit 2) before
+    # the t = 0 decomposition, whose norm would overflow, and integrate
+    # nothing.
+    from epkit import dynamics
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "_integrate", no_integration)
+    loop = ENCIRCLE_CONFIG.replace("= 10.0", "= 100.0").replace("run.steps = 100", "run.steps = 200")
+    cfgfile = tmp_path / "exp.cfg"
+    for old, new in (("param.Gamma = 1.0", "param.Gamma = 1e308"),
+                     ("path.center_x = 0.5", "path.center_x = 1e300")):
+        cfgfile.write_text(loop.replace(old, new))
+        assert main(["validate", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.steps = 200 is too coarse"), err
+        out = tmp_path / "out"
+        assert main(["encircle", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
 SPECTRUM_CONFIG = """
 experiment.command = spectrum
 experiment.model = basic_liouvillian
@@ -761,7 +787,7 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
     # The verdicts return the runs they judged, and the trajectory files
     # are written from those runs: one integration per direction.  The
     # t = 0 generator is decomposed once, by validation, whose plan the
-    # run executes; the returning point once for both directions, and one
+    # run executes, and it judges both directions, which return to it; one
     # sheet-tracking decomposition serves both on every record grid.
     from epkit import dynamics, linalg, rydberg
 
@@ -784,22 +810,23 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
         assert (out / "trajectory_ccw.csv").exists() and (out / "trajectory_cw.csv").exists()
     assert calls.count("_integrate") == 2
     assert calls.count("integrate_bloch") == 2
-    # encircle: t = 0, t = T and the sheet tracking once each; the
-    # rydberg run makes no linalg.eig call
-    assert calls.count("eig") == 3
-    assert calls.count("step_rate") == 0  # run.steps is given
-    # under the default step rule, one rate probe from parsing to the run
+    # encircle: t = 0 and the sheet tracking once each; the rydberg run
+    # makes no linalg.eig call
+    assert calls.count("eig") == 2
+    # one rate probe from parsing to the run, with run.steps given (it
+    # checks the steps) or under the default step rule (it sets them)
+    assert calls.count("step_rate") == 1
     calls.clear()
     cfg = parse_config(ENCIRCLE_CONFIG.replace("run.steps = 100\n", ""))
     run(cfg, out_dir=str(tmp_path / "default"))
     assert calls.count("step_rate") == 1
-    assert calls.count("eig") == 3
+    assert calls.count("eig") == 2
     # 10,000 steps record every third step and the last one: on this
     # asymmetric grid, too, one decomposition serves both directions
     calls.clear()
     cfg = parse_config(ENCIRCLE_CONFIG.replace("run.steps = 100", "run.steps = 10000"))
     run(cfg, out_dir=str(tmp_path / "asymmetric"))
-    assert calls.count("eig") == 3
+    assert calls.count("eig") == 2
 
 
 @pytest.mark.parametrize("steps, directions", [
@@ -808,14 +835,15 @@ def test_cli_integrates_each_loop_once(tmp_path, monkeypatch):
 def test_manifest_counts_ambiguous_sheet_samples(tmp_path, steps, directions):
     # The ambiguous samples are those track_sheets flags over the
     # projected directions, on symmetric and asymmetric record grids.
+    from epkit import linalg
     from epkit.dynamics import _record_indices, track_sheets
 
     text = ENCIRCLE_CONFIG.replace("run.steps = 100", f"run.steps = {steps}")
     cfg = parse_config(text + f"run.directions = {directions}\n")
     counters = run(cfg, out_dir=str(tmp_path))["counters"]
     times = _record_indices(steps) * (10.0 / steps)
-    flagged = [track_sheets(cfg.plan.drive.with_direction(d), 10.0, len(times) - 1,
-                            times=times).defective_samples.sum() for d in cfg.plan.directions]
+    flagged = [track_sheets(times, linalg.eig(cfg.plan.drive.with_direction(d).matrices(times)))
+               .defective_samples.sum() for d in cfg.plan.directions]
     assert counters["track_sheets.ambiguous"] == sum(flagged)
 
 

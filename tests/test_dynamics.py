@@ -42,6 +42,12 @@ def ring_drive(Gamma=1.0, r=0.1, T=100.0, center=None, direction="ccw"):
     return PathDrive(model=get_model("encircle"), path=path, fixed={"Gamma": Gamma})
 
 
+def decomposed(drive, times):
+    """The stacked decomposition at ``times`` that track_sheets and
+    project_trajectory read, as project_loop makes it for a config run."""
+    return linalg.eig(drive.matrices(times))
+
+
 def chirality(drive, T, branch):
     """classify_chirality at the default step count, as a config run takes it."""
     start = initial_state_on_branch(drive, branch)
@@ -280,11 +286,39 @@ def test_chirality_report_keeps_the_judged_runs():
     assert "runs" not in repr(report)
 
 
+@pytest.mark.parametrize("loop", ["ring", "coldatom"])
+def test_chirality_is_judged_on_the_start_decomposition(monkeypatch, loop):
+    # A closed loop ends at its start: both directions' final states are
+    # judged on the t = 0 decomposition the start carries, and judging
+    # decomposes nothing.
+    drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
+                        "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
+    start = initial_state_on_branch(drive, branch)
+    calls = []
+    original = linalg.eig
+
+    def spy(mats):
+        calls.append(np.shape(mats))
+        return original(mats)
+
+    monkeypatch.setattr(linalg, "eig", spy)
+    report = classify_chirality(drive, T, start, 2000)
+    assert calls == []
+    _, dec0, index = start
+    for d in ("ccw", "cw"):
+        traj = report.runs[d]
+        fid = [state_branch_fidelity(dec0, traj.states[-1], j, traj.kind)
+               for j in range(dec0.dim)]
+        assert getattr(report, f"{d}_final_fidelity_to_initial_branch") == fid[index]
+        assert getattr(report, f"{d}_final_fidelity_to_other_branch") == max(
+            f for j, f in enumerate(fid) if j != index)
+
+
 def test_scan_periods_decomposes_the_start_once(monkeypatch):
     # A loop's t = 0 point is its phase0 whatever its period, so one t = 0
-    # decomposition starts every period; then each period decomposes only
-    # its returning point, once for both directions.  Every report is the
-    # one a start resolved for its own period gives, bit for bit.
+    # decomposition starts every period and judges both directions of each
+    # loop, which returns to it.  Every report is the one a start resolved
+    # for its own period gives, bit for bit.
     drive, periods = ring_drive(), (50.0, 100.0, 200.0)
     calls = []
     original = linalg.eig
@@ -295,7 +329,7 @@ def test_scan_periods_decomposes_the_start_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig", spy)
     results = scan_periods(drive, periods, "upper")
-    assert len(calls) == 1 + len(periods)
+    assert len(calls) == 1
     assert [T for T, _ in results] == list(periods)
     for T, report in results:
         loop = dataclasses.replace(drive, path=dataclasses.replace(drive.path, period=T))
@@ -324,7 +358,8 @@ def test_projection_on_instantaneous_eigenstate():
     drive = ring_drive()
     # prepare exactly the instantaneous eigenstate at every sample: the
     # projection must return that branch eigenvalue exactly
-    track = track_sheets(drive, 100.0, 200)
+    times = np.linspace(0.0, 100.0, 201)
+    track = track_sheets(times, decomposed(drive, times))
     for k in (0, 57, 123, 200):
         dec = linalg.eig(drive.matrix(track.times[k]))
         psi = track.rights[k][:, 0]
@@ -348,7 +383,7 @@ def test_projection_weighted_mean_matches_direct_formula():
     path = EncirclePath(center=(1.0, 1.0), radius=0.0, period=10.0, plane="J-Gamma")
     drive = PathDrive(model=get_model("pt"), path=path, fixed={})
     traj = integrate_schrodinger(drive, psi, 10.0, 1000)
-    traj = project_trajectory(traj, drive)
+    traj = project_trajectory(traj, decomposed(drive, traj.times))
     assert abs(traj.projected[0] - expected) < 1e-10
 
 
@@ -360,8 +395,8 @@ def test_projection_fig2_loop_lands_on_other_sheet():
     # loop permutes onto the other static branch -> projection ends on the
     # other eigenvalue
     traj = integrate_schrodinger(drive, x0, 100.0, 2000)
-    traj = project_trajectory(traj, drive)
-    track = track_sheets(drive, 100.0, 2000)
+    traj = project_trajectory(traj, decomposed(drive, traj.times))
+    track = track_sheets(traj.times, decomposed(drive, traj.times))
     assert traj.sheet_index[0] == 0
     assert traj.sheet_index[-1] == 0  # no non-adiabatic jump this way
     assert track.permutation[0] == 1  # but the sheet winds onto branch 1
@@ -370,7 +405,8 @@ def test_projection_fig2_loop_lands_on_other_sheet():
     # clockwise: a non-adiabatic jump flips the smooth sheet mid-loop, so
     # the final projection returns to the starting eigenvalue
     cw = drive.with_direction("cw")
-    traj2 = project_trajectory(integrate_schrodinger(cw, x0, 100.0, 2000), cw)
+    traj2 = integrate_schrodinger(cw, x0, 100.0, 2000)
+    traj2 = project_trajectory(traj2, decomposed(cw, traj2.times))
     assert traj2.sheet_index[0] == 0
     assert traj2.sheet_index[-1] == 1
     assert abs(traj2.projected[0] - traj2.projected[-1]) < 1e-2
@@ -436,49 +472,64 @@ def test_default_step_counts_give_symmetric_record_grids():
 
 
 def _per_direction(report, drive):
-    return {d: project_trajectory(dataclasses.replace(report.runs[d]), drive.with_direction(d))
-            for d in ("ccw", "cw")}
+    """Each direction projected on its own drive at its own record times."""
+    alone = {}
+    for d in ("ccw", "cw"):
+        traj = dataclasses.replace(report.runs[d])
+        alone[d] = project_trajectory(traj, decomposed(drive.with_direction(d), traj.times))
+    return alone
 
 
 def _project_counting_eig(monkeypatch, report, drive, steps, directions):
-    """project_loop's counters and the shapes of its linalg.eig calls."""
-    calls = []
-    original = linalg.eig
+    """project_loop's counters, the shapes of its linalg.eig calls and the
+    path times it samples."""
+    calls, times = [], []
+    original, matrices = linalg.eig, PathDrive.matrices
 
     def counted(m):
         calls.append(np.shape(m))
         return original(m)
 
+    def sampled(self, t):
+        times.append(np.asarray(t))
+        return matrices(self, t)
+
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "eig", counted)
+        patch.setattr(PathDrive, "matrices", sampled)
         counters = project_loop(report, drive, steps, directions)
-    return counters, calls
+    return counters, calls, np.concatenate(times)
 
 
 def _assert_matches_alone(runs, alone):
-    # ccw is bit-identical to its own pass, cw agrees to rounding
+    # Both directions agree to rounding with their own passes.  ccw is
+    # bit-identical but for its last record, which reads step 0, the exact
+    # loop start, where its own pass reads t = T.
     for d, traj in runs.items():
-        if d == "ccw":
-            for name in ("projected", "populations", "sheet_index"):
-                assert np.array_equal(getattr(traj, name), getattr(alone["ccw"], name))
-        else:
-            assert np.max(np.abs(traj.projected - alone["cw"].projected)) <= 1e-12
-            assert np.max(np.abs(traj.populations - alone["cw"].populations)) <= 1e-12
-            assert np.array_equal(traj.sheet_index, alone["cw"].sheet_index)
+        assert np.max(np.abs(traj.projected - alone[d].projected)) <= 1e-12
+        assert np.max(np.abs(traj.populations - alone[d].populations)) <= 1e-12
+        assert np.array_equal(traj.sheet_index, alone[d].sheet_index)
+    if "ccw" in runs:
+        for name in ("projected", "populations", "sheet_index"):
+            assert np.array_equal(getattr(runs["ccw"], name)[:-1],
+                                  getattr(alone["ccw"], name)[:-1])
 
 
 @pytest.mark.parametrize("loop, steps", [("ring", 2000), ("coldatom", 4096), ("coldatom", 8192)])
 def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps):
     # One decomposition at the ccw records serves cw, whose records are
-    # the same ccw steps run backwards on a symmetric grid.  The coldatom
-    # loop's conjugate pair is ordered by rounding at t = 0, so cw must
-    # start on the exact loop start, not on ccw's t = T record.
+    # the same ccw steps run backwards on a symmetric grid.  Every loop
+    # ends at its start, step 0, and step ``steps`` is never decomposed:
+    # the coldatom loop's conjugate pair is ordered by rounding at t = 0,
+    # so the ends must read the exact loop start, not the t = T point.
     drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
                         "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
     report = classify_chirality(drive, T, initial_state_on_branch(drive, branch), steps)
     alone = _per_direction(report, drive)
-    counters, calls = _project_counting_eig(monkeypatch, report, drive, steps, ("ccw", "cw"))
-    assert calls == [(len(report.runs["ccw"].times), *drive.matrix(0.0).shape)]
+    counters, calls, times = _project_counting_eig(monkeypatch, report, drive, steps,
+                                                   ("ccw", "cw"))
+    assert calls == [(len(report.runs["ccw"].times) - 1, *drive.matrix(0.0).shape)]
+    assert times.min() == 0.0 and times.max() < T
     assert counters == {"track_sheets.ambiguous":
                         alone["ccw"].ambiguous + alone["cw"].ambiguous}
     _assert_matches_alone(report.runs, alone)
@@ -487,16 +538,18 @@ def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps)
 def test_asymmetric_grid_decomposes_each_direction(monkeypatch):
     # 10,007 steps record every third step and the last: cw record k is
     # ccw step 10,007 - 3k, no ccw record, so the one decomposition covers
-    # the 3,337 ccw records and their 3,335 mirrors other than step 0.  A
-    # cw-only run decomposes the mirrors alone.
+    # the 3,336 ccw records below step 10,007 and their 3,335 mirrors other
+    # than step 0.  A cw-only run decomposes the mirrors and step 0 alone.
     drive = ring_drive()
     report = classify_chirality(drive, 100.0, initial_state_on_branch(drive, "upper"), 10007)
     alone = _per_direction(report, drive)
-    for directions, points in ((("ccw", "cw"), 6672), (("cw",), 3336)):
+    for directions, points in ((("ccw", "cw"), 6671), (("cw",), 3336)):
         runs = {d: dataclasses.replace(report.runs[d]) for d in directions}
         judged = dataclasses.replace(report, runs=runs)
-        counters, calls = _project_counting_eig(monkeypatch, judged, drive, 10007, directions)
+        counters, calls, times = _project_counting_eig(monkeypatch, judged, drive, 10007,
+                                                       directions)
         assert [shape[0] for shape in calls] == [points]
+        assert times.min() == 0.0 and times.max() < 100.0
         assert counters == {"track_sheets.ambiguous": sum(alone[d].ambiguous for d in directions)}
         _assert_matches_alone(runs, alone)
 
@@ -505,7 +558,7 @@ def test_projection_works_with_decimated_records():
     drive = ring_drive()
     x0, _, _ = initial_state_on_branch(drive, 0)
     traj = integrate_schrodinger(drive, x0, 100.0, 10007)  # prime step count
-    traj = project_trajectory(traj, drive)
+    traj = project_trajectory(traj, decomposed(drive, traj.times))
     assert len(traj.times) > 2000
     assert traj.sheet_index is not None
 
@@ -515,21 +568,24 @@ def test_projection_works_with_decimated_records():
 
 def test_track_swap_around_ep():
     drive = ring_drive()
-    track = track_sheets(drive, 100.0, 400)
+    times = np.linspace(0.0, 100.0, 401)
+    track = track_sheets(times, decomposed(drive, times))
     assert not np.array_equal(track.permutation, np.arange(2))
     assert set(track.permutation) == {0, 1}
 
 
 def test_track_identity_away_from_ep():
     drive = ring_drive(center=(1.5, 0.8), r=0.1)
-    track = track_sheets(drive, 100.0, 400)
+    times = np.linspace(0.0, 100.0, 401)
+    track = track_sheets(times, decomposed(drive, times))
     assert np.array_equal(track.permutation, np.arange(2))
 
 
 def test_track_matches_square_root_closed_form():
     Gamma, r, T = 1.0, 0.1, 100.0
     drive = ring_drive(Gamma=Gamma, r=r, T=T)
-    track = track_sheets(drive, T, 500)
+    times = np.linspace(0.0, T, 501)
+    track = track_sheets(times, decomposed(drive, times))
     w = 2 * np.pi / T
     # continuous square root: half the unwrapped angle of the radicand
     z = r**2 + Gamma * r * np.exp(1j * w * track.times)
@@ -541,8 +597,10 @@ def test_track_matches_square_root_closed_form():
     assert np.max(np.abs(track.values[:, 1 - b] + root)) < 1e-9
 
 
-def test_track_makes_one_eigendecomposition(monkeypatch):
-    # Every sample comes from one stacked linalg.eig call.
+def test_track_makes_no_eigendecomposition(monkeypatch):
+    # Tracking reads the decomposition its caller made and makes none.
+    times = np.linspace(0.0, 100.0, 401)
+    dec = decomposed(ring_drive(), times)
     calls = []
     original = linalg.eig
 
@@ -551,8 +609,8 @@ def test_track_makes_one_eigendecomposition(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(linalg, "eig", counted)
-    track = track_sheets(ring_drive(), 100.0, 400)
-    assert calls == [(401, 2, 2)]
+    track = track_sheets(times, dec)
+    assert calls == []
     assert track.values.shape == (401, 2)
 
 
@@ -562,7 +620,8 @@ def test_track_matches_sample_by_sample_reference(make):
     # step on the previous sample's tracked order, as sheet tracking was
     # defined before it was batched.
     drive = make()
-    track = track_sheets(drive, drive.path.period, 300)
+    times = np.linspace(0.0, drive.path.period, 301)
+    track = track_sheets(times, decomposed(drive, times))
     mats = drive.matrices(track.times)
     decs = [linalg.eig(m) for m in mats]
     vals, rights, lefts = decs[0].eigenvalues, decs[0].right, decs[0].left
@@ -580,8 +639,14 @@ def test_track_matches_sample_by_sample_reference(make):
 
 def test_track_rejects_coarse_sampling():
     drive = ring_drive()
+    times = np.linspace(0.0, 100.0, 51)
     with pytest.raises(SampleTooCoarse):
-        track_sheets(drive, 100.0, 50)
+        track_sheets(times, decomposed(drive, times))
+    # a trajectory recorded as coarsely cannot be projected
+    traj = integrate_schrodinger(drive, initial_state_on_branch(drive, 0)[0], 100.0, 100)
+    short = dataclasses.replace(traj, times=traj.times[:51], states=traj.states[:51])
+    with pytest.raises(SampleTooCoarse):
+        project_trajectory(short, decomposed(drive, short.times))
 
 
 # -- nonadiabatic couplings --------------------------------------------------------
@@ -594,8 +659,8 @@ def test_coupling_ode_reproduces_full_populations():
     Gamma, r, T = 1.0, 0.1, 100.0
     drive = ring_drive(Gamma=Gamma, r=r, T=T)
     n_grid = 4000
-    track = track_sheets(drive, T, n_grid)
-    times = track.times
+    times = np.linspace(0.0, T, n_grid + 1)
+    track = track_sheets(times, decomposed(drive, times))
     h = times[1] - times[0]
 
     # phase-smooth the frame along the path (positive overlap chaining)
