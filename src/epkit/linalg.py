@@ -217,11 +217,16 @@ def eig(m) -> SpectralDecomposition:
     # assign maps each left vector to a right one; its inverse orders them
     perm = np.argsort(assign((1.0 - overlap) + 1e-6 * dist), axis=-1)
     vecs_l = fix_phase(np.take_along_axis(vecs_l, perm[..., None, :], axis=-1))
+    # ||a||_F of a scaled by 2^-k, k the exponent of each matrix's largest |Re| or |Im|:
+    # the scaling is exact, and no square overflows
+    k = np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1)))[1]
+    scaled = np.empty_like(a)
+    scaled.real, scaled.imag = (np.ldexp(v, -k[..., None, None]) for v in (a.real, a.imag))
     return SpectralDecomposition(
         eigenvalues=vals_r,
         right=vecs_r,
         left=vecs_l,
-        frobenius=np.linalg.norm(a, axis=(-2, -1)),
+        frobenius=np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), k),
     )
 
 

@@ -80,13 +80,12 @@ class RydbergParams:
 class SteadyState:
     """One steady state; from ``steady_states_batch``, arrays of them with
     the parameters' broadcast shape plus a root axis of length 3 (ascending
-    in n, empty slots nan and False)."""
+    in n, empty slots nan and False).  ``stable``: every eigenvalue of the
+    flow's Jacobian there has a negative real part."""
 
     n: float  # excited population rho22
     rho21: complex
     stable: bool
-    jacobian_eigenvalues: np.ndarray
-    marginal: bool = False
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,7 @@ def steady_states(p: RydbergParams) -> SteadyStateSet:
     """All physical steady states of a point of floats, ascending in n."""
     s = steady_states_batch(p)
     return SteadyStateSet(roots=tuple(
-        SteadyState(float(s.n[k]), complex(s.rho21[k]), bool(s.stable[k]),
-                    s.jacobian_eigenvalues[k], bool(s.marginal[k]))
+        SteadyState(float(s.n[k]), complex(s.rho21[k]), bool(s.stable[k]))
         for k in np.flatnonzero(np.isfinite(s.n))
     ))
 
@@ -200,8 +198,10 @@ def steady_states_batch(p: RydbergParams) -> SteadyState:
     The cubic's roots are its companion matrices' eigenvalues (no branch
     mistakes of closed-form radicals near folds), one stacked eigensolve
     for all points.  Roots that miss stationarity by more than
-    RESIDUAL_TOL get a Newton polish; one stacked eigensolve over all root
-    Jacobians labels stability.
+    RESIDUAL_TOL get a Newton polish.  Stability is Routh-Hurwitz on the
+    Jacobian's l^3 + a2 l^2 + a1 l + a0 (a2 = -tr J, a1 its principal 2x2
+    minors summed, a0 = -det J): all roots have Re l < 0 iff a2 > 0, a0 > 0
+    and a2 a1 > a0 (Gantmacher, The Theory of Matrices II, ch. XV).
     """
     shape = np.broadcast(p.Omega, p.Delta, p.gamma, p.W).shape
     lanes = [np.broadcast_to(v, shape).ravel() for v in (p.Omega, p.Delta, p.gamma, p.W)]
@@ -223,8 +223,11 @@ def steady_states_batch(p: RydbergParams) -> SteadyState:
     padded.sort(axis=-1)  # polishing may reorder the roots of a point
     n = padded[lane, slot]
     r21 = rho21_for(n, q)
-    jac_eigs = linalg.eigvals_batch(jacobian(n, r21, q))
-    max_re = jac_eigs.real.max(axis=-1)
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = _jacobian_entries(
+        n, r21.real, r21.imag, q.Omega, q.Delta, q.gamma, q.W)
+    m00, m01, m02 = j11 * j22 - j12 * j21, j10 * j22 - j12 * j20, j10 * j21 - j11 * j20
+    a2, a0 = -(j00 + j11 + j22), -(j00 * m00 - j01 * m01 + j02 * m02)
+    a1 = m00 + (j00 * j22 - j02 * j20) + (j00 * j11 - j01 * j10)
 
     def per_point(values, pad):
         out = np.full(padded.shape + values.shape[1:], pad, dtype=values.dtype)
@@ -234,9 +237,7 @@ def steady_states_batch(p: RydbergParams) -> SteadyState:
     return SteadyState(
         n=per_point(n, np.nan),
         rho21=per_point(r21, np.nan),
-        stable=per_point(max_re < 0.0, False),
-        jacobian_eigenvalues=per_point(jac_eigs, np.nan),
-        marginal=per_point(np.abs(max_re) < 1e-9, False),
+        stable=per_point((a2 > 0.0) & (a0 > 0.0) & (a2 * a1 > a0), False),
     )
 
 
@@ -374,22 +375,6 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 # -- time integration -------------------------------------------------------------
 
 
-def _drive(p: RydbergParams, path: EncirclePath | None):
-    """(Omega, Delta, dOmega/dt, dDelta/dt) at a float time, on floats: the path's
-    start point turned about the centre the way it runs, or p's drive, held."""
-    if path is None:
-        return lambda t, fixed=(float(p.Omega), float(p.Delta), 0.0, 0.0): fixed
-    (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
-    u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
-
-    def at(t):
-        c, s = math.cos(turn * t), math.sin(turn * t)
-        u, v = u0 * c - v0 * s, u0 * s + v0 * c
-        return cx + u, cy + v, -turn * v, turn * u
-
-    return at
-
-
 def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                     path: EncirclePath | None = None, rtol: float = RTOL):
     """Error-controlled ROS4 steps on the mean-field equations, on floats.
@@ -402,8 +387,14 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
     ``steps`` caps the attempts; past it, or when a step falls below the
     rounding of t, StepTooCoarse.  A path modulates (Omega(t), Delta(t)).
     """
-    drive, gamma, W, half_g = _drive(p, path), float(p.gamma), float(p.W), 0.5 * float(p.gamma)
-    n, x, y = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag
+    cos, sin, gamma, W = math.cos, math.sin, float(p.gamma), float(p.W)
+    # the drive: the path's start turned about its centre, or p's point turned by
+    # nothing, whose -0.0 offsets make the held rates exactly +0.0
+    (cx, cy), turn, u0, v0 = (float(p.Omega), float(p.Delta)), 0.0, -0.0, -0.0
+    if path is not None:
+        (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
+        u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
+    n, x, y, half_g = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag, 0.5 * gamma
     times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
     records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
     # Shampine's ROS4 (Hairer and Wanner, ros4.f, METH = 1) in transformed form; E3 = 0,
@@ -413,7 +404,9 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
         -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36, 125 / 108)
     for t_rec in times[1:].tolist():
         while t < t_rec:
-            om, de, om_t, de_t = drive(t)
+            co, si = cos(a := turn * t), sin(a)
+            ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
+            om, de, om_t, de_t = cx + ru, cy + rv, -turn * rv, turn * ru
             fn, fx, fy = _rhs(n, x, y, om, de, gamma, W, half_g)
             j00, j01, j02, j10, j11, j12, j20, j21, j22 = _jacobian_entries(
                 n, x, y, om, de, gamma, W)
@@ -433,26 +426,33 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 i00, i01, i02 = c00 * s, (j01 * m22 + j02 * j21) * s, (j01 * j12 + j02 * m11) * s
                 i10, i11, i12 = c01 * s, (m00 * m22 - j02 * j20) * s, (m00 * j12 + j02 * j10) * s
                 i20, i21, i22 = c02 * s, (m00 * j21 + j01 * j20) * s, (m00 * m11 - j01 * j10) * s
-
-                def solve(d, un, ux, uy):
-                    un, ux, uy = un + hs * d * tn, ux + hs * d * tx, uy + hs * d * ty
-                    return (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
-                            i20 * un + i21 * ux + i22 * uy)
-
-                k1n, k1x, k1y = solve(d1, fn, fx, fy)
-                f = _rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, *drive(t + hs)[:2],
-                         gamma, W, half_g)
-                u = c21 / hs
-                k2n, k2x, k2y = solve(d2, f[0] + u * k1n, f[1] + u * k1x, f[2] + u * k1y)
-                f = _rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
-                         y + a31 * k1y + a32 * k2y, *drive(t + 0.6 * hs)[:2], gamma, W, half_g)
-                u, v = c31 / hs, c32 / hs
-                k3n, k3x, k3y = solve(d3, f[0] + u * k1n + v * k2n, f[1] + u * k1x + v * k2x,
-                                      f[2] + u * k1y + v * k2y)
-                u, v, w = c41 / hs, c42 / hs, c43 / hs
-                k4n, k4x, k4y = solve(d4, f[0] + u * k1n + v * k2n + w * k3n,
-                                      f[1] + u * k1x + v * k2x + w * k3x,
-                                      f[2] + u * k1y + v * k2y + w * k3y)
+                hd = hs * d1
+                un, ux, uy = fn + hd * tn, fx + hd * tx, fy + hd * ty
+                k1n, k1x, k1y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
+                co, si = cos(a := turn * (t + hs)), sin(a)
+                ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
+                gn, gx, gy = _rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, cx + ru, cy + rv,
+                                  gamma, W, half_g)
+                u, hd = c21 / hs, hs * d2
+                un, ux, uy = gn + u * k1n + hd * tn, gx + u * k1x + hd * tx, gy + u * k1y + hd * ty
+                k2n, k2x, k2y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
+                co, si = cos(a := turn * (t + 0.6 * hs)), sin(a)
+                ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
+                gn, gx, gy = _rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
+                                  y + a31 * k1y + a32 * k2y, cx + ru, cy + rv, gamma, W, half_g)
+                u, v, hd = c31 / hs, c32 / hs, hs * d3
+                un, ux, uy = (gn + u * k1n + v * k2n + hd * tn, gx + u * k1x + v * k2x + hd * tx,
+                              gy + u * k1y + v * k2y + hd * ty)
+                k3n, k3x, k3y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
+                u, v, w, hd = c41 / hs, c42 / hs, c43 / hs, hs * d4
+                un = gn + u * k1n + v * k2n + w * k3n + hd * tn
+                ux = gx + u * k1x + v * k2x + w * k3x + hd * tx
+                uy = gy + u * k1y + v * k2y + w * k3y + hd * ty
+                k4n, k4x, k4y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
                 nn = n + b1 * k1n + b2 * k2n + b3 * k3n + b4 * k4n
                 nx = x + b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x
                 ny = y + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y

@@ -281,6 +281,22 @@ def test_cli_validate_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_generator_entries_past_1e154_validate_and_run(tmp_path, capsys):
+    # linalg.eig scales each matrix by a power of two before its Frobenius
+    # norm, so squares of 1e200 entries neither overflow nor warn (a
+    # RuntimeWarning is an error here): validation and the run both return 0
+    text = (ENCIRCLE_CONFIG.replace("center_x = 0.5", "center_x = 1e200")
+            .replace("period = 10.0", "period = 100.0").replace("run.T = 10.0", "run.T = 100")
+            .replace("run.steps = 100", "run.steps = 200"))
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(text)
+    assert main(["validate", "--config", str(cfgfile)]) == 0
+    out = tmp_path / "out"
+    assert main(["encircle", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert "chirality.json" in capsys.readouterr().out
+    assert json.loads(_read(out / "chirality.json"))
+
+
 RYDBERG_PLANE_CONFIG = """
 experiment.command = rydberg
 param.gamma = 1.0

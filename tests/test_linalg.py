@@ -142,6 +142,20 @@ def test_eig_rejects_large_and_nonfinite():
         linalg.eig(np.array([[np.inf, 0], [0, 1]]))
 
 
+def test_eig_frobenius_is_the_norm_and_does_not_overflow():
+    # Scaled by a power of two per matrix, the norm is np.linalg.norm's bit
+    # for bit on ordinary stacks, and finite (no warning) past 1e154
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+    a *= np.logspace(-3, 3, 40)[:, None, None]
+    assert linalg.eig(a).frobenius.tobytes() == np.linalg.norm(a, axis=(-2, -1)).tobytes()
+    big = linalg.eig(a * 1e200).frobenius
+    assert np.allclose(big / 1e200, np.linalg.norm(a, axis=(-2, -1)), rtol=1e-15, atol=0)
+    huge = linalg.eig(np.diag([1e308, 5e307 + 5e307j])).frobenius
+    assert huge == pytest.approx(np.hypot(1e308, np.hypot(5e307, 5e307)), rel=1e-15)
+    assert linalg.eig(np.zeros((3, 3))).frobenius == 0.0
+
+
 def test_eig_deterministic_output():
     rng = np.random.default_rng(7)
     m = random_complex(rng, 5, 5)

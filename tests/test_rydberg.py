@@ -186,8 +186,13 @@ def test_fold_point_marginal_and_both_steady():
     for s in ss.roots:
         d22, d21 = bloch_rhs(s.n, s.rho21, p)
         assert math.hypot(abs(d22), abs(d21)) <= 1e-10  # both remain steady
-    marginal = min(abs(s.jacobian_eigenvalues.real.max()) for s in ss.roots)
+    marginal = min(abs(_max_re(s.n, s.rho21, p)) for s in ss.roots)
     assert marginal < 1e-5
+
+
+def _max_re(n, rho21, p):
+    """Largest real part of the Jacobian's eigenvalues at each root."""
+    return linalg.eigvals_batch(jacobian(n, rho21, p)).real.max(axis=-1)
 
 
 def _reference_steady_states(p):
@@ -250,8 +255,6 @@ def test_batched_steady_states_equal_one_lane_calls(case):
             for k, s in enumerate(roots):
                 assert s.n == grid.n[i, j, k] and s.rho21 == grid.rho21[i, j, k]
                 assert s.stable == grid.stable[i, j, k]
-                assert s.marginal == grid.marginal[i, j, k]
-                assert np.array_equal(s.jacobian_eigenvalues, grid.jacobian_eigenvalues[i, j, k])
             assert np.isnan(grid.n[i, j, len(roots):]).all()
             assert not grid.stable[i, j, len(roots):].any()
 
@@ -263,10 +266,13 @@ def test_steady_states_match_per_point_reference(case):
     polished = 0
     for i, om in enumerate(omegas):
         for j, de in enumerate(deltas):
-            ref, k = _reference_steady_states(RydbergParams(float(om), float(de), GAMMA, w))
+            p = RydbergParams(float(om), float(de), GAMMA, w)
+            ref, k = _reference_steady_states(p)
             polished += k
-            got = list(zip(grid.n[i, j], grid.stable[i, j], grid.marginal[i, j]))
-            assert got[: len(ref)] == ref
+            live = np.isfinite(grid.n[i, j])
+            n, rho21 = grid.n[i, j][live], grid.rho21[i, j][live]
+            got = list(zip(n, grid.stable[i, j][live], np.abs(_max_re(n, rho21, p)) < 1e-9))
+            assert got == ref
             assert np.isfinite(grid.n[i, j]).sum() == len(ref)
     assert (polished > 0) == (case == "polished")
 
@@ -281,9 +287,52 @@ def test_fold_point_matches_per_point_reference():
         else:
             lo = mid
     p = RydbergParams(2.0, 0.5 * (lo + hi), GAMMA, W)
-    got = [(s.n, s.stable, s.marginal) for s in steady_states(p).roots]
+    got = [(s.n, s.stable, abs(_max_re(s.n, s.rho21, p)) < 1e-9) for s in steady_states(p).roots]
     assert (got, 0) == _reference_steady_states(p)
     assert len(got) == 3 and any(marginal for _, _, marginal in got)
+
+
+FIG5_AXES = (np.linspace(1.2, 6.0, 161), np.linspace(-9.0, -1.0, 161), W)
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_PLANES) + ["fig5"])
+def test_routh_hurwitz_stability_equals_the_eigenvalue_test(case):
+    # stable iff every eigenvalue of the root's Jacobian has Re < 0, cell by cell
+    omegas, deltas, w = FIG5_AXES if case == "fig5" else SOLVER_PLANES[case]
+    grid = steady_states_batch(RydbergParams(omegas[:, None], deltas[None, :], GAMMA, w))
+    live = np.isfinite(grid.n)
+    roots_p = RydbergParams(*(np.broadcast_to(v, live.shape)[live] for v in (
+        omegas[:, None, None], deltas[None, :, None], GAMMA, w)))
+    want = np.zeros(live.shape, dtype=bool)
+    want[live] = _max_re(grid.n[live], grid.rho21[live], roots_p) < 0.0
+    assert np.array_equal(grid.stable, want)
+    assert want.any()
+    assert (live & ~want).any() == (case != "linear")  # unstable middle roots
+
+
+def test_steady_states_eigensolve_only_companions():
+    # Stability takes no eigensolve: the only stacks that reach eigvals_batch
+    # are companion matrices, one call per cubic degree present (W = 0 lanes
+    # leave a linear equation), and no 3x3 Jacobian stack
+    omegas, deltas, _ = FIG5_AXES
+    calls = []
+    original = linalg.eigvals_batch
+
+    def spy(mats):
+        calls.append(np.array(mats))
+        return original(mats)
+
+    for ws, degrees in (([W], [3]), ([W, 0.0], [1, 3])):
+        calls.clear()
+        p = RydbergParams(omegas[:, None, None], deltas[None, :, None], GAMMA, np.array(ws))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "eigvals_batch", spy)
+            steady_states_batch(p)
+        assert [m.shape[-1] for m in calls] == degrees
+        for m in calls:
+            deg = m.shape[-1]
+            assert np.array_equal(m[:, 1:], np.broadcast_to(np.eye(deg)[:-1], m[:, 1:].shape))
+        assert sum(len(m) for m in calls) == p.W.size * omegas.size * deltas.size
 
 
 # -- fold map ---------------------------------------------------------------------
@@ -448,6 +497,88 @@ def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=
 
 
 
+def _closure_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, rtol=RTOL):
+    """``integrate_bloch`` as it was written before its stage solves and path
+    rotation were inlined: a ``solve`` closure per attempt and a ``drive``
+    closure per stage time.  Kept as the bit-for-bit reference of the
+    inlined stepper, which must perform the same IEEE operations."""
+    if path is None:
+        drive = lambda t, fixed=(float(p.Omega), float(p.Delta), 0.0, 0.0): fixed  # noqa: E731
+    else:
+        (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
+        u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
+
+        def drive(t):
+            c, s = math.cos(turn * t), math.sin(turn * t)
+            u, v = u0 * c - v0 * s, u0 * s + v0 * c
+            return cx + u, cy + v, -turn * v, turn * u
+
+    gamma, W_, half_g = float(p.gamma), float(p.W), 0.5 * float(p.gamma)
+    n, x, y = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag
+    times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
+    records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
+    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4, b1, b2, b3, b4, e1, e2, e4 = (
+        0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5, 0.5,
+        -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36, 125 / 108)
+    for t_rec in times[1:].tolist():
+        while t < t_rec:
+            om, de, om_t, de_t = drive(t)
+            fn, fx, fy = rydberg._rhs(n, x, y, om, de, gamma, W_, half_g)
+            j00, j01, j02, j10, j11, j12, j20, j21, j22 = rydberg._jacobian_entries(
+                n, x, y, om, de, gamma, W_)
+            tn, tx, ty = -y * om_t, -y * de_t, x * de_t + (n - 0.5) * om_t
+            while True:
+                attempts += 1
+                if attempts > steps:
+                    raise StepTooCoarse(f"mean-field loop needs more than {steps} steps")
+                if t + 0.1 * h == t:
+                    raise StepTooCoarse(f"mean-field step fell below the rounding of t = {t:.6g}")
+                hs = min(h, t_rec - t)
+                m00, m11, m22 = (q := 1.0 / (g * hs)) - j00, q - j11, q - j22
+                c00, c01, c02 = m11 * m22 - j12 * j21, j12 * j20 + j10 * m22, j10 * j21 + m11 * j20
+                s = 1.0 / det if (det := m00 * c00 - j01 * c01 - j02 * c02) else math.nan
+                i00, i01, i02 = c00 * s, (j01 * m22 + j02 * j21) * s, (j01 * j12 + j02 * m11) * s
+                i10, i11, i12 = c01 * s, (m00 * m22 - j02 * j20) * s, (m00 * j12 + j02 * j10) * s
+                i20, i21, i22 = c02 * s, (m00 * j21 + j01 * j20) * s, (m00 * m11 - j01 * j10) * s
+
+                def solve(d, un, ux, uy):
+                    un, ux, uy = un + hs * d * tn, ux + hs * d * tx, uy + hs * d * ty
+                    return (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                            i20 * un + i21 * ux + i22 * uy)
+
+                k1n, k1x, k1y = solve(d1, fn, fx, fy)
+                f = rydberg._rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, *drive(t + hs)[:2],
+                                 gamma, W_, half_g)
+                u = c21 / hs
+                k2n, k2x, k2y = solve(d2, f[0] + u * k1n, f[1] + u * k1x, f[2] + u * k1y)
+                f = rydberg._rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
+                                 y + a31 * k1y + a32 * k2y, *drive(t + 0.6 * hs)[:2],
+                                 gamma, W_, half_g)
+                u, v = c31 / hs, c32 / hs
+                k3n, k3x, k3y = solve(d3, f[0] + u * k1n + v * k2n, f[1] + u * k1x + v * k2x,
+                                      f[2] + u * k1y + v * k2y)
+                u, v, w = c41 / hs, c42 / hs, c43 / hs
+                k4n, k4x, k4y = solve(d4, f[0] + u * k1n + v * k2n + w * k3n,
+                                      f[1] + u * k1x + v * k2x + w * k3x,
+                                      f[2] + u * k1y + v * k2y + w * k3y)
+                nn = n + b1 * k1n + b2 * k2n + b3 * k3n + b4 * k4n
+                nx = x + b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x
+                ny = y + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y
+                en = abs(e1 * k1n + e2 * k2n + e4 * k4n) / (1.0 + max(abs(n), abs(nn)))
+                ex = abs(e1 * k1x + e2 * k2x + e4 * k4x) / (1.0 + max(abs(x), abs(nx)))
+                ey = abs(e1 * k1y + e2 * k2y + e4 * k4y) / (1.0 + max(abs(y), abs(ny)))
+                err = math.nan if math.isnan(en + ex + ey) else max(en, ex, ey) / rtol
+                grown = hs * min(5.0, max(0.2, 0.9 * max(err, 1e-4) ** -0.25))
+                if err <= 1.0:
+                    h = max(h, grown) if hs < h else grown
+                    break
+                h = grown
+            t, n, x, y = (t_rec if hs == t_rec - t else t + hs), nn, nx, ny
+        records.append((n, x, y))
+    n, x, y = np.array(records).T
+    return times, n, x + 1j * y, attempts
+
+
 def _same_bits(a, b):
     return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
 
@@ -478,6 +609,28 @@ def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
         assert np.array_equal(got[0], want[0]) and len(got[0]) == RECORD_GRID + 1
         assert np.abs(got[1] - want[1]).max() <= 5e-8
         assert np.abs(got[2] - want[2]).max() <= 5e-8
+
+
+def test_integrate_bloch_equals_the_closure_form_bit_for_bit():
+    # The inlined stepper performs the closure form's IEEE operations: equal
+    # records and attempts on a short fig5-shaped loop in both directions (and
+    # at RTOL / 16, the check rerun's tolerance), and under held drives,
+    # from the empty state too, where every sign of zero counts
+    T = 500.0
+    p0, start = _loop_start(T)
+    loops = [dict(path=replace(demo_path(T), direction=d), rtol=rtol)
+             for d in ("ccw", "cw") for rtol in (RTOL, RTOL / 16)]
+    runs = [((p0, start.n, start.rho21, T, STEP_CAP), kw) for kw in loops]
+    for p in (RydbergParams(2.0, -4.4, GAMMA, W), RydbergParams(0.0, -0.0, GAMMA, W)):
+        runs += [((p, 0.0, 0j, 50.0, STEP_CAP), {}), ((p, 0.3, 0.1 - 0.2j, 50.0, STEP_CAP), {})]
+    for args, kw in runs:
+        got, want = integrate_bloch(*args, **kw), _closure_integrate_bloch(*args, **kw)
+        assert got[3] == want[3] and _same_bits(got[:3], want[:3])
+    for args, kw in runs[:2]:  # the step cap is the same too
+        cap = integrate_bloch(*args, **kw)[3] - 1
+        for fn in (integrate_bloch, _closure_integrate_bloch):
+            with pytest.raises(StepTooCoarse, match=f"more than {cap} steps"):
+                fn(*args[:4], cap, **kw)
 
 
 @pytest.mark.parametrize("T", [1.0, 100.0, 1000.0, 5000.0, 50000.0])
