@@ -12,9 +12,9 @@ never fall back to defaults silently).  Sections:
     run.T/steps/directions/initial_branch/initial_root/threads/check_steps
     output.dir
 
-Validation builds everything a run needs, its ``Plan``, which ``run``
-executes; ``run`` validates a preset, a config built in code or one edited
-after parsing first.  Each command accepts only the ``run`` keys it reads.
+Making an ``ExperimentConfig`` validates it and builds its ``Plan``, which
+``run`` executes; a config never changes (``dataclasses.replace`` makes an
+edited, validated copy).  Each command accepts only the ``run`` keys it reads.
 
 Named presets bundle the demonstration scenarios (fig2, fig4a,
 fig4_adiabatic, fig4_intermediate, fig5); ``epkit presets`` lists their
@@ -28,7 +28,9 @@ import argparse
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,28 +67,34 @@ _RUN_KEYS = {
 MAX_STEPS = 10**7
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment: making one builds its ``plan`` or raises a
+    ``ConfigError``.  The sections are read-only mappings."""
+
     command: str
     model: str | None = None
-    params: dict = field(default_factory=dict)
-    plane: dict = field(default_factory=dict)
-    path: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
+    plane: Mapping = field(default_factory=dict)
+    path: Mapping = field(default_factory=dict)
+    run: Mapping = field(default_factory=dict)
     out_dir: str = "out"
-    plan: Plan | None = field(default=None, compare=False, repr=False)
+    plan: Plan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for section in ("params", "plane", "path", "run"):
+            object.__setattr__(self, section, MappingProxyType(dict(getattr(self, section))))
+        object.__setattr__(self, "plan", _validate(self))
 
 
 @dataclass(frozen=True)
 class Plan:
-    """What validating a config built, which ``run`` executes: for the
-    config ``inputs`` (``_planned``), the scan plane, the loop path, an
-    encircle drive, the loop start (``initial_state_on_branch`` or
-    ``resolve_root``), a rydberg plane's fold crossings, the steps per
+    """What validating a config built, which ``run`` executes: the scan plane,
+    the loop path, an encircle drive, the loop start (``initial_state_on_branch``
+    or ``resolve_root``), a rydberg plane's fold crossings, the steps per
     direction (a mean-field cap), the rate that set default steps and the
     directions written; None or empty where the command has none."""
 
-    inputs: str
     plane: PlaneSpec | None = None
     path: EncirclePath | None = None
     drive: PathDrive | None = None
@@ -121,12 +129,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "command" not in sections["experiment"]:
         raise ConfigError("missing section 'experiment' (experiment.command)")
-    command = sections["experiment"]["command"]
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command '{command}', expected one of {COMMANDS}")
-
-    cfg = ExperimentConfig(
-        command=command,
+    return ExperimentConfig(
+        command=sections["experiment"]["command"],
         model=sections["experiment"].get("model"),
         params=sections["param"],
         plane=sections["plane"],
@@ -134,8 +138,6 @@ def parse_config(text: str) -> ExperimentConfig:
         run=sections["run"],
         out_dir=sections["output"].get("dir", "out"),
     )
-    cfg.plan = _validate(cfg)
-    return cfg
 
 
 def _parse_value(section, name, value, lineno):
@@ -158,6 +160,8 @@ def _validate(cfg: ExperimentConfig) -> Plan:
     """Check a config by building what its run needs; returns that plan."""
     plane = path = drive = start = crossings = steps = rate = None
     directions = ()
+    if cfg.command not in COMMANDS:
+        raise ConfigError(f"unknown command '{cfg.command}', expected one of {COMMANDS}")
     if cfg.command in ("spectrum", "map", "encircle"):
         if not cfg.model:
             raise ConfigError("missing section 'experiment.model'")
@@ -201,10 +205,7 @@ def _validate(cfg: ExperimentConfig) -> Plan:
                               gamma=cfg.params["gamma"], W=cfg.params["W"])
         except ValueError as exc:
             raise ConfigError(f"plane: {exc}") from None
-    unread = sorted(set(cfg.run) - set(_run_keys(cfg)))
-    if unread:
-        runs = "rydberg runs without a path" if cfg.command == "rydberg" else f"{cfg.command} runs"
-        raise ConfigError(f"run.{unread[0]} is not a key of {runs}")
+    _check_run_keys(cfg, cfg.run)
     if cfg.command == "encircle" or (cfg.command == "rydberg" and cfg.path):
         for k in ("center_x", "center_y", "radius", "period"):
             if k not in cfg.path:
@@ -226,8 +227,8 @@ def _validate(cfg: ExperimentConfig) -> Plan:
                 from .dynamics import default_steps, initial_state_on_branch, step_rate
 
                 drive = PathDrive(model=model, path=path, fixed=fixed)
-                # probed before the t = 0 decomposition, whose norm
-                # overflows first on entries this large
+                # the rate probe sets the default step count, or bounds the
+                # step that run.steps takes
                 probe = step_rate(drive, path.period)
                 if steps is None:
                     rate = probe
@@ -263,20 +264,17 @@ def _validate(cfg: ExperimentConfig) -> Plan:
     # only a loop reads run.T, and its path has a period
     if "T" in cfg.run and cfg.run["T"] != cfg.path["period"]:
         raise ConfigError("runs integrate one full cycle: run.T must equal path.period")
-    return Plan(inputs=_planned(cfg), plane=plane, path=path, drive=drive, start=start,
+    return Plan(plane=plane, path=path, drive=drive, start=start,
                 crossings=crossings, steps=steps, rate=rate, directions=directions)
 
 
-def _run_keys(cfg: ExperimentConfig) -> tuple:
-    return () if cfg.command == "rydberg" and not cfg.path else _RUN_KEYS[cfg.command]
-
-
-def _planned(cfg: ExperimentConfig) -> str:
-    """The inputs a plan is built from: the config but its output directory
-    and, where the run reads it, the check switch (``--out`` and
-    ``--check-steps`` change neither what is built nor what is valid)."""
-    run = {k: v for k, v in cfg.run.items() if k != "check_steps" or k not in _run_keys(cfg)}
-    return serialize_config(replace(cfg, out_dir="", run=run))
+def _check_run_keys(cfg: ExperimentConfig, keys) -> None:
+    """Reject the first of ``keys`` that the config's run does not read."""
+    pathless = cfg.command == "rydberg" and not cfg.path
+    unread = sorted(set(keys) - set(() if pathless else _RUN_KEYS[cfg.command]))
+    if unread:
+        runs = "rydberg runs without a path" if pathless else f"{cfg.command} runs"
+        raise ConfigError(f"run.{unread[0]} is not a key of {runs}")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -363,12 +361,11 @@ PRESETS = {
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict:
     """Execute a config's plan; returns the manifest dictionary.
 
-    A config without a plan (a preset, a config built in code) or edited
-    since it was planned is validated first, so no run executes a stale plan.
-    """
+    ``out_dir`` and ``threads`` override ``output.dir`` and ``run.threads``
+    for this run only; the manifest's config hash does not see them."""
     import os
 
-    plan = cfg.plan if cfg.plan is not None and cfg.plan.inputs == _planned(cfg) else _validate(cfg)
+    plan = cfg.plan
     t0 = time.time()
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -392,7 +389,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
         counters = _run_rydberg(cfg, plan, emit_text, emit_json)
 
     manifest = {
-        "config_sha256": output.sha256_text(serialize_config(replace(cfg, out_dir=""))),
+        # the canonical text with an empty output.dir
+        "config_sha256": output.sha256_text(
+            serialize_config(cfg).removesuffix(f"{cfg.out_dir}\n") + "\n"),
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": artifacts,
@@ -505,17 +504,11 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown preset '{args.preset}'; known: {sorted(PRESETS)}"
             )
-        cfg = PRESETS[args.preset]()
-    elif args.config:
+        return PRESETS[args.preset]()
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        raise ConfigError("provide --config FILE or --preset NAME")
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.check_steps:
-        cfg.run["check_steps"] = True
-    return cfg
+            return parse_config(fh.read())
+    raise ConfigError("provide --config FILE or --preset NAME")
 
 
 def main(argv=None) -> int:
@@ -557,7 +550,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config is a '{cfg.command}' experiment, invoked as '{args.subcommand}'"
             )
-        manifest = run(cfg, threads=args.threads)
+        if args.threads is not None:
+            _check_run_keys(cfg, ("threads",))
+        if args.check_steps:
+            cfg = replace(cfg, run={**cfg.run, "check_steps": True})
+        manifest = run(cfg, out_dir=args.out, threads=args.threads)
         for name in sorted(manifest["outputs"]):
             print(f"{manifest['outputs'][name]}  {name}")
         return 0

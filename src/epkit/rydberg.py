@@ -169,6 +169,9 @@ def jacobian(n, rho21, p: RydbergParams) -> np.ndarray:
     """Linearization of the real 3-D flow (rho22, Re rho21, Im rho21).
 
     Broadcasts over array states and parameters; the matrix axes are last.
+    No run calls it: the stability labels and the integrator read
+    ``_jacobian_entries``.  It is the stacked matrix for callers who want
+    the Jacobian's eigenvalues.
     """
     entries = np.broadcast_arrays(*_jacobian_entries(
         n, np.real(rho21), np.imag(rho21), p.Omega, p.Delta, p.gamma, p.W))

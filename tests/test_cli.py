@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_map_manifest_counts_third_order_solves(tmp_path):
     # The manifest reports the edge solve, the vertex check and the
     # triple-root solve; the map artifacts do not.
     cfg = PRESETS["fig4a"]()
-    cfg.plane.update(x_res=41, y_res=41)
+    cfg = replace(cfg, plane={**cfg.plane, "x_res": 41, "y_res": 41})
     manifest = run(cfg, out_dir=str(tmp_path))
     counters = manifest["counters"]
     assert set(counters) == {"refine.edge_iterations", "refine.vertex_rejects",
@@ -899,8 +900,9 @@ def test_rydberg_run_writes_the_directions_it_names(tmp_path):
 def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
     # Validation searches the loop's fold crossings and solves the start
     # point's steady states, and the run's transfer conditions and
-    # transfer_verdict for both directions take them from its plan.  A
-    # preset is validated by the run, and searches and solves once too.
+    # transfer_verdict for both directions take them from its plan.  An
+    # edited preset is validated by replace, and searches and solves once
+    # from there to the end of its run too.
     from epkit import contour, rydberg
 
     searches, starts = [], []
@@ -923,11 +925,11 @@ def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
     assert len(searches) == 1
     assert len(starts) == 1
     assert "conditions" in json.loads(_read(tmp_path / "config" / "transfer.json"))
+    preset = PRESETS["fig5"]()
     searches.clear()
     starts.clear()
-    preset = PRESETS["fig5"]()
-    preset.plane.update(x_res=41, y_res=41)
-    preset.path["period"] = preset.run["T"] = 100.0
+    preset = replace(preset, plane={**preset.plane, "x_res": 41, "y_res": 41},
+                     path={**preset.path, "period": 100.0}, run={**preset.run, "T": 100.0})
     run(preset, out_dir=str(tmp_path / "preset"))
     assert len(searches) == 1
     assert len(starts) == 1
@@ -935,8 +937,8 @@ def test_rydberg_run_searches_the_fold_crossings_once(tmp_path, monkeypatch):
 
 def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
     # A loop that crosses no fold line fails validation before any
-    # integration, also for a config built in code, which the run
-    # validates as it does the presets.
+    # integration, also for a config edited in code, which replace
+    # validates as parse_config does.
     from epkit import rydberg
 
     def no_integration(*args, **kwargs):
@@ -944,43 +946,115 @@ def test_cli_conditions_checked_before_integration(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rydberg, "integrate_bloch", no_integration)
     cfg = PRESETS["fig5"]()
-    cfg.path.update(center_x=1.3, center_y=-8.0, radius=0.1)
-    out = tmp_path / "out"
     with pytest.raises(ConfigError, match="never crosses a fold line"):
-        run(cfg, out_dir=str(out))
-    assert not out.exists()
+        replace(cfg, path={**cfg.path, "center_x": 1.3, "center_y": -8.0, "radius": 0.1})
 
 
-def test_run_never_executes_a_stale_plan(tmp_path, monkeypatch):
-    # A parsed config edited afterwards is planned again: its run matches
-    # the run of the edited text, and an edit that makes it invalid fails
-    # as validation fails.  The output directory and the check switch are
-    # not planned inputs, so changing them keeps the plan.
+def test_configs_are_immutable():
+    # A config cannot change once made: its sections are read-only and its
+    # fields cannot be set, so its plan always matches it.
+    for cfg in (parse_config(ENCIRCLE_CONFIG), PRESETS["fig5"]()):
+        for section in (cfg.params, cfg.plane, cfg.path, cfg.run):
+            with pytest.raises(TypeError):
+                section["steps"] = 200
+        for name in ("command", "run", "out_dir", "plan"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, None)
+
+
+def test_replace_returns_a_validated_config(tmp_path):
+    # replace validates the edited copy: its plan is built from the edit, its
+    # run matches the run of the edited text, and an edit that makes it
+    # invalid raises as parsing the edited text does, before any run.
+    cfg = parse_config(ENCIRCLE_CONFIG)
+    edited = replace(cfg, run={**cfg.run, "steps": 200})
+    assert (cfg.plan.steps, edited.plan.steps) == (100, 200)
+    assert cfg.run["steps"] == 100
+    fresh = parse_config(serialize_config(edited))
+    assert fresh == edited
+    m_edited = run(edited, out_dir=str(tmp_path / "edited"))
+    m_fresh = run(fresh, out_dir=str(tmp_path / "fresh"))
+    assert m_edited["counters"]["integrate.steps"] == 2 * 200
+    assert m_edited["outputs"] == m_fresh["outputs"]
+    assert m_edited["config_sha256"] == m_fresh["config_sha256"]
+    checked = replace(cfg, run={**cfg.run, "check_steps": True})
+    assert run(checked, out_dir=str(tmp_path / "checked"))["counters"]["integrate.steps"] == (
+        3 * 2 * 100)
+    with pytest.raises(ConfigError, match="run.steps >= 100"):
+        replace(cfg, run={**cfg.run, "steps": 50})
+    with pytest.raises(ConfigError, match="unknown command"):
+        replace(cfg, command="banana")
+
+
+def test_each_config_is_validated_once(tmp_path, monkeypatch):
+    # Making a config validates it once, and nothing validates it again:
+    # not run, not a new output directory.  --check-steps makes a second
+    # config, which validates once more.
     from epkit import cli
 
-    plans = []
+    calls = []
     original = cli._validate
 
-    def planned(cfg):
-        plans.append(cfg.command)
+    def counted(cfg):
+        calls.append(cfg.command)
         return original(cfg)
 
-    monkeypatch.setattr(cli, "_validate", planned)
-    cfg = parse_config(ENCIRCLE_CONFIG)
-    cfg.out_dir = str(tmp_path / "elsewhere")
-    cfg.run["check_steps"] = True
-    assert run(cfg, out_dir=str(tmp_path / "kept"))["counters"]["integrate.steps"] == 3 * 2 * 100
-    assert len(plans) == 1
-    cfg.run["steps"] = 200
-    edited = run(cfg, out_dir=str(tmp_path / "edited"))
-    fresh = run(parse_config(serialize_config(cfg)), out_dir=str(tmp_path / "fresh"))
-    assert len(plans) == 3
-    assert edited["counters"]["integrate.steps"] == 3 * 2 * 200
-    assert edited["outputs"] == fresh["outputs"]
-    cfg.run["steps"] = 50
-    with pytest.raises(ConfigError, match="run.steps >= 100"):
-        run(cfg, out_dir=str(tmp_path / "invalid"))
-    assert not (tmp_path / "invalid").exists()
+    monkeypatch.setattr(cli, "_validate", counted)
+
+    def count(make):
+        calls.clear()
+        made = make()
+        return made, len(calls)
+
+    for text in (SPECTRUM_CONFIG, MAP_CONFIG, ENCIRCLE_CONFIG, RYDBERG_PATH_CONFIG):
+        cfg, n = count(lambda: parse_config(text))
+        assert n == 1, cfg.command
+        _, n = count(lambda: run(cfg, out_dir=str(tmp_path / "run" / cfg.command)))
+        assert n == 0, cfg.command
+        cfgfile = tmp_path / f"{cfg.command}.cfg"
+        cfgfile.write_text(text)
+        out = str(tmp_path / "config" / cfg.command)
+        code, n = count(lambda: main([cfg.command, "--config", str(cfgfile), "--out", out]))
+        assert (code, n) == (0, 1), cfg.command
+    for name in sorted(PRESETS):
+        preset, n = count(PRESETS[name])
+        assert n == 1, name
+        out = str(tmp_path / "preset" / name)
+        code, n = count(lambda: main([preset.command, "--preset", name, "--out", out]))
+        assert (code, n) == (0, 1), name
+    out = str(tmp_path / "checked")
+    code, n = count(lambda: main(["encircle", "--config", str(tmp_path / "encircle.cfg"),
+                                  "--out", out, "--check-steps"]))
+    assert (code, n) == (0, 2)
+
+
+@pytest.mark.parametrize("base", sorted(RUN_KEY_BASES))
+def test_cli_threads_flag_follows_the_key_rule(tmp_path, capsys, base):
+    # --threads is accepted only where run.threads is: map passes it to the
+    # scan, with the same artifacts and config hash as without; every other
+    # command exits 2 with the error its config would give, writing nothing.
+    command = base.split("-")[0]
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(RUN_KEY_BASES[base][0])
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfgfile), "--out", str(out), "--threads", "4"])
+    if command == "map":
+        assert code == 0
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "one")]) == 0
+        threaded, single = (json.loads(_read(d / "manifest.json")) for d in (out, tmp_path / "one"))
+        assert threaded["outputs"] == single["outputs"]
+        assert threaded["config_sha256"] == single["config_sha256"]
+        return
+    assert code == 2
+    with pytest.raises(ConfigError) as raised:
+        parse_config(RUN_KEY_BASES[base][0] + "run.threads = 4\n")
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert str(raised.value).startswith("run.threads is not a key of")
+    assert not out.exists()
+    if command == "encircle":
+        assert main(["encircle", "--preset", "fig2", "--out", str(out), "--threads", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: run.threads is not a key of")
+        assert not out.exists()
 
 
 def test_manifest_reports_steps_and_drift(tmp_path, capsys):

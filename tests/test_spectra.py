@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from epkit import linalg
-from epkit.cli import PRESETS, parse_config, serialize_config
+from epkit.cli import PRESETS
 from epkit.contour import _edge_endpoints, _segments
 from epkit.errors import ResolutionTooLarge, UnknownModel
 from epkit.models import get_model
@@ -150,7 +150,7 @@ def test_scan_workers_start_spread_over_the_cpus(monkeypatch):
 
 
 def _real_and_complex_planes():
-    fig4a = parse_config(serialize_config(PRESETS["fig4a"]()))  # its plan holds the plane
+    fig4a = PRESETS["fig4a"]()  # its plan holds the plane
     criterion_9 = PlaneSpec(x=AxisSpec("delta", -0.5, 0.5, 200),
                             y=AxisSpec("J", 0.02, 0.5, 200), fixed={"Gamma": 1.0})
     return {"fig4a": (fig4a.model, fig4a.plan.plane),
