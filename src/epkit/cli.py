@@ -229,7 +229,7 @@ def _validate(cfg: ExperimentConfig) -> Plan:
                 drive = PathDrive(model=model, path=path, fixed=fixed)
                 # the rate probe sets the default step count, or bounds the
                 # step that run.steps takes
-                probe = step_rate(drive, path.period)
+                probe = step_rate(drive)
                 if steps is None:
                     rate = probe
                     steps = default_steps(rate, path.period)
@@ -243,8 +243,10 @@ def _validate(cfg: ExperimentConfig) -> Plan:
             elif cfg.path.get("plane", "Omega-Delta") != "Omega-Delta":
                 raise ValueError("a rydberg path needs plane = Omega-Delta")
             else:
-                from .rydberg import STEP_CAP, path_fold_crossings, resolve_root
+                from .rydberg import PARAM_MAX, STEP_CAP, path_fold_crossings, resolve_root
 
+                if max(map(abs, path.center)) + path.radius > PARAM_MAX:
+                    raise ValueError(f"the loop reaches |Omega| or |Delta| past {PARAM_MAX:g}")
                 gamma, W = cfg.params["gamma"], cfg.params["W"]
                 start = resolve_root(path, gamma, W, cfg.run.get("initial_root", "low"))
                 steps = STEP_CAP if steps is None else steps
@@ -432,7 +434,7 @@ def _run_map(cfg, plan, emit_text, emit_json, threads):
 def _run_encircle(cfg, plan, emit_text, emit_json):
     from .dynamics import classify_chirality, project_loop
 
-    report = classify_chirality(plan.drive, plan.path.period, plan.start, plan.steps,
+    report = classify_chirality(plan.drive, plan.start, plan.steps,
                                 check_steps=bool(cfg.run.get("check_steps", False)))
     counters = project_loop(report, plan.drive, plan.steps, plan.directions)
     for direction in plan.directions:
@@ -460,7 +462,7 @@ def _run_rydberg(cfg, plan, emit_text, emit_json):
         emit_json("folds.json", output.fold_json(fmap))
 
     if path is not None:
-        verdict = transfer_verdict(path, path.period, plan.start, plan.steps,
+        verdict = transfer_verdict(path, plan.start, plan.steps,
                                    check_steps=bool(cfg.run.get("check_steps", False)))
         for d in plan.directions:
             emit_text(f"trajectory_{d}.csv", output.trajectory_csv(verdict.runs[d]))

@@ -486,9 +486,10 @@ def state_branch_fidelity(
     return uhlmann_fidelity_2x2(rho, target)
 
 
-def adiabaticity_estimate(drive: PathDrive, T: float, samples: int = 720) -> AdiabaticityEstimate:
-    ts = np.linspace(0.0, T, samples + 1)
-    vals = linalg.eigvals_batch(drive.matrices(ts))
+def adiabaticity_estimate(drive: PathDrive) -> AdiabaticityEstimate:
+    """Smallest eigenvalue gap at 721 times of one period, and that gap times the period."""
+    T = drive.path.period
+    vals = linalg.eigvals_batch(drive.matrices(np.linspace(0.0, T, 721)))
     i, j = np.triu_indices(vals.shape[-1], 1)
     min_gap = float(np.abs(vals[:, i] - vals[:, j]).min(initial=np.inf))
     return AdiabaticityEstimate(
@@ -512,13 +513,13 @@ def initial_state_on_branch(drive: PathDrive, branch):
 
 
 def classify_chirality(
-    drive: PathDrive, T: float, start, steps: int, check_steps: bool = False
+    drive: PathDrive, start, steps: int, check_steps: bool = False
 ) -> ChiralityReport:
     """Run one full loop both ways and compare final states against branches.
 
     ``start`` is the loop start that ``initial_state_on_branch`` resolves,
-    and ``steps`` the steps per direction.  The path period is set to T (a
-    single cycle).  A closed loop ends at its start, so both directions'
+    and ``steps`` the steps per direction.  Each run takes one period of
+    the path.  A closed loop ends at its start, so both directions'
     final states are judged on the start's t = 0 decomposition, and the
     judgement decomposes nothing.  The verdict is chiral when one direction
     returns to the initial branch with fidelity > 0.9 while the other leaves
@@ -526,7 +527,7 @@ def classify_chirality(
     otherwise.  The report keeps both runs, so callers that also want the
     trajectories never integrate a loop again.
     """
-    drive = replace(drive, path=replace(drive.path, period=T))
+    T = drive.path.period
     x0, dec0, branch = start
     results = {}
     runs = {}
@@ -557,15 +558,15 @@ def classify_chirality(
         cw_final_fidelity_to_initial_branch=cw_i,
         cw_final_fidelity_to_other_branch=cw_o,
         verdict=verdict,
-        adiabaticity=adiabaticity_estimate(drive, T),
+        adiabaticity=adiabaticity_estimate(drive),
         runs=runs,
     )
 
 
-def step_rate(drive: PathDrive, T: float) -> float:
+def step_rate(drive: PathDrive) -> float:
     """Rate that sets the default step count: the largest generator entry
-    magnitude along the path."""
-    return float(np.max(np.abs(drive.matrices(np.linspace(0.0, T, 65)))))
+    magnitude over 65 samples of one period of the drive's path."""
+    return float(np.max(np.abs(drive.matrices(np.linspace(0.0, drive.path.period, 65)))))
 
 
 def default_steps(rate: float, T: float) -> int:
@@ -588,5 +589,5 @@ def scan_periods(
     loop's verdict is judged."""
     start = initial_state_on_branch(drive, initial_branch)
     loops = [(T, replace(drive, path=replace(drive.path, period=T))) for T in periods]
-    return [(float(T), classify_chirality(d, T, start, default_steps(step_rate(d, T), T)))
+    return [(float(T), classify_chirality(d, start, default_steps(step_rate(d), T)))
             for T, d in loops]

@@ -135,8 +135,8 @@ class EncirclePath:
     convention: str = "cos-sin"
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("path center must be finite")
+        if not all(math.isfinite(c) for c in (*self.center, self.phase0)):
+            raise ValueError("path center and phase0 must be finite")
         if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ValueError("radius must be finite and non-negative")
         if not (math.isfinite(self.period) and self.period > 0 and math.isfinite(self.omega)):

@@ -46,9 +46,9 @@ RESIDUAL_TOL = 1e-10
 # the regimes with an order of magnitude to spare on either side.
 LANDING_TOL = 1e-4
 
-# Largest parameter magnitude: the steady-state cubic squares Omega, Delta,
-# gamma and W, which overflows past ~1e154.
-PARAM_MAX = 1e150
+# Largest parameter magnitude: the cubic's discriminant has degree 8 in
+# Omega, Delta, gamma and W, and stays finite at 1.2e38 but not at 1e39.
+PARAM_MAX = 1e38
 
 
 @dataclass(frozen=True)
@@ -517,13 +517,13 @@ class TransferVerdict:
 
 
 def transfer_verdict(
-    path: EncirclePath, T: float, start, steps: int, check_steps: bool = False
+    path: EncirclePath, start, steps: int, check_steps: bool = False
 ) -> TransferVerdict:
     """Chirality of the steady-state loop judged by clean branch landings.
 
     Both directions start from ``start``, the stable root at the path start
-    that ``resolve_root`` resolves, and run one period T with at most
-    ``steps`` attempts each (the CLI's default is STEP_CAP).  Under
+    that ``resolve_root`` resolves, and run one period of the path with at
+    most ``steps`` attempts each (the CLI's default is STEP_CAP).  Under
     ``check_steps`` each direction runs again at RTOL / 16, which halves a
     fourth-order step, with twice the cap; a record that moves by more than
     1e-6 raises StepTooCoarse.
@@ -531,10 +531,9 @@ def transfer_verdict(
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord
 
-    path = replace(path, period=T)
     p0, states, idx0 = start
     stable = states.stable_roots
-    root = (p0, stable[idx0].n, stable[idx0].rho21, T)
+    root = (p0, stable[idx0].n, stable[idx0].rho21, path.period)
 
     runs, landings, finals = {}, {}, {}
     for direction in ("ccw", "cw"):
@@ -578,13 +577,13 @@ def transfer_verdict(
 # -- transfer conditions ------------------------------------------------------------
 
 
-def path_fold_crossings(path: EncirclePath, gamma: float, W: float, samples=4096):
-    """Loop times where the discriminant changes sign, bisection-refined."""
+def path_fold_crossings(path: EncirclePath, gamma: float, W: float):
+    """Times of one period where the discriminant changes sign, bisection-refined."""
 
     def disc_at(t):
         return _discriminant(*path.point(t), gamma, W)
 
-    ts = np.linspace(0.0, path.period, samples + 1)
+    ts = np.linspace(0.0, path.period, 4097)
     disc = disc_at(ts)
     k = np.flatnonzero((disc[:-1] < 0) != (disc[1:] < 0))
     return contour.bisect(disc_at, ts[k], ts[k + 1], disc[k], 80).tolist()

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_criterion_4_hamiltonian_chirality():
     path = EncirclePath(center=(0.5, 0.0), radius=0.1, period=100.0, plane="J-Omega")
     drive = PathDrive(model=get_model("encircle"), path=path, fixed={"Gamma": 1.0})
     start = initial_state_on_branch(drive, "upper")
-    report = classify_chirality(drive, 100.0, start, default_steps(step_rate(drive, 100.0), 100.0))
+    report = classify_chirality(drive, start, default_steps(step_rate(drive), 100.0))
     elapsed = time.time() - t0
     assert report.ccw_final_fidelity_to_other_branch > 0.9
     assert report.ccw_final_fidelity_to_initial_branch < 0.5
@@ -275,7 +276,7 @@ def test_criterion_7_rydberg_chirality():
         phase0=-math.atan(9 / 4), plane="Omega-Delta", convention="sin-cos",
     )
     start = resolve_root(path, gamma, W, "low")
-    slow = transfer_verdict(path, 50000.0, start, STEP_CAP)
+    slow = transfer_verdict(path, start, STEP_CAP)
     assert slow.verdict == "chiral"
     switched = [
         d for d, landed in (("ccw", slow.landed_ccw), ("cw", slow.landed_cw))
@@ -283,7 +284,7 @@ def test_criterion_7_rydberg_chirality():
     ]
     assert len(switched) == 1  # exactly one direction switches branch
 
-    fast = transfer_verdict(path, 500.0, start, STEP_CAP)
+    fast = transfer_verdict(replace(path, period=500.0), start, STEP_CAP)
     assert fast.verdict == "none"
 
     cond = check_conditions(path, start, path_fold_crossings(path, gamma, W))

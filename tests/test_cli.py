@@ -334,6 +334,10 @@ BAD_PLANES = {
     "rydberg_huge_detuning": RYDBERG_PLANE_CONFIG.replace(
         "plane.y_max = -3.5", "plane.y_max = 1e160"
     ),
+    # the cubic's discriminant, of degree 8, overflows at 1e39
+    "rydberg_omega_past_the_bound": RYDBERG_PLANE_CONFIG.replace(
+        "plane.x_max = 2.4", "plane.x_max = 1e39"
+    ),
 }
 
 
@@ -424,6 +428,10 @@ BAD_RUNS = {
     # fold crossings, and this loop crosses no fold
     "rydberg_no_fold_crossing": RYDBERG_PATH_CONFIG.replace("3.85", "1.3")
     .replace("-5.6", "-8.0").replace("1.477", "0.1") + FIG5_PLANE,
+    # the loop starts at Omega = 0 and reaches Omega = 1e54: each loop is
+    # bounded by |centre| + radius, not only at its start
+    "rydberg_loop_past_the_bound": RYDBERG_PATH_CONFIG.replace("3.85", "5e53")
+    .replace("1.477", "5e53") + "path.phase0 = 3.141592653589793\n" + FIG5_PLANE,
 }
 
 
@@ -498,6 +506,42 @@ def test_loop_too_coarse_for_its_generator_fails_validation(tmp_path, capsys, mo
         assert main(["encircle", "--config", str(cfgfile), "--out", str(out)]) == 2
         assert capsys.readouterr().err == err
         assert not out.exists()
+
+
+NON_FINITE_PHASES = {
+    "encircle_default_steps": ENCIRCLE_CONFIG.replace("run.steps = 100\n", "path.phase0 = nan\n"),
+    "encircle_run_steps": ENCIRCLE_CONFIG.replace("run.steps = 100",
+                                                  "run.steps = 10000\npath.phase0 = nan"),
+    "rydberg": RYDBERG_PATH_CONFIG + "path.phase0 = inf\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PHASES))
+def test_non_finite_phase0_fails_validation_on_the_path(tmp_path, capsys, case):
+    # A nan or infinite phase0 is rejected with the path, not later on what
+    # it breaks: the default step count, the step bound or the start root.
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(NON_FINITE_PHASES[case])
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: path: path center and phase0 must be finite\n"
+    out = tmp_path / "out"
+    assert main([case.split("_")[0], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("W", [1e38, -1e38])
+def test_rydberg_parameters_at_the_bound_run_clean(tmp_path, W):
+    # Every parameter at +-rydberg.PARAM_MAX: the discriminant, the steady
+    # states and the fold map stay finite (a RuntimeWarning is an error here).
+    cfg = parse_config("\n".join([
+        "experiment.command = rydberg", "param.gamma = 1e38", f"param.W = {W!r}",
+        "plane.x_name = Omega", "plane.x_min = 0.0", "plane.x_max = 1e38", "plane.x_res = 11",
+        "plane.y_name = Delta", "plane.y_min = -1e38", "plane.y_max = 1e38", "plane.y_res = 11",
+    ]))
+    manifest = run(cfg, out_dir=str(tmp_path / "out"))
+    assert sorted(manifest["outputs"]) == ["folds.json", "steady_scan.csv"]
 
 
 SPECTRUM_CONFIG = """
@@ -1237,3 +1281,13 @@ def test_cli_map_run(tmp_path):
         import hashlib
 
         assert hashlib.sha256(_read(out / name)).hexdigest() == digest
+
+
+def test_readme_api_example_runs(capsys):
+    # The fenced block under "## Python API example" in README.md runs as
+    # printed: it loops once around the exceptional point and maps a plane.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("chiral ")

@@ -48,10 +48,10 @@ def decomposed(drive, times):
     return linalg.eig(drive.matrices(times))
 
 
-def chirality(drive, T, branch):
+def chirality(drive, branch):
     """classify_chirality at the default step count, as a config run takes it."""
     start = initial_state_on_branch(drive, branch)
-    return classify_chirality(drive, T, start, default_steps(step_rate(drive, T), T))
+    return classify_chirality(drive, start, default_steps(step_rate(drive), drive.path.period))
 
 
 def basic_drive(J=1.0, Gamma=1.0):
@@ -89,7 +89,7 @@ def test_hermitian_norm_conserved():
 def test_step_doubling_flag_passes_at_default():
     drive = ring_drive()
     x0, _, _ = initial_state_on_branch(drive, 0)
-    steps = default_steps(step_rate(drive, 100.0), 100.0)
+    steps = default_steps(step_rate(drive), 100.0)
     integrate_schrodinger(drive, x0, 100.0, steps, check_steps=True)
 
 
@@ -196,7 +196,7 @@ def test_ring_chirality_ccw_switches_cw_returns():
     # One loop around the degeneracy: starting on the larger-real-part
     # branch, the counterclockwise run hands the state to the other branch
     # while the clockwise one brings it home.
-    report = chirality(ring_drive(), 100.0, "upper")
+    report = chirality(ring_drive(), "upper")
     assert report.verdict == "chiral"
     assert report.ccw_final_fidelity_to_initial_branch < 0.1
     assert report.ccw_final_fidelity_to_other_branch > 0.9
@@ -276,7 +276,7 @@ def test_resolve_branch_names_and_indices():
 def test_chirality_report_keeps_the_judged_runs():
     drive = ring_drive()
     start = initial_state_on_branch(drive, "upper")
-    report = classify_chirality(drive, 100.0, start, 2000)
+    report = classify_chirality(drive, start, 2000)
     x0 = start[0]
     for direction in ("ccw", "cw"):
         again = integrate_schrodinger(drive.with_direction(direction), x0, 100.0, 2000)
@@ -291,8 +291,8 @@ def test_chirality_is_judged_on_the_start_decomposition(monkeypatch, loop):
     # A closed loop ends at its start: both directions' final states are
     # judged on the t = 0 decomposition the start carries, and judging
     # decomposes nothing.
-    drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
-                        "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
+    drive, branch = {"ring": (ring_drive(), "upper"),
+                     "coldatom": (coldatom_drive(150.0), "quasi_steady")}[loop]
     start = initial_state_on_branch(drive, branch)
     calls = []
     original = linalg.eig
@@ -302,7 +302,7 @@ def test_chirality_is_judged_on_the_start_decomposition(monkeypatch, loop):
         return original(mats)
 
     monkeypatch.setattr(linalg, "eig", spy)
-    report = classify_chirality(drive, T, start, 2000)
+    report = classify_chirality(drive, start, 2000)
     assert calls == []
     _, dec0, index = start
     for d in ("ccw", "cw"):
@@ -333,22 +333,35 @@ def test_scan_periods_decomposes_the_start_once(monkeypatch):
     assert [T for T, _ in results] == list(periods)
     for T, report in results:
         loop = dataclasses.replace(drive, path=dataclasses.replace(drive.path, period=T))
-        alone = chirality(loop, T, "upper")
+        alone = chirality(loop, "upper")
         assert report == alone
         for direction in ("ccw", "cw"):
             assert np.array_equal(report.runs[direction].states, alone.runs[direction].states)
 
 
 def test_liouvillian_adiabatic_loop_returns_both_ways():
-    report = chirality(coldatom_drive(T=10000.0), 10000.0, "quasi_steady")
+    report = chirality(coldatom_drive(T=10000.0), "quasi_steady")
     assert report.verdict == "non_chiral"
     assert report.ccw_final_fidelity_to_initial_branch > 0.9
     assert report.cw_final_fidelity_to_initial_branch > 0.9
 
 
 def test_liouvillian_intermediate_loop_is_chiral():
-    report = chirality(coldatom_drive(T=150.0), 150.0, "quasi_steady")
+    report = chirality(coldatom_drive(T=150.0), "quasi_steady")
     assert report.verdict == "chiral"
+
+
+@pytest.mark.parametrize("drive", [ring_drive(), coldatom_drive(150.0)], ids=["ring", "coldatom"])
+def test_adiabaticity_estimate_reads_one_period_of_the_path(drive):
+    # Doubling the period scales every sample time exactly, so the loop
+    # passes the same points: the smallest gap is the same to the bit and
+    # the ratio, gap times period, exactly doubles.
+    path = dataclasses.replace(drive.path, period=2 * drive.path.period)
+    slow = dataclasses.replace(drive, path=path)
+    once, twice = adiabaticity_estimate(drive), adiabaticity_estimate(slow)
+    assert isinstance(once, AdiabaticityEstimate)
+    assert twice.min_real_gap == once.min_real_gap > 0.0
+    assert twice.dimensionless_ratio == 2.0 * once.dimensionless_ratio
 
 
 # -- projection -------------------------------------------------------------------
@@ -524,7 +537,7 @@ def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps)
     # so the ends must read the exact loop start, not the t = T point.
     drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
                         "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
-    report = classify_chirality(drive, T, initial_state_on_branch(drive, branch), steps)
+    report = classify_chirality(drive, initial_state_on_branch(drive, branch), steps)
     alone = _per_direction(report, drive)
     counters, calls, times = _project_counting_eig(monkeypatch, report, drive, steps,
                                                    ("ccw", "cw"))
@@ -541,7 +554,7 @@ def test_asymmetric_grid_decomposes_each_direction(monkeypatch):
     # the 3,336 ccw records below step 10,007 and their 3,335 mirrors other
     # than step 0.  A cw-only run decomposes the mirrors and step 0 alone.
     drive = ring_drive()
-    report = classify_chirality(drive, 100.0, initial_state_on_branch(drive, "upper"), 10007)
+    report = classify_chirality(drive, initial_state_on_branch(drive, "upper"), 10007)
     alone = _per_direction(report, drive)
     for directions, points in ((("ccw", "cw"), 6671), (("cw",), 3336)):
         runs = {d: dataclasses.replace(report.runs[d]) for d in directions}

@@ -50,9 +50,9 @@ def demo_path(T=50000.0):
     )
 
 
-def loop_verdict(path, T, steps=STEP_CAP, check_steps=False):
+def loop_verdict(path, steps=STEP_CAP, check_steps=False):
     """transfer_verdict from the low root at the path start."""
-    return transfer_verdict(path, T, resolve_root(path, GAMMA, W, "low"), steps, check_steps)
+    return transfer_verdict(path, resolve_root(path, GAMMA, W, "low"), steps, check_steps)
 
 
 def loop_conditions(path):
@@ -640,7 +640,7 @@ def test_default_steps_keep_h_rate_within_the_bound(T):
     # cap the demonstration loop, from T = 1 to fig5's 50,000, finishes in
     # both directions with at least one step per record, and every record
     # sits within 5e-8 of its check rerun at RTOL / 16.
-    v = loop_verdict(demo_path(T), T, check_steps=True)
+    v = loop_verdict(demo_path(T), check_steps=True)
     for run in v.runs.values():
         assert np.array_equal(run.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
         assert 2 * RECORD_GRID <= run.steps < 2 * STEP_CAP
@@ -667,7 +667,7 @@ def test_default_run_records_on_the_fixed_grid():
     # every run records at exactly k T / 1024, its check rerun too, and
     # the records of the two agree to the check's gate
     T = 100.0
-    res = loop_verdict(demo_path(T), T).runs["cw"]
+    res = loop_verdict(demo_path(T)).runs["cw"]
     assert np.array_equal(res.times, T * np.arange(RECORD_GRID + 1) / RECORD_GRID)
     p0, start = _loop_start(T)
     path = replace(demo_path(T), direction="cw")
@@ -689,17 +689,17 @@ def test_transfer_verdict_solves_the_start_once():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rydberg, "steady_states_batch", spy)
-        loop_verdict(demo_path(), 100.0)
+        loop_verdict(demo_path(100.0))
     assert sizes == [1]
 
 
 def test_explicit_steps_bypass_the_rule():
     # run.steps replaces the default cap, STEP_CAP; a cap the run does not
     # reach changes no bit, and one it reaches raises StepTooCoarse
-    default = loop_verdict(demo_path(), 100.0)
+    default = loop_verdict(demo_path(100.0))
     with pytest.raises(StepTooCoarse, match="more than 1 steps"):
-        loop_verdict(demo_path(), 100.0, steps=1)
-    v = loop_verdict(demo_path(), 100.0, steps=10000)
+        loop_verdict(demo_path(100.0), steps=1)
+    v = loop_verdict(demo_path(100.0), steps=10000)
     for d in ("ccw", "cw"):
         assert _same_bits(v.runs[d].states, default.runs[d].states)
         cap = v.runs[d].steps - 1
@@ -780,13 +780,13 @@ def test_hysteresis_loop_area():
 
 def test_encircle_chirality_slow_loop():
     # moderate period keeps the test quick; landings are already clean here
-    v = loop_verdict(demo_path(), 5000.0)
+    v = loop_verdict(demo_path(5000.0))
     assert v.verdict == "chiral"
     assert v.landed_ccw != v.landed_cw
 
 
 def test_encircle_chirality_lost_when_fast():
-    v = loop_verdict(demo_path(), 500.0)
+    v = loop_verdict(demo_path(500.0))
     assert v.verdict == "none"
     assert v.landed_ccw is None and v.landed_cw is None
 
@@ -795,7 +795,7 @@ def test_transfer_verdict_keeps_the_judged_runs():
     # each run is the trajectory record of the loop integrated from the
     # start root, with the excited population as its sheet column and the
     # steps its integration attempted
-    v = loop_verdict(demo_path(), 100.0, steps=10000)
+    v = loop_verdict(demo_path(100.0), steps=10000)
     p0, start = _loop_start(100.0)
     for direction, final in (("ccw", v.final_ccw), ("cw", v.final_cw)):
         path = replace(demo_path(100.0), direction=direction)
@@ -814,7 +814,7 @@ def test_encircle_outside_bistable_no_switch():
     path = EncirclePath(
         center=(1.0, -7.5), radius=0.3, period=3000.0, plane="Omega-Delta"
     )
-    v = loop_verdict(path, 3000.0)
+    v = loop_verdict(path)
     assert v.landed_ccw == v.landed_cw == v.initial_index
 
 
