@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, output
 from .errors import ConfigError, EpkitError
 from .models import EncirclePath, PathDrive, get_model, resolve_params
-from .spectra import AxisSpec, PlaneSpec, scan_grid, trace_lines
+from .spectra import MAP_PARAM_MAX, AxisSpec, PlaneSpec, scan_grid, trace_lines
 
 COMMANDS = ("spectrum", "map", "encircle", "rydberg")
 
@@ -193,6 +193,10 @@ def _validate(cfg: ExperimentConfig) -> Plan:
                 if len(axes) < 2:
                     raise ValueError("x_name and y_name name the same parameter")
                 model.matrix(**{**fixed, **axes})
+                corners = (plane.x.lo, plane.x.hi, plane.y.lo, plane.y.hi, *fixed.values())
+                if max(map(abs, corners)) > MAP_PARAM_MAX:
+                    raise ValueError(f"the axes and parameters of a map must be at most "
+                                     f"{MAP_PARAM_MAX:g} in magnitude")
             elif (plane.x.name, plane.y.name) != ("Omega", "Delta"):
                 raise ValueError("rydberg axes are x_name = Omega, y_name = Delta")
             else:

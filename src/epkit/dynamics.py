@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ProjectionUndefined, SampleTooCoarse, StepTooCoarse
-from .models import PathDrive, pick_index
+from .models import BLOCH, PathDrive, pick_index
 from .spectra import quasi_steady_index
 
 # Largest number of recorded samples per trajectory; integration runs at
@@ -405,22 +405,39 @@ def project_trajectory(
     return traj
 
 
+def decompose_path(drive: PathDrive, times) -> linalg.SpectralDecomposition:
+    """The stacked eigendecomposition of the drive at ``times``, with its
+    vectors in the basis the states are integrated in.
+
+    A Liouvillian is solved on its real Bloch form, where LAPACK returns
+    exact conjugate pairs and exactly real eigenvalues, so the canonical
+    order of a pair is defined rather than left to rounding; its right and
+    left vectors are then mapped back to the row-major basis by the unitary
+    BLOCH^dag, which keeps every overlap and every |<chi|psi>|^2.
+    """
+    if drive.model.kind == "hamiltonian":
+        return linalg.eig(drive.matrices(times))
+    dec = linalg.eig(drive.bloch_matrices(times))
+    back = BLOCH.conj().T
+    return replace(dec, right=back @ dec.right, left=back @ dec.left)
+
+
 def project_loop(report: ChiralityReport, drive: PathDrive, steps: int, directions) -> dict:
     """Project the judged runs of ``directions`` in place; returns the
     manifest counters of their sheet tracking.
 
     The loop ends at its start, and cw(t) = ccw(T - t) with T the drive's
     period, so record k of either direction reads the ccw generator at step
-    (+-rec[k]) % steps: one decomposition at the ccw steps the records need
-    serves every direction, and both ends of each loop take step 0, the
-    exact start.  Step ``steps`` equals it only to rounding and could
-    reorder branches with near-equal real parts; it is never decomposed.
+    (+-rec[k]) % steps: one decomposition (``decompose_path``) at the ccw
+    steps the records need serves every direction, and both ends of each
+    loop take step 0, the exact start.  Step ``steps`` equals it only to
+    rounding; it is never decomposed.
     """
     rec = _record_indices(steps)
     need = {d: (rec if d == "ccw" else -rec) % steps for d in directions}
     at = np.sort(np.concatenate(list(need.values())))
     at = at[np.diff(at, prepend=-1) > 0]
-    dec = linalg.eig(drive.with_direction("ccw").matrices(at * (drive.path.period / steps)))
+    dec = decompose_path(drive.with_direction("ccw"), at * (drive.path.period / steps))
     for direction, idx in need.items():
         k = np.searchsorted(at, idx)
         project_trajectory(report.runs[direction], replace(

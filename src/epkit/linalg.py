@@ -18,10 +18,12 @@ Conventions
   breaks ties).  ``assign`` is the one assignment solver.
 * ``eig`` takes one matrix or a stack; a stacked matrix gets exactly the
   result of a lone call, as LAPACK solves every stacked matrix on its own.
-* ``eig_batch`` and ``eigvals_batch`` keep a ``float`` stack real, so LAPACK
-  runs its real solver (dgeev) and returns exact conjugate pairs, which the
-  tie rule orders by ascending imaginary part; every other input is solved
-  as complex.  Both return complex arrays.
+* ``eig``, ``eig_batch`` and ``eigvals_batch`` keep a ``float`` stack real,
+  so LAPACK runs its real solver (dgeev) and returns exact conjugate pairs,
+  which the tie rule orders by ascending imaginary part, and real
+  eigenvalues with imaginary part exactly 0; every other input is solved as
+  complex.  ``eig`` solves m^dag = m^T for the left vectors in real
+  arithmetic as well.  All three return complex arrays.
 * ``expm_batch_scaled`` and ``chain_batch`` return a matrix M as a pair
   (E, k) with M = 2**k E and the largest |Re| or |Im| of E in [0.5, 1):
   products of many exponentials neither overflow nor underflow, and the
@@ -190,7 +192,7 @@ def eig(m) -> SpectralDecomposition:
     ||m v - lambda v|| <= 1e-9 (1 + ||m||_F) for all non-defective
     eigenpairs.
     """
-    a = np.asarray(m, dtype=complex)
+    a = _lapack_stack(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix or a stack, got shape {a.shape}")
     _require_finite(a)
@@ -207,6 +209,7 @@ def eig(m) -> SpectralDecomposition:
         vals_l, vecs_l = np.linalg.eig(a.conj().swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
+    vals_l, vecs_l = vals_l.astype(complex, copy=False), vecs_l.astype(complex, copy=False)
     vecs_r = fix_phase(vecs_r)
 
     # Pair left eigenvectors to right ones: maximal overlap wins, eigenvalue
@@ -220,8 +223,9 @@ def eig(m) -> SpectralDecomposition:
     # ||a||_F of a scaled by 2^-k, k the exponent of each matrix's largest |Re| or |Im|:
     # the scaling is exact, and no square overflows
     k = np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1)))[1]
-    scaled = np.empty_like(a)
-    scaled.real, scaled.imag = (np.ldexp(v, -k[..., None, None]) for v in (a.real, a.imag))
+    scaled = np.ldexp(a.real, -k[..., None, None])
+    if np.iscomplexobj(a):
+        scaled = scaled + 1j * np.ldexp(a.imag, -k[..., None, None])
     return SpectralDecomposition(
         eigenvalues=vals_r,
         right=vecs_r,

@@ -18,8 +18,9 @@ column-stacking alternative would transpose the coherence blocks of every
 superoperator; the row-major choice is normative for all serialized output.
 Every Liouvillian here preserves Hermiticity, so each also has a real form
 in the Pauli basis (``BLOCH``, ``ModelSpec.bloch_matrix``), derived from the
-same definition; every eigenvalue solve of a map runs on it, in real
-arithmetic.  The integrators and sheet tracking use the row-major form.
+same definition; every eigenvalue solve of a map and the sheet tracking of
+a Liouvillian loop run on it, in real arithmetic.  The integrators and the
+decomposition at a loop's start use the row-major form.
 """
 
 from __future__ import annotations
@@ -456,7 +457,8 @@ class PathDrive:
 
     The path's plane string "x-y" names which parameters the path
     coordinates feed; the rest stay fixed.  Calling ``matrices(times)``
-    evaluates the stacked generators for a whole time grid at once.
+    evaluates the stacked generators for a whole time grid at once, and
+    ``bloch_matrices(times)`` a Liouvillian's real Bloch form.
     """
 
     model: ModelSpec
@@ -486,13 +488,21 @@ class PathDrive:
     def with_direction(self, direction: str) -> "PathDrive":
         return replace(self, path=replace(self.path, direction=direction))
 
-    def matrices(self, times) -> np.ndarray:
+    def _values(self, times) -> dict:
+        """The model's parameter values at the path points of ``times``."""
         x, y = self.path.point(times)
         x_name, y_name = self.axis_names
-        values = dict(self.fixed)
-        values[x_name] = x
-        values[y_name] = y
-        return self.model.matrix(**values)
+        return {**self.fixed, x_name: x, y_name: y}
+
+    def matrices(self, times) -> np.ndarray:
+        return self.model.matrix(**self._values(times))
+
+    def bloch_matrices(self, times) -> np.ndarray:
+        """``matrices`` of a Liouvillian in its real Bloch form, a ``float``
+        stack with the same spectrum (``ModelSpec.bloch_matrix``)."""
+        if self.model.bloch_matrix is None:
+            raise ValueError(f"model '{self.model.name}' has no real Bloch form")
+        return self.model.bloch_matrix(**self._values(times))
 
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices(float(t))

@@ -60,6 +60,13 @@ CHUNK_ROWS = 8
 GAP_TOL_FACTOR = 5e-8
 OVERLAP_MIN = 1.0 - 1e-5
 
+# Largest |parameter| of a map, on its plane corners and its fixed values.
+# The indicator multiplies the d(d-1)/2 squared eigenvalue gaps, a product
+# of degree 12 in the parameters for a 4x4 generator: with every catalog
+# parameter at +-1e25 it stays finite, at +-3e25 it overflows.  The bound
+# keeps a factor of 10 in each gap, 1e12 in the product, below that.
+MAP_PARAM_MAX = 1e24
+
 
 @dataclass(frozen=True)
 class AxisSpec:

@@ -1,6 +1,7 @@
 """Config grammar, presets, artifact determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,8 @@ from epkit.cli import (
 )
 from epkit.errors import ConfigError, EpkitError
 from epkit.output import CSV_BLOCK_ROWS, csv_blocks, csv_lines, write_text
-from epkit.spectra import EP_ITERS
+from epkit.models import MODELS
+from epkit.spectra import EP_ITERS, MAP_PARAM_MAX
 
 
 MAP_CONFIG = """
@@ -318,6 +320,16 @@ BAD_PLANES = {
     "map_unknown_axis": MAP_CONFIG.replace("plane.x_name = delta", "plane.x_name = Omega"),
     "map_same_axis_twice": MAP_CONFIG.replace("plane.y_name = J", "plane.y_name = delta"),
     "map_missing_parameter": MAP_CONFIG.replace("param.Gamma = 1.0\n", ""),
+    # the indicator, of degree 12 in the parameters, overflows from 3e25:
+    # the fig4a generator with its delta axis at +-1e100, or a fixed Gamma
+    # past the bound
+    "map_delta_past_the_bound": "\n".join([
+        "experiment.command = map", "experiment.model = coldatom_liouvillian",
+        "param.Gamma = 0.05", "param.gamma = 0.01",
+        "plane.x_name = delta", "plane.x_min = -1e100", "plane.x_max = 1e100", "plane.x_res = 11",
+        "plane.y_name = J", "plane.y_min = 0.0005", "plane.y_max = 0.02", "plane.y_res = 11",
+    ]),
+    "map_fixed_past_the_bound": MAP_CONFIG.replace("param.Gamma = 1.0", "param.Gamma = 1e30"),
     "rydberg_reversed_axis": RYDBERG_PLANE_CONFIG.replace(
         "plane.x_min = 1.8\nplane.x_max = 2.4", "plane.x_min = 2.4\nplane.x_max = 1.8"
     ),
@@ -542,6 +554,25 @@ def test_rydberg_parameters_at_the_bound_run_clean(tmp_path, W):
     ]))
     manifest = run(cfg, out_dir=str(tmp_path / "out"))
     assert sorted(manifest["outputs"]) == ["folds.json", "steady_scan.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_map_parameters_at_the_bound_run_clean(tmp_path, name):
+    # Every catalog model on the plane of each pair of its parameters, the
+    # corners at +-spectra.MAP_PARAM_MAX and every other parameter at
+    # either sign of it: the scan, its indicator and the refinement stay
+    # finite (a RuntimeWarning is an error here).
+    params = MODELS[name].params
+    for x, y in itertools.combinations(params, 2):
+        rest = [p for p in params if p not in (x, y)]
+        for signs in itertools.product((1.0, -1.0), repeat=len(rest)):
+            cfg = ExperimentConfig(
+                command="map", model=name,
+                params={p: sign * MAP_PARAM_MAX for p, sign in zip(rest, signs)},
+                plane={"x_name": x, "x_min": -MAP_PARAM_MAX, "x_max": MAP_PARAM_MAX, "x_res": 11,
+                       "y_name": y, "y_min": -MAP_PARAM_MAX, "y_max": MAP_PARAM_MAX, "y_res": 11})
+            manifest = run(cfg, out_dir=str(tmp_path / f"{x}-{y}-{signs}"))
+            assert "map.csv" in manifest["outputs"]
 
 
 SPECTRUM_CONFIG = """

@@ -11,6 +11,7 @@ from epkit.dynamics import (
     adiabaticity_estimate,
     branch_populations,
     classify_chirality,
+    decompose_path,
     default_steps,
     hermitize_density,
     initial_state_on_branch,
@@ -44,7 +45,8 @@ def ring_drive(Gamma=1.0, r=0.1, T=100.0, center=None, direction="ccw"):
 
 def decomposed(drive, times):
     """The stacked decomposition at ``times`` that track_sheets and
-    project_trajectory read, as project_loop makes it for a config run."""
+    project_trajectory read, on the row-major form (project_loop solves a
+    Liouvillian on its Bloch form, ``decompose_path``)."""
     return linalg.eig(drive.matrices(times))
 
 
@@ -485,31 +487,35 @@ def test_default_step_counts_give_symmetric_record_grids():
 
 
 def _per_direction(report, drive):
-    """Each direction projected on its own drive at its own record times."""
+    """Each direction projected on its own drive at its own record times,
+    decomposed in the form project_loop decomposes."""
     alone = {}
     for d in ("ccw", "cw"):
         traj = dataclasses.replace(report.runs[d])
-        alone[d] = project_trajectory(traj, decomposed(drive.with_direction(d), traj.times))
+        alone[d] = project_trajectory(traj, decompose_path(drive.with_direction(d), traj.times))
     return alone
 
 
 def _project_counting_eig(monkeypatch, report, drive, steps, directions):
-    """project_loop's counters, the shapes of its linalg.eig calls and the
-    path times it samples."""
+    """project_loop's counters, the shapes and dtypes of its linalg.eig
+    calls and the path times it samples, in either form."""
     calls, times = [], []
-    original, matrices = linalg.eig, PathDrive.matrices
+    original = linalg.eig
 
     def counted(m):
-        calls.append(np.shape(m))
+        calls.append((np.shape(m), np.asarray(m).dtype))
         return original(m)
 
-    def sampled(self, t):
-        times.append(np.asarray(t))
-        return matrices(self, t)
+    def sampling(sampler):
+        def sampled(self, t):
+            times.append(np.asarray(t))
+            return sampler(self, t)
+        return sampled
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "eig", counted)
-        patch.setattr(PathDrive, "matrices", sampled)
+        for name in ("matrices", "bloch_matrices"):
+            patch.setattr(PathDrive, name, sampling(getattr(PathDrive, name)))
         counters = project_loop(report, drive, steps, directions)
     return counters, calls, np.concatenate(times)
 
@@ -532,16 +538,17 @@ def _assert_matches_alone(runs, alone):
 def test_shared_pass_matches_projecting_each_direction(monkeypatch, loop, steps):
     # One decomposition at the ccw records serves cw, whose records are
     # the same ccw steps run backwards on a symmetric grid.  Every loop
-    # ends at its start, step 0, and step ``steps`` is never decomposed:
-    # the coldatom loop's conjugate pair is ordered by rounding at t = 0,
-    # so the ends must read the exact loop start, not the t = T point.
+    # ends at its start, step 0, and step ``steps`` is never decomposed.
+    # The per-direction passes decompose the same form (the coldatom loop's
+    # Bloch form), so ccw matches its own pass bit for bit.
     drive, T, branch = {"ring": (ring_drive(), 100.0, "upper"),
                         "coldatom": (coldatom_drive(150.0), 150.0, "quasi_steady")}[loop]
     report = classify_chirality(drive, initial_state_on_branch(drive, branch), steps)
     alone = _per_direction(report, drive)
     counters, calls, times = _project_counting_eig(monkeypatch, report, drive, steps,
                                                    ("ccw", "cw"))
-    assert calls == [(len(report.runs["ccw"].times) - 1, *drive.matrix(0.0).shape)]
+    assert [shape for shape, _ in calls] == [(len(report.runs["ccw"].times) - 1,
+                                              *drive.matrix(0.0).shape)]
     assert times.min() == 0.0 and times.max() < T
     assert counters == {"track_sheets.ambiguous":
                         alone["ccw"].ambiguous + alone["cw"].ambiguous}
@@ -561,10 +568,67 @@ def test_asymmetric_grid_decomposes_each_direction(monkeypatch):
         judged = dataclasses.replace(report, runs=runs)
         counters, calls, times = _project_counting_eig(monkeypatch, judged, drive, 10007,
                                                        directions)
-        assert [shape[0] for shape in calls] == [points]
+        assert [shape[0] for shape, _ in calls] == [points]
         assert times.min() == 0.0 and times.max() < 100.0
         assert counters == {"track_sheets.ambiguous": sum(alone[d].ambiguous for d in directions)}
         _assert_matches_alone(runs, alone)
+
+
+@pytest.mark.parametrize("preset, dtype", [("fig2", complex), ("fig4_intermediate", float)])
+def test_shared_pass_solves_a_liouvillian_on_its_real_form(monkeypatch, preset, dtype):
+    # A Liouvillian loop's one decomposition runs LAPACK's real solver on
+    # the Bloch form; a Hamiltonian loop has no real form and stays complex.
+    from epkit.cli import PRESETS
+
+    plan = PRESETS[preset]().plan
+    report = classify_chirality(plan.drive, plan.start, plan.steps)
+    _, calls, _ = _project_counting_eig(monkeypatch, report, plan.drive, plan.steps,
+                                        plan.directions)
+    assert [dt for _, dt in calls] == [np.dtype(dtype)]
+
+
+def test_conjugate_pair_labels_do_not_follow_rounding(monkeypatch):
+    # coldatom_drive's pair -0.029 +- 0.661j has real parts equal to
+    # rounding on the row-major form, where its t = 0 and t = T generators
+    # (6e-16 apart), and phase0 one ulp either side, ordered it either way.
+    # The Bloch form gives exact conjugates, -0.661j first: the tracked
+    # labels at sample 0 and the biorthogonal coefficients (so the pop
+    # columns) agree whether the loop ends read step 0 or t = T, or phase0
+    # moves by one ulp.
+    from epkit import dynamics
+
+    drive = coldatom_drive(150.0)
+    report = classify_chirality(drive, initial_state_on_branch(drive, "quasi_steady"), 4096)
+    labels, track = [], dynamics.track_sheets
+
+    def tracked(times, dec):
+        out = track(times, dec)
+        labels.append(out.values[0])
+        return out
+
+    def projected(d):
+        runs = {k: dataclasses.replace(v) for k, v in report.runs.items()}
+        labels.clear()
+        project_loop(dataclasses.replace(report, runs=runs), d, 4096, ("ccw", "cw"))
+        return runs, np.array(labels)
+
+    monkeypatch.setattr(dynamics, "track_sheets", tracked)
+    base, base_labels = projected(drive)
+    assert np.all(base_labels[:, 1].imag < 0) and np.all(base_labels[:, 2].imag > 0)
+    point = EncirclePath.point
+    with monkeypatch.context() as patch:
+        patch.setattr(EncirclePath, "point",
+                      lambda self, t: point(self, np.where(t == 0.0, self.period, t)))
+        variants = [projected(drive)]
+    for toward in (1.0, -1.0):
+        phase0 = np.nextafter(drive.path.phase0, toward)
+        variants.append(projected(dataclasses.replace(
+            drive, path=dataclasses.replace(drive.path, phase0=phase0))))
+    for runs, at0 in variants:
+        assert np.abs(at0 - base_labels).max() < 1e-12
+        for d in ("ccw", "cw"):
+            assert np.abs(runs[d].populations - base[d].populations).max() < 1e-12
+            assert np.array_equal(runs[d].sheet_index, base[d].sheet_index)
 
 
 def test_projection_works_with_decimated_records():

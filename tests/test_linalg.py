@@ -331,6 +331,39 @@ def test_eig_batch_real_stack_gives_exact_conjugate_pairs():
     assert np.abs(cvals[:, :, None] - vals[:, None, :]).min(axis=-1).max() < 1e-12
 
 
+def test_eig_real_stack_stays_real():
+    # A float stack runs the real solver for both solves (m^dag = m^T):
+    # right and left vectors meet the residual contract, every non-real
+    # eigenvalue sits next to its exact conjugate (-Im first) with exactly
+    # conjugate vectors, the rest have Im exactly 0, and eigenvalues and
+    # vectors agree with the complex-cast solve after matching by value.
+    rng = np.random.default_rng(31)
+    mats = rng.normal(size=(300, 4, 4))
+    d, c = linalg.eig(mats), linalg.eig(mats.astype(complex))
+    assert d.eigenvalues.dtype == d.right.dtype == d.left.dtype == complex
+    assert np.allclose(d.frobenius, np.linalg.norm(mats, axis=(-2, -1)), rtol=1e-15, atol=0)
+    pairs = 0
+    for k, m in enumerate(mats):
+        vals, right, left = d.eigenvalues[k], d.right[k], d.left[k]
+        tol = 1e-9 * (1.0 + np.linalg.norm(m))
+        live = ~d.defective[k]
+        assert np.linalg.norm(m @ right - right * vals, axis=0)[live].max() <= tol
+        assert np.linalg.norm(m.T @ left - left * vals.conj(), axis=0)[live].max() <= tol
+        below = np.flatnonzero(vals.imag < 0)
+        for i in below:
+            assert vals[i + 1] == vals[i].conjugate()
+            assert np.array_equal(right[:, i + 1], right[:, i].conj())
+            assert np.array_equal(left[:, i + 1], left[:, i].conj())
+        assert np.count_nonzero(vals.imag) == 2 * len(below)
+        pairs += len(below)
+        match = np.argmin(np.abs(vals[:, None] - c.eigenvalues[k][None, :]), axis=-1)
+        assert sorted(match) == list(range(4))
+        assert np.abs(vals - c.eigenvalues[k][match]).max() < 1e-12
+        assert np.abs(right - c.right[k][:, match]).max() < 1e-12
+        assert np.abs(left - c.left[k][:, match]).max() < 1e-12
+    assert pairs > 100
+
+
 def test_eig_stacked_equals_per_matrix():
     # A stack (..., n, n) gives every matrix exactly its lone result,
     # defective and near-EP members included.
