@@ -31,10 +31,11 @@ from .spectra import PlaneSpec
 RECORD_GRID = 1024
 
 # Error tolerance of the mean-field loop, relative and absolute alike: at
-# 3e-9 the fig5 final populations hold their 1e-9 reference; 1e-8 misses it.
+# 3e-9 the fig5 final populations sit within 9e-11 of their 1e-9 reference;
+# 3e-8 misses it.
 RTOL = 3e-9
 
-# Attempted steps per direction of a mean-field loop (fig5: ~23k) unless run.steps caps them.
+# Attempted steps per direction of a mean-field loop (fig5: ~5k) unless run.steps caps them.
 STEP_CAP = 10**6
 
 RESIDUAL_TOL = 1e-10
@@ -380,11 +381,13 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 
 def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                     path: EncirclePath | None = None, rtol: float = RTOL):
-    """Error-controlled ROS4 steps on the mean-field equations, on floats.
+    """Error-controlled RODAS4 steps on the mean-field equations, on floats.
 
-    A step passes when its embedded third-order error estimate is within
-    rtol (1 + |value|) in each of rho22, Re rho21 and Im rho21; the next is
-    this one times 0.9 err^(-1/4), within [1/5, 5].  Steps land on the times
+    RODAS4 (six stages, order 4, L-stable and stiffly accurate) suits the
+    stiff damped oscillation that a slow loop follows.  A step passes when
+    its embedded third-order error estimate is within rtol (1 + |value|) in
+    each of rho22, Re rho21 and Im rho21; the next is this one times
+    0.9 err^(-1/4), within [1/5, 5].  Steps land on the times
     k T / RECORD_GRID (a step cut short to land keeps the proposal it cut),
     which are returned with (rho22, rho21) there and the steps attempted.
     ``steps`` caps the attempts; past it, or when a step falls below the
@@ -400,11 +403,20 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
     n, x, y, half_g = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag, 0.5 * gamma
     times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
     records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
-    # Shampine's ROS4 (Hairer and Wanner, ros4.f, METH = 1) in transformed form; E3 = 0,
-    # and stage 4 evaluates f at stage 3's point (t + 3h/5), so it reuses stage 3's f
-    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4, b1, b2, b3, b4, e1, e2, e4 = (
-        0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5, 0.5,
-        -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36, 125 / 108)
+    # RODAS4 (Hairer and Wanner, rodas.f, METH = 1) in transformed form: stage i solves
+    # (I / (g hs) - J) k_i = f(t + al_i hs, y + sum a_ij k_j) + sum c_ij k_j / hs + hs d_i df/dt.
+    # Stages 5 and 6 sit at t + hs with d5 = d6 = 0: stage 6's point is stage 5's plus k5,
+    # the new state is stage 6's point plus k6, and k6 estimates the error
+    g, al2, al3, al4, d1, d2, d3, d4 = 0.25, 0.386, 0.21, 0.63, 0.25, -0.1043, 0.1035, -0.0362
+    a21, a31, a32, a41, a42, a43, a51, a52, a53, a54 = (
+        1.544, 0.9466785280815826, 0.2557011698983284, 3.314825187068521, 2.896124015972201,
+        0.9986419139977817, 1.221224509226641, 6.019134481288629, 12.53708332932087,
+        -0.6878860361058950)
+    c21, c31, c32, c41, c42, c43, c51, c52, c53, c54, c61, c62, c63, c64, c65 = (
+        -5.6688, -2.430093356833875, -0.2063599157091915, -0.1073529058151375,
+        -9.594562251023355, -20.47028614809616, 7.496443313967647, -10.24680431464352,
+        -33.99990352819905, 11.70890893206160, 8.083246795921522, -7.981132988064893,
+        -31.52159432874371, 16.31930543123136, -6.058818238834054)
     for t_rec in times[1:].tolist():
         while t < t_rec:
             co, si = cos(a := turn * t), sin(a)
@@ -422,7 +434,7 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                     raise StepTooCoarse(f"mean-field step fell below the rounding of t = {t:.6g}")
                 hs = min(h, t_rec - t)
                 # (I / (g hs) - J)^-1 by its cofactors, nan when singular (failing the
-                # error test); stage i applies it to f_i + sum C_ij k_j / hs + hs D_i df/dt
+                # error test); each stage applies it to its right-hand side (un, ux, uy)
                 m00, m11, m22 = (q := 1.0 / (g * hs)) - j00, q - j11, q - j22
                 c00, c01, c02 = m11 * m22 - j12 * j21, j12 * j20 + j10 * m22, j10 * j21 + m11 * j20
                 s = 1.0 / det if (det := m00 * c00 - j01 * c01 - j02 * c02) else math.nan
@@ -433,7 +445,7 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 un, ux, uy = fn + hd * tn, fx + hd * tx, fy + hd * ty
                 k1n, k1x, k1y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
                                  i20 * un + i21 * ux + i22 * uy)
-                co, si = cos(a := turn * (t + hs)), sin(a)
+                co, si = cos(a := turn * (t + al2 * hs)), sin(a)
                 ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
                 gn, gx, gy = _rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, cx + ru, cy + rv,
                                   gamma, W, half_g)
@@ -441,7 +453,7 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                 un, ux, uy = gn + u * k1n + hd * tn, gx + u * k1x + hd * tx, gy + u * k1y + hd * ty
                 k2n, k2x, k2y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
                                  i20 * un + i21 * ux + i22 * uy)
-                co, si = cos(a := turn * (t + 0.6 * hs)), sin(a)
+                co, si = cos(a := turn * (t + al3 * hs)), sin(a)
                 ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
                 gn, gx, gy = _rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
                                   y + a31 * k1y + a32 * k2y, cx + ru, cy + rv, gamma, W, half_g)
@@ -450,18 +462,43 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
                               gy + u * k1y + v * k2y + hd * ty)
                 k3n, k3x, k3y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
                                  i20 * un + i21 * ux + i22 * uy)
+                co, si = cos(a := turn * (t + al4 * hs)), sin(a)
+                ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
+                gn, gx, gy = _rhs(n + a41 * k1n + a42 * k2n + a43 * k3n,
+                                  x + a41 * k1x + a42 * k2x + a43 * k3x,
+                                  y + a41 * k1y + a42 * k2y + a43 * k3y, cx + ru, cy + rv,
+                                  gamma, W, half_g)
                 u, v, w, hd = c41 / hs, c42 / hs, c43 / hs, hs * d4
                 un = gn + u * k1n + v * k2n + w * k3n + hd * tn
                 ux = gx + u * k1x + v * k2x + w * k3x + hd * tx
                 uy = gy + u * k1y + v * k2y + w * k3y + hd * ty
                 k4n, k4x, k4y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
                                  i20 * un + i21 * ux + i22 * uy)
-                nn = n + b1 * k1n + b2 * k2n + b3 * k3n + b4 * k4n
-                nx = x + b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x
-                ny = y + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y
-                en = abs(e1 * k1n + e2 * k2n + e4 * k4n) / (1.0 + max(abs(n), abs(nn)))
-                ex = abs(e1 * k1x + e2 * k2x + e4 * k4x) / (1.0 + max(abs(x), abs(nx)))
-                ey = abs(e1 * k1y + e2 * k2y + e4 * k4y) / (1.0 + max(abs(y), abs(ny)))
+                co, si = cos(a := turn * (t + hs)), sin(a)
+                ru, rv = u0 * co - v0 * si, u0 * si + v0 * co
+                om, de = cx + ru, cy + rv  # stages 5 and 6
+                pn = n + a51 * k1n + a52 * k2n + a53 * k3n + a54 * k4n
+                px = x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x
+                py = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
+                gn, gx, gy = _rhs(pn, px, py, om, de, gamma, W, half_g)
+                u, v, w, z = c51 / hs, c52 / hs, c53 / hs, c54 / hs
+                un = gn + u * k1n + v * k2n + w * k3n + z * k4n
+                ux = gx + u * k1x + v * k2x + w * k3x + z * k4x
+                uy = gy + u * k1y + v * k2y + w * k3y + z * k4y
+                k5n, k5x, k5y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
+                pn, px, py = pn + k5n, px + k5x, py + k5y
+                gn, gx, gy = _rhs(pn, px, py, om, de, gamma, W, half_g)
+                u, v, w, z, e = c61 / hs, c62 / hs, c63 / hs, c64 / hs, c65 / hs
+                un = gn + u * k1n + v * k2n + w * k3n + z * k4n + e * k5n
+                ux = gx + u * k1x + v * k2x + w * k3x + z * k4x + e * k5x
+                uy = gy + u * k1y + v * k2y + w * k3y + z * k4y + e * k5y
+                k6n, k6x, k6y = (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
+                                 i20 * un + i21 * ux + i22 * uy)
+                nn, nx, ny = pn + k6n, px + k6x, py + k6y
+                en = abs(k6n) / (1.0 + max(abs(n), abs(nn)))
+                ex = abs(k6x) / (1.0 + max(abs(x), abs(nx)))
+                ey = abs(k6y) / (1.0 + max(abs(y), abs(ny)))
                 # max() may drop a nan, which compares false both ways
                 err = math.nan if math.isnan(en + ex + ey) else max(en, ex, ey) / rtol
                 grown = hs * min(5.0, max(0.2, 0.9 * max(err, 1e-4) ** -0.25))
@@ -525,8 +562,8 @@ def transfer_verdict(
     that ``resolve_root`` resolves, and run one period of the path with at
     most ``steps`` attempts each (the CLI's default is STEP_CAP).  Under
     ``check_steps`` each direction runs again at RTOL / 16, which halves a
-    fourth-order step, with twice the cap; a record that moves by more than
-    1e-6 raises StepTooCoarse.
+    step of ``integrate_bloch``'s order 4, with twice the cap; a record that
+    moves by more than 1e-6 raises StepTooCoarse.
     """
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord

@@ -795,11 +795,13 @@ def test_cli_initial_branch_index(tmp_path):
     assert runs["1"] == runs["lower"]
 
 
-@pytest.mark.parametrize("T", [100, 300])
+@pytest.mark.parametrize("T", [300, 1000, 5000])
 def test_cli_rydberg_check_steps(tmp_path, capsys, monkeypatch, T):
     # At a loose tolerance the loop finishes, but its records move by far
     # more than 1e-6 when rerun at RTOL / 16: the check fails the run typed,
-    # set in the file or by flag, and no transfer.json is written.
+    # set in the file or by flag, and no transfer.json is written.  (At
+    # T = 100 the record spacing T / 1024 caps the steps where they are
+    # accurate at any RTOL, so that loop passes the check.)
     from epkit import rydberg
 
     monkeypatch.setattr(rydberg, "RTOL", 1e-3)

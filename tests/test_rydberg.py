@@ -497,88 +497,6 @@ def _reference_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, record=
 
 
 
-def _closure_integrate_bloch(p, rho22_0, rho21_0, T, steps, path=None, rtol=RTOL):
-    """``integrate_bloch`` as it was written before its stage solves and path
-    rotation were inlined: a ``solve`` closure per attempt and a ``drive``
-    closure per stage time.  Kept as the bit-for-bit reference of the
-    inlined stepper, which must perform the same IEEE operations."""
-    if path is None:
-        drive = lambda t, fixed=(float(p.Omega), float(p.Delta), 0.0, 0.0): fixed  # noqa: E731
-    else:
-        (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
-        u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
-
-        def drive(t):
-            c, s = math.cos(turn * t), math.sin(turn * t)
-            u, v = u0 * c - v0 * s, u0 * s + v0 * c
-            return cx + u, cy + v, -turn * v, turn * u
-
-    gamma, W_, half_g = float(p.gamma), float(p.W), 0.5 * float(p.gamma)
-    n, x, y = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag
-    times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
-    records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
-    g, a21, a31, a32, c21, c31, c32, c41, c42, c43, d1, d2, d3, d4, b1, b2, b3, b4, e1, e2, e4 = (
-        0.5, 2.0, 48 / 25, 6 / 25, -8.0, 372 / 25, 12 / 5, -112 / 125, -54 / 125, -2 / 5, 0.5,
-        -1.5, 605 / 250, 29 / 250, 19 / 9, 0.5, 25 / 108, 125 / 108, 34 / 108, 7 / 36, 125 / 108)
-    for t_rec in times[1:].tolist():
-        while t < t_rec:
-            om, de, om_t, de_t = drive(t)
-            fn, fx, fy = rydberg._rhs(n, x, y, om, de, gamma, W_, half_g)
-            j00, j01, j02, j10, j11, j12, j20, j21, j22 = rydberg._jacobian_entries(
-                n, x, y, om, de, gamma, W_)
-            tn, tx, ty = -y * om_t, -y * de_t, x * de_t + (n - 0.5) * om_t
-            while True:
-                attempts += 1
-                if attempts > steps:
-                    raise StepTooCoarse(f"mean-field loop needs more than {steps} steps")
-                if t + 0.1 * h == t:
-                    raise StepTooCoarse(f"mean-field step fell below the rounding of t = {t:.6g}")
-                hs = min(h, t_rec - t)
-                m00, m11, m22 = (q := 1.0 / (g * hs)) - j00, q - j11, q - j22
-                c00, c01, c02 = m11 * m22 - j12 * j21, j12 * j20 + j10 * m22, j10 * j21 + m11 * j20
-                s = 1.0 / det if (det := m00 * c00 - j01 * c01 - j02 * c02) else math.nan
-                i00, i01, i02 = c00 * s, (j01 * m22 + j02 * j21) * s, (j01 * j12 + j02 * m11) * s
-                i10, i11, i12 = c01 * s, (m00 * m22 - j02 * j20) * s, (m00 * j12 + j02 * j10) * s
-                i20, i21, i22 = c02 * s, (m00 * j21 + j01 * j20) * s, (m00 * m11 - j01 * j10) * s
-
-                def solve(d, un, ux, uy):
-                    un, ux, uy = un + hs * d * tn, ux + hs * d * tx, uy + hs * d * ty
-                    return (i00 * un + i01 * ux + i02 * uy, i10 * un + i11 * ux + i12 * uy,
-                            i20 * un + i21 * ux + i22 * uy)
-
-                k1n, k1x, k1y = solve(d1, fn, fx, fy)
-                f = rydberg._rhs(n + a21 * k1n, x + a21 * k1x, y + a21 * k1y, *drive(t + hs)[:2],
-                                 gamma, W_, half_g)
-                u = c21 / hs
-                k2n, k2x, k2y = solve(d2, f[0] + u * k1n, f[1] + u * k1x, f[2] + u * k1y)
-                f = rydberg._rhs(n + a31 * k1n + a32 * k2n, x + a31 * k1x + a32 * k2x,
-                                 y + a31 * k1y + a32 * k2y, *drive(t + 0.6 * hs)[:2],
-                                 gamma, W_, half_g)
-                u, v = c31 / hs, c32 / hs
-                k3n, k3x, k3y = solve(d3, f[0] + u * k1n + v * k2n, f[1] + u * k1x + v * k2x,
-                                      f[2] + u * k1y + v * k2y)
-                u, v, w = c41 / hs, c42 / hs, c43 / hs
-                k4n, k4x, k4y = solve(d4, f[0] + u * k1n + v * k2n + w * k3n,
-                                      f[1] + u * k1x + v * k2x + w * k3x,
-                                      f[2] + u * k1y + v * k2y + w * k3y)
-                nn = n + b1 * k1n + b2 * k2n + b3 * k3n + b4 * k4n
-                nx = x + b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x
-                ny = y + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y
-                en = abs(e1 * k1n + e2 * k2n + e4 * k4n) / (1.0 + max(abs(n), abs(nn)))
-                ex = abs(e1 * k1x + e2 * k2x + e4 * k4x) / (1.0 + max(abs(x), abs(nx)))
-                ey = abs(e1 * k1y + e2 * k2y + e4 * k4y) / (1.0 + max(abs(y), abs(ny)))
-                err = math.nan if math.isnan(en + ex + ey) else max(en, ex, ey) / rtol
-                grown = hs * min(5.0, max(0.2, 0.9 * max(err, 1e-4) ** -0.25))
-                if err <= 1.0:
-                    h = max(h, grown) if hs < h else grown
-                    break
-                h = grown
-            t, n, x, y = (t_rec if hs == t_rec - t else t + hs), nn, nx, ny
-        records.append((n, x, y))
-    n, x, y = np.array(records).T
-    return times, n, x + 1j * y, attempts
-
-
 def _same_bits(a, b):
     return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
 
@@ -611,26 +529,43 @@ def test_integrate_bloch_matches_complex_reference_on_a_loop(direction):
         assert np.abs(got[2] - want[2]).max() <= 5e-8
 
 
-def test_integrate_bloch_equals_the_closure_form_bit_for_bit():
-    # The inlined stepper performs the closure form's IEEE operations: equal
-    # records and attempts on a short fig5-shaped loop in both directions (and
-    # at RTOL / 16, the check rerun's tolerance), and under held drives,
-    # from the empty state too, where every sign of zero counts
+def test_integrate_bloch_is_fourth_order():
+    # rtol = inf accepts every step, so each record interval takes one step
+    # of span / 1024.  From the empty state on the T = 100 loop, the state at
+    # t = 25 over spans of 25, 50 and 100 (h doubling each time) is compared
+    # with a run at rtol 1e-13: each halving of h cuts the error at least
+    # 14 times (order >= 3.8).
+    path = demo_path(100.0)
+    p0, _ = _loop_start(100.0)
+    ref = integrate_bloch(p0, 0.0, 0j, 25.0, STEP_CAP, path=path, rtol=1e-13)
+    errors = []
+    for span in (25.0, 50.0, 100.0):
+        times, n, r, attempts = integrate_bloch(p0, 0.0, 0j, span, STEP_CAP, path=path,
+                                                rtol=math.inf)
+        k = round(RECORD_GRID * 25.0 / span)
+        assert attempts == RECORD_GRID and times[k] == 25.0
+        errors.append(max(abs(n[k] - ref[1][-1]), abs(r[k] - ref[2][-1])))
+    assert errors[1] >= 14 * errors[0] and errors[2] >= 14 * errors[1]
+    # a cap one below a run's attempts raises StepTooCoarse
     T = 500.0
     p0, start = _loop_start(T)
-    loops = [dict(path=replace(demo_path(T), direction=d), rtol=rtol)
-             for d in ("ccw", "cw") for rtol in (RTOL, RTOL / 16)]
-    runs = [((p0, start.n, start.rho21, T, STEP_CAP), kw) for kw in loops]
-    for p in (RydbergParams(2.0, -4.4, GAMMA, W), RydbergParams(0.0, -0.0, GAMMA, W)):
-        runs += [((p, 0.0, 0j, 50.0, STEP_CAP), {}), ((p, 0.3, 0.1 - 0.2j, 50.0, STEP_CAP), {})]
-    for args, kw in runs:
-        got, want = integrate_bloch(*args, **kw), _closure_integrate_bloch(*args, **kw)
-        assert got[3] == want[3] and _same_bits(got[:3], want[:3])
-    for args, kw in runs[:2]:  # the step cap is the same too
-        cap = integrate_bloch(*args, **kw)[3] - 1
-        for fn in (integrate_bloch, _closure_integrate_bloch):
-            with pytest.raises(StepTooCoarse, match=f"more than {cap} steps"):
-                fn(*args[:4], cap, **kw)
+    for rtol in (RTOL, RTOL / 16):
+        args = (p0, start.n, start.rho21, T)
+        kw = dict(path=replace(demo_path(T), direction="cw"), rtol=rtol)
+        cap = integrate_bloch(*args, STEP_CAP, **kw)[3] - 1
+        with pytest.raises(StepTooCoarse, match=f"more than {cap} steps"):
+            integrate_bloch(*args, cap, **kw)
+
+
+def test_fig5_loop_attempts_stay_few():
+    # The slow fig5 loop is stiff; a stepper that keeps its order there takes
+    # at most 12,000 attempts over both directions (RODAS4: 9,871), where one
+    # that suffers order reduction takes several times more (ROS4: 44,046).
+    from epkit.cli import PRESETS
+
+    plan = PRESETS["fig5"]().plan
+    v = transfer_verdict(plan.path, plan.start, plan.steps)
+    assert sum(run.steps for run in v.runs.values()) <= 12000
 
 
 @pytest.mark.parametrize("T", [1.0, 100.0, 1000.0, 5000.0, 50000.0])
