@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import __version__, output
+from . import __version__, linalg, output
 from .errors import ConfigError, EpkitError
 from .models import EncirclePath, PathDrive, get_model, resolve_params
 from .spectra import MAP_PARAM_MAX, AxisSpec, PlaneSpec, scan_grid, trace_lines
@@ -408,12 +408,10 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> dict
 
 
 def _run_spectrum(cfg, emit_text, emit_json):
-    from . import linalg
-
     model = get_model(cfg.model)
-    mat = model.matrix(**resolve_params(model, cfg.params))
-    dec = linalg.eig(mat)
-    emit_text("spectrum.csv", output.csv_lines(
+    # a Liouvillian on its real Bloch form, as a map solves it
+    dec = linalg.eig((model.bloch_matrix or model.matrix)(**resolve_params(model, cfg.params)))
+    emit_text("spectrum.csv", output.csv_blocks(
         ["index", "re_lambda", "im_lambda", "defective"],
         [np.arange(dec.dim), dec.eigenvalues.real, dec.eigenvalues.imag, dec.defective],
     ))

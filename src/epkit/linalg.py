@@ -295,19 +295,6 @@ def coalescence_measure(d: SpectralDecomposition, i: int, j: int) -> float:
     return float(abs(np.vdot(d.right[:, i], d.right[:, j])))
 
 
-def biorthogonal_matrix(d: SpectralDecomposition) -> np.ndarray:
-    """<left_i|right_j> rescaled so the diagonal is one.
-
-    Away from defective clusters this is the identity within 1e-8; near an
-    exceptional point the off-diagonal entries blow up together with
-    ``ep_condition``.
-    """
-    b = d.left.conj().T @ d.right
-    diag = np.diagonal(b).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return b / diag[:, None]
-
-
 def _lapack_stack(mats) -> np.ndarray:
     """A ``float`` stack as it is (real LAPACK), anything else as complex."""
     a = np.asarray(mats)
@@ -339,7 +326,7 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, canonical_order(vals), axis=-1)
 
 
-# Truncated Taylor series of expm_batch: (degree m, block size p, theta_m).
+# Truncated Taylor series of expm_batch_scaled: (degree m, block size p, theta_m).
 # theta_m is the largest norm with ||X||^(m+1)/(m+1)! / (1 - ||X||/(m+2))
 # <= 2**-53, a bound on the series tail; the Paterson-Stockmeyer scheme
 # evaluates degree m = p q in (p - 1) + (q - 1) matrix products.
@@ -352,19 +339,14 @@ _TAYLOR = ((6, 3, 0.01776), (9, 3, 0.1148), (12, 4, 0.3352), (16, 4, 0.8245))
 _CACHE_ENTRIES = 32768
 
 
-def expm_batch(x) -> np.ndarray:
-    """Matrix exponentials of a stack (..., n, n), numpy only.
+def expm_batch_scaled(x):
+    """Matrix exponentials of a stack (..., n, n) as (E, k) with
+    exp(x) = 2**k E, for any finite norm; numpy only.
 
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) around
     a truncated Taylor series; the degree and the number of squarings follow
     from the largest 1-norm in the stack.
     """
-    e, k = expm_batch_scaled(x)
-    return e * np.exp2(k)[..., None, None]
-
-
-def expm_batch_scaled(x):
-    """``expm_batch`` as (E, k) with exp(x) = 2**k E, for any finite norm."""
     a = np.asarray(x, dtype=complex)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)

@@ -18,9 +18,9 @@ column-stacking alternative would transpose the coherence blocks of every
 superoperator; the row-major choice is normative for all serialized output.
 Every Liouvillian here preserves Hermiticity, so each also has a real form
 in the Pauli basis (``BLOCH``, ``ModelSpec.bloch_matrix``), derived from the
-same definition; every eigenvalue solve of a map and the sheet tracking of
-a Liouvillian loop run on it, in real arithmetic.  The integrators and the
-decomposition at a loop's start use the row-major form.
+same definition; every eigenvalue solve of a map or a spectrum and the sheet
+tracking of a Liouvillian loop run on it, in real arithmetic.  The
+integrators and the decomposition at a loop's start use the row-major form.
 """
 
 from __future__ import annotations
@@ -193,22 +193,8 @@ def pt_hamiltonian(p: PTParams) -> np.ndarray:
 
 
 def encircle_model(J, Omega, Gamma) -> np.ndarray:
-    """J*sx - (Omega + i Gamma/2)*sz, the plane model hosting the EP ring.
-
-    Accepts scalars or broadcastable arrays and returns a stacked (... ,2,2)
-    array in the latter case.
-    """
-    J, Omega, Gamma = np.broadcast_arrays(
-        np.asarray(J, dtype=float),
-        np.asarray(Omega, dtype=float),
-        np.asarray(Gamma, dtype=float),
-    )
-    out = np.zeros(J.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = J
-    out[..., 1, 0] = J
-    out[..., 0, 0] = -(Omega + 0.5j * Gamma)
-    out[..., 1, 1] = Omega + 0.5j * Gamma
-    return out
+    """J*sx - (Omega + i Gamma/2)*sz, the plane model hosting the EP ring."""
+    return J * SIGMA_X - (Omega + 0.5j * Gamma) * SIGMA_Z
 
 
 def coldatom_heff(p: ColdAtomParams) -> np.ndarray:

@@ -42,11 +42,6 @@ def csv_blocks(header, columns):
         yield "".join([line % values for values in rows])
 
 
-def csv_lines(header, columns) -> str:
-    """``csv_blocks`` joined into one text."""
-    return "".join(csv_blocks(header, columns))
-
-
 def write_text(path, text) -> str:
     """Write ``text``, a str or an iterable of str, to ``path`` and return
     the SHA-256 of its bytes.

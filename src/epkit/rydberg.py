@@ -380,7 +380,7 @@ def _locate_cusp(plane: PlaneSpec, gamma: float, W: float):
 
 
 def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
-                    path: EncirclePath | None = None, rtol: float = RTOL):
+                    path: EncirclePath, rtol: float = RTOL):
     """Error-controlled RODAS4 steps on the mean-field equations, on floats.
 
     RODAS4 (six stages, order 4, L-stable and stiffly accurate) suits the
@@ -391,15 +391,13 @@ def integrate_bloch(p: RydbergParams, rho22_0, rho21_0, T: float, steps: int,
     k T / RECORD_GRID (a step cut short to land keeps the proposal it cut),
     which are returned with (rho22, rho21) there and the steps attempted.
     ``steps`` caps the attempts; past it, or when a step falls below the
-    rounding of t, StepTooCoarse.  A path modulates (Omega(t), Delta(t)).
+    rounding of t, StepTooCoarse.  ``path`` drives (Omega(t), Delta(t)), a
+    zero-radius one holds them, and ``p`` supplies gamma and W.
     """
     cos, sin, gamma, W = math.cos, math.sin, float(p.gamma), float(p.W)
-    # the drive: the path's start turned about its centre, or p's point turned by
-    # nothing, whose -0.0 offsets make the held rates exactly +0.0
-    (cx, cy), turn, u0, v0 = (float(p.Omega), float(p.Delta)), 0.0, -0.0, -0.0
-    if path is not None:
-        (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
-        u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
+    # the drive: the path's start turned about its centre
+    (cx, cy), turn = path.center, path.omega if path.direction == "ccw" else -path.omega
+    u0, v0 = (float(c) - o for c, o in zip(path.point(0.0), path.center))
     n, x, y, half_g = float(rho22_0), complex(rho21_0).real, complex(rho21_0).imag, 0.5 * gamma
     times = T * (np.arange(RECORD_GRID + 1) / RECORD_GRID)
     records, t, h, attempts = [(n, x, y)], 0.0, float(times[1]), 0
@@ -561,9 +559,9 @@ def transfer_verdict(
     Both directions start from ``start``, the stable root at the path start
     that ``resolve_root`` resolves, and run one period of the path with at
     most ``steps`` attempts each (the CLI's default is STEP_CAP).  Under
-    ``check_steps`` each direction runs again at RTOL / 16, which halves a
-    step of ``integrate_bloch``'s order 4, with twice the cap; a record that
-    moves by more than 1e-6 raises StepTooCoarse.
+    ``check_steps`` each direction runs again at RTOL / 16 with a cap of its
+    own, four times ``steps``; a record that moves by more than 1e-6 raises
+    StepTooCoarse.
     """
     # imported here: `validate` imports this module and needs no dynamics
     from .dynamics import TrajectoryRecord
@@ -571,6 +569,8 @@ def transfer_verdict(
     p0, states, idx0 = start
     stable = states.stable_roots
     root = (p0, stable[idx0].n, stable[idx0].rho21, path.period)
+    # the check's own cap: at RTOL / 16 fig5 takes 3.6 times the attempts (ccw 4,512 -> 16,181)
+    check_cap = 4 * steps
 
     runs, landings, finals = {}, {}, {}
     for direction in ("ccw", "cw"):
@@ -578,7 +578,11 @@ def transfer_verdict(
         times, n, r, attempts = integrate_bloch(*root, steps, path=loop, rtol=RTOL)
         drift = None
         if check_steps:
-            _, n2, r2, more = integrate_bloch(*root, 2 * steps, path=loop, rtol=RTOL / 16)
+            try:
+                _, n2, r2, more = integrate_bloch(*root, check_cap, path=loop, rtol=RTOL / 16)
+            except StepTooCoarse as exc:
+                raise StepTooCoarse(f"the check's rerun at RTOL / 16, capped at {check_cap} "
+                                    f"steps, failed: {exc}") from exc
             attempts += more
             # every record, and written so that a nan fails too
             drift = float(np.max(np.abs(np.concatenate([n2 - n, r2 - r]))))

@@ -18,6 +18,7 @@ import pytest
 from epkit import linalg
 from epkit.cli import PRESETS, parse_config, run as cli_run
 from epkit.dynamics import (
+    _coefficients,
     classify_chirality,
     default_steps,
     initial_state_on_branch,
@@ -319,7 +320,7 @@ def test_criterion_8_property_suites(tmp_path):
             det = np.linalg.det(m)
             assert abs(np.prod(d.eigenvalues) - det) <= 1e-8 * (1 + abs(det))
             if not d.defective.any() and d.ep_condition < 1e6:
-                b = linalg.biorthogonal_matrix(d)
+                b = _coefficients(d.left, d.right, d.right.T)[1].T
                 assert np.max(np.abs(b - np.eye(dim))) < 1e-8
 
     # Lindblad trace preservation and positivity with full recycling

@@ -26,7 +26,7 @@ from epkit.cli import (
     serialize_config,
 )
 from epkit.errors import ConfigError, EpkitError
-from epkit.output import CSV_BLOCK_ROWS, csv_blocks, csv_lines, write_text
+from epkit.output import CSV_BLOCK_ROWS, csv_blocks, write_text
 from epkit.models import MODELS
 from epkit.spectra import EP_ITERS, MAP_PARAM_MAX
 
@@ -223,6 +223,26 @@ param.Gamma = 1.0
     # defective pair at Gamma = 8 J
     flags = [int(l.split(",")[-1]) for l in lines[1:]]
     assert sum(flags) == 2
+
+
+def test_liouvillian_spectrum_follows_the_ordering_convention(tmp_path):
+    # A Liouvillian's spectrum is solved on its real Bloch form, as a map's
+    # is: a real eigenvalue has imaginary part exactly 0, and each
+    # conjugate pair is exact and comes -Im first.
+    text = """
+experiment.command = spectrum
+experiment.model = detuned_liouvillian
+param.J = 0.1
+param.Gamma = 1.0
+param.delta = 0.3
+"""
+    run(parse_config(text), out_dir=str(tmp_path))
+    vals = [complex(*v) for v in json.loads(_read(tmp_path / "spectrum.json"))["eigenvalues"]]
+    rows = _read(tmp_path / "spectrum.csv").decode().splitlines()[1:]
+    assert [complex(*map(float, row.split(",")[1:3])) for row in rows] == vals
+    assert [v.imag == 0.0 for v in vals] == [True, False, False, True]
+    assert vals[1] == vals[2].conjugate() and vals[1].imag < 0.0
+    assert abs(vals[0]) <= 1e-15
 
 
 def test_encircle_run_artifacts(tmp_path):
@@ -1183,6 +1203,27 @@ def test_manifest_reports_steps_and_drift(tmp_path, capsys):
     assert 1.5 * unchecked < checked - unchecked < 2.5 * unchecked
 
 
+def test_checked_fig5_loop_fits_the_cap_of_its_run(tmp_path, capsys):
+    # The fig5 loop without its plane fits run.steps = 6000 (4,512 and
+    # 5,359 attempts).  The check's rerun at RTOL / 16 takes 3.6 times as
+    # many (ccw 16,181) on a cap of its own, four times run.steps, so the
+    # checked run exits 0 too, with the run's artifacts and stdout.
+    lines = serialize_config(PRESETS["fig5"]()).splitlines()
+    text = "".join(f"{line}\n" for line in lines if not line.startswith(("plane.", "output.")))
+    cfgfile = tmp_path / "loop.cfg"
+    cfgfile.write_text(text + "run.steps = 6000\n")
+    seen = []
+    for check in (False, True):
+        out = tmp_path / f"check-{check}"
+        argv = ["rydberg", "--config", str(cfgfile), "--out", str(out)]
+        assert main(argv + ["--check-steps"] * check) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counters"]["integrate_bloch.step_rule"] == "run.steps"
+        assert ("integrate_bloch.drift" in manifest["counters"]) == check
+        seen.append((manifest["outputs"], capsys.readouterr().out))
+    assert seen[0] == seen[1]
+
+
 def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     # The artifact is renamed into place only once it is fully written; a
     # failure on the way removes the temporary file and exits 3.
@@ -1200,15 +1241,15 @@ def test_failed_artifact_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_lines_formats_columns():
-    text = csv_lines(
+    text = "".join(csv_blocks(
         ["i", "flag", "x"],
         [np.array([3, -1]), np.array([True, False]), np.array([0.1, np.nan])],
-    )
+    ))
     assert text == "i,flag,x\n3,1,0.10000000000000001\n-1,0,nan\n"
-    assert csv_lines(["x"], [np.array([2.0 / 3.0, 1e300])]) == (
+    assert "".join(csv_blocks(["x"], [np.array([2.0 / 3.0, 1e300])])) == (
         "x\n0.66666666666666663\n1.0000000000000001e+300\n"
     )
-    assert float(csv_lines(["x"], [[math.pi]]).splitlines()[1]) == math.pi
+    assert float("".join(csv_blocks(["x"], [[math.pi]])).splitlines()[1]) == math.pi
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
@@ -1217,7 +1258,7 @@ def test_streamed_csv_equals_joined_text(tmp_path, rows):
     rng = np.random.default_rng(rows)
     header = ["k", "x", "y"]
     columns = [np.arange(rows), rng.normal(size=rows), rng.normal(size=rows) * 1e-300]
-    text = csv_lines(header, columns)
+    text = "".join(csv_blocks(header, columns))
     blocks = list(csv_blocks(header, columns))
     assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
     assert "".join(blocks) == text and text.count("\n") == rows + 1

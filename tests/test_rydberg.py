@@ -50,6 +50,11 @@ def demo_path(T=50000.0):
     )
 
 
+def held(p, T):
+    """The zero-radius path that holds p's (Omega, Delta) for a run of T."""
+    return EncirclePath(center=(p.Omega, p.Delta), radius=0.0, period=T, plane="Omega-Delta")
+
+
 def loop_verdict(path, steps=STEP_CAP, check_steps=False):
     """transfer_verdict from the low root at the path start."""
     return transfer_verdict(path, resolve_root(path, GAMMA, W, "low"), steps, check_steps)
@@ -86,7 +91,7 @@ def test_rhs_linear_limit_matches_two_level_value():
     ss = steady_states(p)
     assert len(ss.roots) == 1
     assert abs(ss.roots[0].n - expected) < 1e-12
-    _, ns, _, _ = integrate_bloch(p, 0.0, 0.0j, 60.0, STEP_CAP)
+    _, ns, _, _ = integrate_bloch(p, 0.0, 0.0j, 60.0, STEP_CAP, path=held(p, 60.0))
     assert abs(float(ns[-1]) - expected) < 1e-10
 
 
@@ -592,10 +597,34 @@ def test_integrate_bloch_diverges_where_the_complex_reference_does():
         _, n_ref, r_ref = _reference_integrate_bloch(p, 0.0, 0j, 50.0, steps)
         assert not (np.isfinite(n_ref[-1]) and np.isfinite(r_ref[-1]))
         with pytest.raises(StepTooCoarse, match=f"more than {steps} steps"):
-            integrate_bloch(p, 0.0, 0j, 50.0, steps)
+            integrate_bloch(p, 0.0, 0j, 50.0, steps, path=held(p, 50.0))
     for n0, r0 in ((math.nan, 0j), (0.0, complex(math.inf, 0.0)), (math.inf, 0j)):
         with pytest.raises(StepTooCoarse, match="rounding of t = 0"):
-            integrate_bloch(p, n0, r0, 50.0, STEP_CAP)
+            integrate_bloch(p, n0, r0, 50.0, STEP_CAP, path=held(p, 50.0))
+
+
+def test_check_rerun_has_a_cap_of_its_own(monkeypatch):
+    # Under check_steps each direction reruns at RTOL / 16 on four times the
+    # run's cap; a rerun that fails says so and names its cap.
+    calls, original = [], rydberg.integrate_bloch
+
+    def spy(*args, **kwargs):
+        calls.append((args[4], kwargs["rtol"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rydberg, "integrate_bloch", spy)
+    loop_verdict(demo_path(100.0), steps=3000, check_steps=True)
+    assert calls == [(3000, RTOL), (12000, RTOL / 16)] * 2
+
+    def rerun_fails(*args, **kwargs):
+        if kwargs["rtol"] < RTOL:
+            raise StepTooCoarse(f"mean-field loop needs more than {args[4]} steps")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rydberg, "integrate_bloch", rerun_fails)
+    with pytest.raises(StepTooCoarse, match=r"^the check's rerun at RTOL / 16, capped at 12000 "
+                       r"steps, failed: mean-field loop needs more than 12000 steps$"):
+        loop_verdict(demo_path(100.0), steps=3000, check_steps=True)
 
 
 def test_default_run_records_on_the_fixed_grid():
@@ -650,7 +679,7 @@ def test_integrate_bloch_matches_complex_reference_from_zero_coherence(steps):
     # eight times ``steps`` agree to 5e-8, and at Omega = 0 the state stays
     # exactly empty.
     for p in (RydbergParams(2.0, -4.4, GAMMA, W), RydbergParams(0.0, 0.5, GAMMA, W)):
-        got = integrate_bloch(p, 0.0, 0j, 50.0, STEP_CAP)
+        got = integrate_bloch(p, 0.0, 0j, 50.0, STEP_CAP, path=held(p, 50.0))
         want = _reference_integrate_bloch(p, 0.0, 0j, 50.0, 8 * steps)
         (n, r), (n_ref, r_ref) = _shared_records(got, want)
         assert len(n) > 30
@@ -684,7 +713,7 @@ def test_basin_of_attraction_never_hits_unstable_root():
     amp = np.sqrt(n0 * (1 - n0)) * np.sqrt(rng.uniform(0, 1, 100))
     r0 = amp * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
     p = RydbergParams(Omega=2.0, Delta=-4.4, gamma=GAMMA, W=W)
-    runs = [integrate_bloch(p, n, r, 200.0, STEP_CAP) for n, r in zip(n0, r0)]
+    runs = [integrate_bloch(p, n, r, 200.0, STEP_CAP, path=held(p, 200.0)) for n, r in zip(n0, r0)]
     final = np.array([ns[-1] for _, ns, _, _ in runs])
     d22, d21 = bloch_rhs(final, np.array([rs[-1] for _, _, rs, _ in runs]), p)
     assert np.max(np.hypot(np.abs(d22), np.abs(d21))) <= 1e-6
@@ -699,7 +728,7 @@ def test_hysteresis_loop_area():
         outs = []
         for de in de_values:
             p = RydbergParams(Omega=2.0, Delta=float(de), gamma=GAMMA, W=W)
-            _, ns, rs, _ = integrate_bloch(p, n, r, 30.0, STEP_CAP)
+            _, ns, rs, _ = integrate_bloch(p, n, r, 30.0, STEP_CAP, path=held(p, 30.0))
             n, r = float(ns[-1]), complex(rs[-1])
             outs.append(n)
         return np.array(outs), n, r

@@ -7,6 +7,7 @@ import os
 from pathlib import Path
 
 from epkit import cli
+from test_cli import RYDBERG_PATH_CONFIG
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -76,6 +77,11 @@ def test_traced_runs_count_their_layers(tmp_path):
             "cli.run.calls": 1, "cli.serialize.calls": 2, "cli.write.calls": 3,
             "spectra.scan_grid.calls": 1, "spectra.scan_grid.cells": 24 * 21,
             "spectra.evaluate_cells.cells": 24 * 21, "spectra.trace_lines.calls": 1,
+        }),
+        # the steps counter reads the cap, run.steps, of each direction's run
+        "rydberg": (RYDBERG_PATH_CONFIG, {
+            "cli.run.calls": 1, "cli.write.calls": 4, "rydberg.integrate_bloch.calls": 2,
+            "rydberg.integrate_bloch.steps": 2 * 10000,
         }),
     }
     for name, (text, counts) in expected.items():
